@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InternalInconsistencyError
 from .scalars import FieldTag, Scalar
 
 
@@ -112,7 +112,8 @@ def solve_lp(a: Sequence[Sequence[object]], b: Sequence[object],
     cost[-1] = -total
 
     status = _run_simplex(tableau, basis, cost, n)
-    assert status is LPStatus.OPTIMAL, "phase 1 is always bounded"
+    if status is not LPStatus.OPTIMAL:
+        raise InternalInconsistencyError("phase 1 ended unbounded; it is always bounded")
     if -cost[-1] != 0:
         return LPResult(LPStatus.INFEASIBLE)
 

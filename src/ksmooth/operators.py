@@ -307,7 +307,9 @@ def order_of_smoothness(t: LinearOperator) -> SmoothnessReport:
         raise NotUnitNormError(
             f"operator norm is {att.operator_norm!r}, not 1; rescale first")
     comp = _index_computation(t, list(att.attaining_vertices))
-    assert comp.rep_vertices == att.attaining_vertices
+    if comp.rep_vertices != att.attaining_vertices:
+        raise InternalInconsistencyError(
+            "index computation saw other attaining vertices than the scan")
     oracle = oracle_order_of_smoothness(t)
     if comp.index != oracle:
         raise InternalInconsistencyError(
@@ -407,7 +409,9 @@ def construct_face_operator(x_space: PolyhedralSpace, face: FaceDescriptor,
         total = total + f
     avg = total.scale(field.one / field.from_int(len(functionals)))
     for v in face_vertices:
-        assert avg.dot(v) == field.one
+        if avg.dot(v) != field.one:
+            raise InternalInconsistencyError(
+                "averaged face functional is not 1 on a face vertex")
 
     keep = greedy_independent_subset(face_vertices)
     base = [face_vertices[i] for i in keep]

@@ -9,8 +9,10 @@ LP over those extreme functionals.
 
 Subspace-level tests iterate the proper faces of the ball: the support
 set is constant on the relative interior of a face, so each face whose
-relative interior meets the subspace contributes a single check.  Whether
-it meets is itself decided exactly, by maximizing a slack variable.
+relative interior meets the subspace contributes a single check.  Those
+faces are read off the section of the ball by the subspace, a polytope
+computed exactly by double description: its faces are exactly the ball
+faces whose relative interior the subspace meets.
 
 Every positive verdict carries one witness functional per contributing
 face, stored as convex-combination coefficients over the extreme
@@ -33,7 +35,7 @@ from .errors import (
 )
 from .linalg import Matrix, Vector, rank_of_vectors, solve
 from .lp import LPStatus, lp_feasible, solve_lp
-from .polytope import FaceDescriptor, enumerate_faces
+from .polytope import FaceDescriptor, dual_vertices, intersection_closure
 from .scalars import Scalar
 from .spaces import PolyhedralSpace, norm, support_set
 
@@ -188,12 +190,16 @@ def _relint_sample(space: PolyhedralSpace, face: FaceDescriptor,
 
     Maximizes a shared slack below every non-active facet constraint; the
     intersection meets the relative interior iff the optimum is positive.
+    One LP per face: the tests keep it as the reference for
+    ``_faces_meeting``.
     """
     field = space.field
     functionals = space.ball.functionals
     active = sorted(face.active_set)
     others = [j for j in range(len(functionals)) if j not in face.active_set]
-    assert others, "a proper face of a symmetric ball cannot activate every facet"
+    if not others:
+        raise InternalInconsistencyError(
+            "a proper face of a symmetric ball cannot activate every facet")
     r = len(basis)
     zero, one = field.zero, field.one
 
@@ -225,18 +231,42 @@ def _relint_sample(space: PolyhedralSpace, face: FaceDescriptor,
 
 
 def _faces_meeting(space: PolyhedralSpace, v: Subspace):
-    v_rank = len(v.basis)
-    for dim in range(space.dim):
-        for face in enumerate_faces(space.ball, dim):
-            # cheap cull: if span(v) and span(face vertices) meet only at 0,
-            # the face cannot meet the subspace at all
-            face_verts = space.ball.face_vertices(face)
-            joint = rank_of_vectors(list(v.basis) + face_verts)
-            if joint == v_rank + rank_of_vectors(face_verts):
-                continue
-            point = _relint_sample(space, face, v.basis)
-            if point is not None:
-                yield face, point
+    """The ball faces whose relative interior meets v, each with a point of
+    that meeting, by dimension and then by sorted active set.
+
+    In the coordinates of v's basis, the section of the ball by v is the
+    polytope cut out by the restricted facet functionals
+    ``g_j = (f_j(b_1), ..., f_j(b_r))``, whose vertices double description
+    finds.  Its faces are exactly the sections of the ball faces whose
+    relative interior v meets (Fukuda & Prodon, 1996), and the section
+    face with ball active set A has as vertices the section vertices
+    active on all of A.  So the vertex active sets, closed under
+    intersection, name the faces met, and the barycentre of a face's
+    section vertices lies in its relative interior.
+    """
+    field = space.field
+    ball = space.ball
+    lattice = ball._face_lattice()
+    restricted = [Vector([f.dot(b) for b in v.basis], field) for f in ball.functionals]
+    distinct = {g.entries: g for g in restricted if not g.is_zero()}
+    vertices = dual_vertices(list(distinct.values()))
+    actives = [frozenset(j for j, g in enumerate(restricted) if g.dot(c) == field.one)
+               for c in vertices]
+    faces = []
+    for a in intersection_closure(actives):
+        if a not in lattice:
+            raise InternalInconsistencyError(
+                "a face of the subspace section is not a face of the ball")
+        faces.append(FaceDescriptor(a, lattice[a]))
+    faces.sort(key=lambda face: (face.dim, tuple(sorted(face.active_set))))
+    to_ambient = Matrix.from_columns(list(v.basis))
+    for face in faces:
+        members = [c for c, act in zip(vertices, actives) if face.active_set <= act]
+        total = Vector.zero(len(v.basis), field)
+        for c in members:
+            total = total + c
+        coords = total.scale(field.one / field.from_int(len(members)))
+        yield face, to_ambient.matvec(coords)
 
 
 def bj_subspace_vector(space: PolyhedralSpace, v: Subspace, z: Vector) -> BJVerdict:

@@ -30,10 +30,12 @@ from typing import Sequence
 from .errors import (
     DimensionMismatchError,
     GuardExceededError,
+    InternalInconsistencyError,
     NotFullDimensionalError,
     NotOnBoundaryError,
     NotSymmetricError,
     OriginNotInteriorError,
+    ValidationError,
 )
 from .linalg import Matrix, Vector, greedy_independent_subset, rank_of_vectors, solve
 from .lp import lp_feasible
@@ -46,7 +48,11 @@ def _guard_limits() -> tuple[int, int]:
     raw = os.environ.get("KSMOOTH_MAX_DIM")
     if raw is None:
         return DEFAULT_MAX_DIM, DEFAULT_MAX_VERTICES
-    max_dim = int(raw)
+    try:
+        max_dim = int(raw)
+    except ValueError:
+        raise ValidationError(
+            f"KSMOOTH_MAX_DIM must be an integer, not {raw!r}") from None
     return max_dim, max(DEFAULT_MAX_VERTICES, 2 ** max_dim)
 
 
@@ -157,7 +163,9 @@ def dual_vertices(points: Sequence[Vector]) -> list[Vector]:
     for signs in itertools.product((1, -1), repeat=d):
         rhs = Vector([field.from_int(s) for s in signs], field)
         corner = solve(slab, rhs)
-        assert corner is not None
+        if corner is None:
+            raise InternalInconsistencyError(
+                "independent constraints left a parallelotope corner unsolvable")
         verts.append(corner)
         actives.append({init[j] if s == 1 else negation[init[j]]
                         for j, s in enumerate(signs)})
@@ -209,9 +217,10 @@ def dual_vertices(points: Sequence[Vector]) -> list[Vector]:
             keep_actives.append(recompute_active(z))
         verts, actives = keep_verts, keep_actives
 
-    for v, act in zip(verts, actives):
-        assert rank_of_vectors([points[j] for j in act]) == d, \
-            "double description produced a non-vertex point"
+    for act in actives:
+        if rank_of_vectors([points[j] for j in act]) != d:
+            raise InternalInconsistencyError(
+                "double description produced a non-vertex point")
     return verts
 
 
@@ -293,23 +302,30 @@ class Polytope:
     def _face_lattice(self) -> dict[frozenset[int], int]:
         cache = self._face_cache
         if "lattice" not in cache:
-            lattice: dict[frozenset[int], int] = {}
-            queue: deque[frozenset[int]] = deque()
-            for act in self.vertex_active:
-                if act not in lattice:
-                    lattice[act] = self.dim - rank_of_vectors(
-                        [self.functionals[j] for j in act])
-                    queue.append(act)
-            while queue:
-                a = queue.popleft()
-                for b in self.vertex_active:
-                    c = a & b
-                    if c and c not in lattice:
-                        lattice[c] = self.dim - rank_of_vectors(
-                            [self.functionals[j] for j in c])
-                        queue.append(c)
-            cache["lattice"] = lattice
+            cache["lattice"] = {
+                a: self.dim - rank_of_vectors([self.functionals[j] for j in a])
+                for a in intersection_closure(self.vertex_active)}
         return cache["lattice"]
+
+
+def intersection_closure(generators: Sequence[frozenset[int]]) -> list[frozenset[int]]:
+    """Every nonempty intersection of one or more ``generators``, each once.
+
+    Applied to the vertex active sets of a polytope this gives the active
+    sets of all its nonempty proper faces.  Breadth first from the
+    generators, in discovery order.
+    """
+    found = dict.fromkeys(generators)
+    unique = list(found)
+    queue = deque(unique)
+    while queue:
+        a = queue.popleft()
+        for b in unique:
+            c = a & b
+            if c and c not in found:
+                found[c] = None
+                queue.append(c)
+    return list(found)
 
 
 def minimal_face(p: Polytope, x: Vector) -> FaceDescriptor:

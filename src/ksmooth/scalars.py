@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-from .errors import FieldMismatchError, ScalarSyntaxError
+from .errors import FieldMismatchError, InternalInconsistencyError, ScalarSyntaxError
 
 _SQRT2_FLOAT = 2.0 ** 0.5
 
@@ -97,7 +97,9 @@ class QuadScalar:
         if sa <= 0 and sb <= 0:
             return -1
         d = self._a * self._a - 2 * self._b * self._b
-        assert d != 0, "a^2 = 2 b^2 is impossible for rational a, b not both zero"
+        if d == 0:
+            raise InternalInconsistencyError(
+                "a^2 = 2 b^2 is impossible for rational a, b not both zero")
         return sa if d > 0 else sb
 
     def __bool__(self) -> bool:

@@ -249,6 +249,12 @@ def test_validation_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_malformed_guard_variable_is_validation_error(capsys, monkeypatch):
+    monkeypatch.setenv("KSMOOTH_MAX_DIM", "abc")
+    assert main(["space", "info", "ell1:3"]) == 2
+    assert "KSMOOTH_MAX_DIM" in capsys.readouterr().err
+
+
 def test_bundled_sample_operators(capsys):
     from pathlib import Path
     samples = Path(__file__).resolve().parent.parent / "samples"

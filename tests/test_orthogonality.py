@@ -8,9 +8,11 @@ from ksmooth.errors import (
     NotUnitNormError,
     SubspaceMembershipError,
 )
-from ksmooth.linalg import Vector
+from ksmooth.linalg import Vector, rank_of_vectors
 from ksmooth.orthogonality import (
     Subspace,
+    _faces_meeting,
+    _relint_sample,
     bj_subspace_subspace,
     bj_subspace_vector,
     bj_vector_subspace,
@@ -18,6 +20,7 @@ from ksmooth.orthogonality import (
     is_best_coapproximation,
     is_strong_auerbach,
 )
+from ksmooth.polytope import enumerate_faces, minimal_face
 from ksmooth.scalars import FieldTag, QuadScalar
 from ksmooth.selftest import _bj_breakpoint_oracle
 from ksmooth.spaces import ell1, ellinf, norm, normalized, paper_example_space, random_space
@@ -194,3 +197,51 @@ def test_definition_via_norm_inequality_spot_check():
     for num in range(-12, 13):
         t = Fraction(num, 4)
         assert norm(space, x + y.scale(t)) >= 1
+
+
+def _lp_faces_meeting(space, sub):
+    """The reference route: one slack-maximising LP per ball face whose
+    vertex span meets the subspace beyond the origin."""
+    for dim in range(space.dim):
+        for face in enumerate_faces(space.ball, dim):
+            verts = space.ball.face_vertices(face)
+            if rank_of_vectors(list(sub.basis) + verts) == \
+                    len(sub.basis) + rank_of_vectors(verts):
+                continue
+            point = _relint_sample(space, face, sub.basis)
+            if point is not None:
+                yield face, point
+
+
+def _random_subspace(rng, space, r):
+    while True:
+        basis = [Vector([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                         for _ in range(space.dim)], Q) for _ in range(r)]
+        if rank_of_vectors(basis) == r:
+            return Subspace.span(space, basis)
+
+
+def _section_cases():
+    rng = random.Random(83)
+    for case in range(10):
+        space = random_space(5200 + case, 2 + case % 2, 4)
+        r = 2 if case in (5, 7, 9) else 1
+        yield space, _random_subspace(rng, space, r)
+    for space in (ellinf(2), ell1(3)):
+        yield space, Subspace.span(space, basis_vectors(space.dim))
+    space = paper_example_space()
+    for i in range(3):
+        yield space, Subspace.span(space, [Vector.basis(i, 3, K)])
+
+
+def test_section_walk_matches_lp_route():
+    for space, sub in _section_cases():
+        walk = list(_faces_meeting(space, sub))
+        reference = list(_lp_faces_meeting(space, sub))
+        assert [face for face, _ in walk] == [face for face, _ in reference]
+        if len(sub.basis) == 1:
+            # a line meets each face in a single point
+            assert walk == reference
+        for face, point in walk:
+            assert sub.contains(point)
+            assert minimal_face(space.ball, point).active_set == face.active_set
