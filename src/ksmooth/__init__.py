@@ -12,7 +12,6 @@ from .linalg import (
     greedy_independent_subset,
     kron_coeff_vector,
     nullspace,
-    outer_flatten,
     rank,
     solve,
 )

@@ -68,12 +68,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt_vector(v: Vector) -> str:
-    return "(" + ",".join(serialize(e) for e in v.entries) + ")"
-
-
 def _vector_list(vs: Sequence[Vector]) -> list[str]:
-    return [_fmt_vector(v) for v in vs]
+    return [str(v) for v in vs]
 
 
 def _emit(report: dict, as_json: bool, human_lines: Sequence[str]) -> None:
@@ -142,14 +138,14 @@ def _cmd_point_smooth(args, argv) -> int:
     sup = support_set(space, x)
     face = minimal_face(space.ball, x)
     results = {
-        "point": _fmt_vector(x),
+        "point": str(x),
         "smoothness_order": k,
         "active_functionals": _vector_list(sup.extreme_functionals),
         "minimal_face_dim": face.dim,
         "cross_check": space.dim - face.dim,
     }
     lines = [
-        f"point {_fmt_vector(x)} in {space.name}: {k}-smooth",
+        f"point {x} in {space.name}: {k}-smooth",
         f"active extreme functionals ({len(sup.extreme_functionals)}): "
         + ", ".join(results["active_functionals"]),
         f"minimal face dimension: {face.dim} "
@@ -252,7 +248,7 @@ def _cmd_op_construct_face(args, argv) -> int:
     results = _order_results(t, report)
     results["operator_file"] = doc
     results["face_dim"] = face.dim
-    results["target_point"] = _fmt_vector(u)
+    results["target_point"] = str(u)
     lines = [
         f"constructed operator attaining on a {face.dim}-dimensional face, order "
         f"{report.index}",
@@ -290,9 +286,9 @@ def _cmd_ortho_check(args, argv) -> int:
     results = {"orthogonal": bool(verdict)}
     if verdict:
         w = verdict.witnesses[0]
-        results["witness_functional"] = _fmt_vector(w.functional)
+        results["witness_functional"] = str(w.functional)
         results["witness_coefficients"] = [serialize(c) for c in w.coefficients]
-        lines = [f"orthogonal, witness f={_fmt_vector(w.functional)}"]
+        lines = [f"orthogonal, witness f={w.functional}"]
     else:
         lines = ["not orthogonal"]
     _emit(_report(argv, {"space": digest(args.space)}, results), args.json, lines)

@@ -1,9 +1,15 @@
-"""Exact vectors, matrices, rank, solving and flattened outer products.
+"""Exact vectors, matrices, rank, solving and independent subsets.
 
 Rank uses fraction-free (Bareiss) elimination after clearing row
 denominators, with full pivot search by a smallest-digit-length heuristic;
 this bounds coefficient growth without affecting exactness.  Every rank
 query recomputes from scratch: matrices here are tiny.
+
+Everything else runs on one Gauss-Jordan kernel: ``pivot_on`` is a single
+elimination step and ``_reduce`` brings rows to reduced row echelon form.
+``solve``, ``nullspace``, ``greedy_independent_subset`` and the simplex
+pivots of :mod:`ksmooth.lp` all go through it.  Rank stays on Bareiss,
+which is faster on the shapes used here.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .scalars import FieldTag, Scalar
+from .scalars import FieldTag, Scalar, serialize
 
 
 class Vector:
@@ -61,6 +67,9 @@ class Vector:
 
     def __repr__(self) -> str:
         return f"Vector({list(self.entries)!r}, {self.field.name})"
+
+    def __str__(self) -> str:
+        return "(" + ",".join(serialize(e) for e in self.entries) + ")"
 
     def _check_peer(self, other: "Vector") -> None:
         if self.field is not other.field:
@@ -254,6 +263,41 @@ def rank_of_vectors(vs: Sequence[Vector]) -> int:
     return _rank_of_lists([v.entries for v in vs], vs[0].field)
 
 
+def pivot_on(rows: list[list[Scalar]], r: int, c: int) -> None:
+    """One Gauss-Jordan step in place: scale row ``r`` to a unit pivot in
+    column ``c``, then clear column ``c`` from every other row."""
+    pivot = rows[r][c]
+    rows[r] = [x / pivot for x in rows[r]]
+    for i in range(len(rows)):
+        if i != r and rows[i][c]:
+            factor = rows[i][c]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+
+
+def _reduce(rows: list[list[Scalar]], ncols: int) -> list[int]:
+    """Bring ``rows`` to reduced row echelon form in place, pivoting only in
+    the first ``ncols`` columns; returns the pivot columns in order.
+
+    In each column the pivot is the nonzero entry of smallest size among
+    the rows not yet used, the first such row on ties.
+    """
+    pivot_cols: list[int] = []
+    nr = len(rows)
+    for c in range(ncols):
+        r = len(pivot_cols)
+        if r == nr:
+            break
+        sizes = [(_scalar_size(rows[i][c]), i) for i in range(r, nr) if rows[i][c]]
+        if not sizes:
+            continue
+        pi = min(sizes)[1]
+        if pi != r:
+            rows[r], rows[pi] = rows[pi], rows[r]
+        pivot_on(rows, r, c)
+        pivot_cols.append(c)
+    return pivot_cols
+
+
 def solve(a: Matrix, b: Vector) -> Optional[Vector]:
     """Exact solution of ``a x = b``, or ``None`` when inconsistent.
 
@@ -264,80 +308,29 @@ def solve(a: Matrix, b: Vector) -> Optional[Vector]:
         raise FieldMismatchError("matrix and vector fields differ")
     if b.dim != a.rows:
         raise DimensionMismatchError(f"solve: {a.rows} rows vs rhs dim {b.dim}")
-    field = a.field
     aug = [list(row) + [b[i]] for i, row in enumerate(a.row_data)]
-    nr, nc = a.rows, a.cols
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        best = None
-        for i in range(r, nr):
-            x = aug[i][c]
-            if x:
-                size = _scalar_size(x)
-                if best is None or size < best[0]:
-                    best = (size, i)
-        if best is None:
-            continue
-        _, pi = best
-        if pi != r:
-            aug[r], aug[pi] = aug[pi], aug[r]
-        pivot = aug[r][c]
-        aug[r] = [x / pivot for x in aug[r]]
-        for i in range(nr):
-            if i != r and aug[i][c]:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-    for i in range(r, nr):
-        if aug[i][nc]:
-            return None
-    solution = [field.zero] * nc
+    pivot_cols = _reduce(aug, a.cols)
+    if any(row[-1] for row in aug[len(pivot_cols):]):
+        return None
+    solution = [a.field.zero] * a.cols
     for k, c in enumerate(pivot_cols):
-        solution[c] = aug[k][nc]
-    return Vector(solution, field)
+        solution[c] = aug[k][-1]
+    return Vector(solution, a.field)
 
 
 def nullspace(a: Matrix) -> list[Vector]:
     """Deterministic basis of the kernel of ``a`` (one vector per free column)."""
     field = a.field
-    aug = [list(row) for row in a.row_data]
-    nr, nc = a.rows, a.cols
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        best = None
-        for i in range(r, nr):
-            x = aug[i][c]
-            if x:
-                size = _scalar_size(x)
-                if best is None or size < best[0]:
-                    best = (size, i)
-        if best is None:
-            continue
-        _, pi = best
-        if pi != r:
-            aug[r], aug[pi] = aug[pi], aug[r]
-        pivot = aug[r][c]
-        aug[r] = [x / pivot for x in aug[r]]
-        for i in range(nr):
-            if i != r and aug[i][c]:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-    free_cols = [c for c in range(nc) if c not in pivot_cols]
+    rows = [list(row) for row in a.row_data]
+    pivot_cols = _reduce(rows, a.cols)
     basis = []
-    for fc in free_cols:
-        entries = [field.zero] * nc
+    for fc in range(a.cols):
+        if fc in pivot_cols:
+            continue
+        entries = [field.zero] * a.cols
         entries[fc] = field.one
         for k, pc in enumerate(pivot_cols):
-            entries[pc] = -aug[k][fc]
+            entries[pc] = -rows[k][fc]
         basis.append(Vector(entries, field))
     return basis
 
@@ -345,23 +338,21 @@ def nullspace(a: Matrix) -> list[Vector]:
 def greedy_independent_subset(vs: Sequence[Vector]) -> list[int]:
     """Indices of a maximal independent subset, scanning in input order.
 
-    A vector is kept iff it increases the rank of the kept set; the result
-    spans the span of the whole input.
+    A vector is kept iff it is not in the span of the vectors before it;
+    the result spans the span of the whole input.  These are exactly the
+    pivot columns of the matrix whose columns are ``vs``.
     """
-    kept_rows: list[tuple[Scalar, ...]] = []
-    indices: list[int] = []
-    for i, v in enumerate(vs):
-        if v.is_zero():
-            continue
-        candidate = kept_rows + [v.entries]
-        if _rank_of_lists(candidate, v.field) == len(candidate):
-            kept_rows.append(v.entries)
-            indices.append(i)
-    return indices
+    if not vs:
+        return []
+    return _reduce([[v[i] for v in vs] for i in range(vs[0].dim)], len(vs))
 
 
 def kron_coeff_vector(alpha: Vector, beta: Vector) -> Vector:
-    """Coefficient tuple of all products ``alpha[i]*beta[j]``, i-major."""
+    """Coefficient tuple of all products ``alpha[i]*beta[j]``, i-major.
+
+    With ``alpha`` a domain vector and ``beta`` a codomain functional this
+    is the flattened bilinear form ``S -> beta(S alpha)``.
+    """
     if alpha.field is not beta.field:
         raise FieldMismatchError("mixed fields in coefficient product")
     entries = []
@@ -369,19 +360,3 @@ def kron_coeff_vector(alpha: Vector, beta: Vector) -> Vector:
         for bj in beta.entries:
             entries.append(ai * bj)
     return Vector(entries, alpha.field)
-
-
-def outer_flatten(x: Vector, f: Vector) -> Vector:
-    """Flattened coefficient array of the bilinear form ``S -> f(Sx)``.
-
-    ``x`` lives in domain coordinates and ``f`` in codomain-dual
-    coordinates; the entry at position ``i*dim(f) + a`` is ``x[i]*f[a]``,
-    matching the i-major layout of :func:`kron_coeff_vector`.
-    """
-    if x.field is not f.field:
-        raise FieldMismatchError("mixed fields in outer product")
-    entries = []
-    for xi in x.entries:
-        for fa in f.entries:
-            entries.append(xi * fa)
-    return Vector(entries, x.field)

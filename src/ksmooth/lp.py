@@ -2,8 +2,9 @@
 
 A small two-phase tableau simplex in standard form (``min c.z`` subject to
 ``A z = b``, ``z >= 0``) with Bland's anti-cycling rule, so termination is
-guaranteed and every pivot is exact.  All feasibility regions in this
-package are tiny (a few dozen variables), so no effort is spent on
+guaranteed and every pivot is exact.  Each pivot is one step of the
+Gauss-Jordan kernel of :mod:`ksmooth.linalg`.  All feasibility regions in
+this package are tiny (a few dozen variables), so no effort is spent on
 sparsity or factorization.
 """
 
@@ -14,6 +15,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, InternalInconsistencyError
+from .linalg import pivot_on
 from .scalars import FieldTag, Scalar
 
 
@@ -31,12 +33,7 @@ class LPResult:
 
 
 def _pivot(tableau: list[list[Scalar]], basis: list[int], row: int, col: int) -> None:
-    pivot = tableau[row][col]
-    tableau[row] = [x / pivot for x in tableau[row]]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col]:
-            factor = tableau[i][col]
-            tableau[i] = [x - factor * y for x, y in zip(tableau[i], tableau[row])]
+    pivot_on(tableau, row, col)
     basis[row] = col
 
 

@@ -48,13 +48,12 @@ from .linalg import (
     greedy_independent_subset,
     kron_coeff_vector,
     nullspace,
-    outer_flatten,
     rank,
     rank_of_vectors,
     solve,
 )
 from .polytope import FaceDescriptor
-from .scalars import FieldTag, QuadScalar, Scalar, sign
+from .scalars import FieldTag, QuadScalar, Scalar, serialize, sign
 from .spaces import (
     PolyhedralSpace,
     SupportSet,
@@ -208,7 +207,7 @@ def _coordinates(basis: Sequence[Vector], target: Vector,
                  what: str) -> Vector:
     solution = solve(Matrix.from_columns(list(basis)), target)
     if solution is None:
-        raise SpanViolationError(f"{what} {target!r} is outside the collected span")
+        raise SpanViolationError(f"{what} {target} is outside the collected span")
     return solution
 
 
@@ -221,7 +220,7 @@ def _index_computation(t: LinearOperator, r: Sequence[Vector],
     one = t.domain.field.one
     for x in r:
         if norm(t.domain, x) != one:
-            raise NotUnitNormError(f"R member {x!r} is not unit norm")
+            raise NotUnitNormError(f"R member {x} is not unit norm")
     reps = _extreme_members(t, r)
     if not reps:
         raise EmptyExtremeIntersectionError(
@@ -242,7 +241,7 @@ def _index_computation(t: LinearOperator, r: Sequence[Vector],
         image = t.apply(v)
         if image.is_zero():
             raise ValidationError(
-                f"image of extreme point {v!r} is zero; support set undefined")
+                f"image of extreme point {v} is zero; support set undefined")
         sup = support_functionals_at(t.codomain, image)
         supports.append(sup)
         collected.extend(sup.extreme_functionals)
@@ -285,12 +284,12 @@ def oracle_order_of_smoothness(t: LinearOperator) -> int:
     """Basis-free order of smoothness via flattened ambient outer products."""
     att = operator_norm_and_attainment(t)
     if att.operator_norm != t.domain.field.one:
-        raise NotUnitNormError(f"operator norm is {att.operator_norm!r}, not 1")
+        raise NotUnitNormError(f"operator norm is {serialize(att.operator_norm)}, not 1")
     generators = []
     for v in att.attaining_vertices:
         sup = support_functionals_at(t.codomain, t.apply(v))
         for y_star in sup.extreme_functionals:
-            generators.append(outer_flatten(v, y_star))
+            generators.append(kron_coeff_vector(v, y_star))
     return rank_of_vectors(generators)
 
 
@@ -305,7 +304,7 @@ def order_of_smoothness(t: LinearOperator) -> SmoothnessReport:
     att = operator_norm_and_attainment(t)
     if att.operator_norm != t.domain.field.one:
         raise NotUnitNormError(
-            f"operator norm is {att.operator_norm!r}, not 1; rescale first")
+            f"operator norm is {serialize(att.operator_norm)}, not 1; rescale first")
     comp = _index_computation(t, list(att.attaining_vertices))
     if comp.rep_vertices != att.attaining_vertices:
         raise InternalInconsistencyError(
@@ -398,7 +397,7 @@ def construct_face_operator(x_space: PolyhedralSpace, face: FaceDescriptor,
     if x_space.dim - rank_of_vectors(functionals) != face.dim:
         raise NotProperFaceError("face dimension does not match its active set")
     if norm(y_space, u) != y_space.field.one:
-        raise NotUnitNormError(f"target point {u!r} is not unit norm")
+        raise NotUnitNormError(f"target point {u} is not unit norm")
 
     face_vertices = x_space.ball.face_vertices(face)
     if not face_vertices:

@@ -304,7 +304,7 @@ def is_best_coapproximation(space: PolyhedralSpace, x: Vector, y0: Vector,
     """Whether y0 is a best coapproximation to x out of the subspace y,
     i.e. whether y is BJ-orthogonal to x - y0."""
     if not y.contains(y0):
-        raise SubspaceMembershipError(f"{y0!r} is not in the subspace")
+        raise SubspaceMembershipError(f"{y0} is not in the subspace")
     return bj_subspace_vector(space, y, x - y0)
 
 
@@ -314,7 +314,7 @@ def is_strong_auerbach(space: PolyhedralSpace, basis: Sequence[Vector]) -> BJVer
     one = space.field.one
     for b in basis:
         if norm(space, b) != one:
-            raise NotUnitNormError(f"basis vector {b!r} is not unit norm")
+            raise NotUnitNormError(f"basis vector {b} is not unit norm")
     if rank_of_vectors(list(basis)) != len(basis):
         raise NotIndependentError("basis is linearly dependent")
     n = len(basis)

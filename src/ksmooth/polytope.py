@@ -39,6 +39,7 @@ from .errors import (
 )
 from .linalg import Matrix, Vector, greedy_independent_subset, rank_of_vectors, solve
 from .lp import lp_feasible
+from .scalars import serialize
 
 DEFAULT_MAX_DIM = 6
 DEFAULT_MAX_VERTICES = 64
@@ -99,7 +100,7 @@ def _negation_index(points: Sequence[Vector]) -> list[int]:
         neg = tuple(-x for x in p.entries)
         j = position.get(neg)
         if j is None:
-            raise NotSymmetricError(f"point set not closed under negation: {p!r}")
+            raise NotSymmetricError(f"point set not closed under negation: {p}")
         pairs.append(j)
     return pairs
 
@@ -255,11 +256,11 @@ class Polytope:
                 value = f.dot(v)
                 if validate and value > field.one:
                     raise OriginNotInteriorError(
-                        f"vertex {v!r} violates functional {f!r}")
+                        f"vertex {v} violates functional {f}")
                 if value == field.one:
                     active.add(j)
             if validate and not active:
-                raise NotOnBoundaryError(f"vertex {v!r} is not on the boundary")
+                raise NotOnBoundaryError(f"vertex {v} is not on the boundary")
             incidence.append(frozenset(active))
         object.__setattr__(self, "vertex_active", tuple(incidence))
         object.__setattr__(self, "_face_cache", {})
@@ -269,7 +270,7 @@ class Polytope:
             for i, v in enumerate(vrep.vertices):
                 if rank_of_vectors([hrep.functionals[j] for j in incidence[i]]) != d:
                     raise NotFullDimensionalError(
-                        f"vertex {v!r} has active functionals of deficient rank")
+                        f"vertex {v} has active functionals of deficient rank")
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polytope is immutable")
@@ -335,7 +336,7 @@ def minimal_face(p: Polytope, x: Vector) -> FaceDescriptor:
     values = [f.dot(x) for f in p.functionals]
     top = max(values)
     if top != p.field.one:
-        raise NotOnBoundaryError(f"max functional value is {top!r}, not 1")
+        raise NotOnBoundaryError(f"max functional value is {serialize(top)}, not 1")
     active = frozenset(j for j, val in enumerate(values) if val == p.field.one)
     dim = p.dim - rank_of_vectors([p.functionals[j] for j in active])
     return FaceDescriptor(active, dim)

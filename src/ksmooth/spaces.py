@@ -88,7 +88,7 @@ def support_set(space: PolyhedralSpace, x: Vector) -> SupportSet:
     """Extreme support functionals of the unit vector x and their rank."""
     _check_point(space, x)
     if norm(space, x) != space.field.one:
-        raise NotUnitNormError(f"norm of {x!r} is not 1")
+        raise NotUnitNormError(f"norm of {x} is not 1")
     active = tuple(f for f in space.ball.functionals if f.dot(x) == space.field.one)
     return SupportSet(x, active, rank_of_vectors(list(active)))
 
@@ -115,7 +115,7 @@ def point_smoothness(space: PolyhedralSpace, x: Vector) -> int:
     if supports.smoothness_order != by_face:
         raise InternalInconsistencyError(
             f"smoothness {supports.smoothness_order} by support rank but "
-            f"{by_face} by face dimension at {x!r}")
+            f"{by_face} by face dimension at {x}")
     return supports.smoothness_order
 
 

@@ -134,6 +134,14 @@ def test_point_smooth_rejects_nonunit(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("space, point", [("ell1:2", "1,1"), ("paper-example", "1,1,1")])
+def test_validation_message_prints_literals(capsys, space, point):
+    assert main(["point", "smooth", space, point]) == 2
+    err = capsys.readouterr().err
+    assert f"norm of ({point}) is not 1" in err
+    assert "Fraction(" not in err and "QuadScalar(" not in err
+
+
 def test_op_order_bundled_example_flags_discrepancy(capsys):
     code, out = run(capsys, "op", "order", "paper-example")
     assert code == 0

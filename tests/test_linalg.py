@@ -10,7 +10,6 @@ from ksmooth.linalg import (
     greedy_independent_subset,
     kron_coeff_vector,
     nullspace,
-    outer_flatten,
     rank,
     rank_of_vectors,
     solve,
@@ -23,6 +22,19 @@ K = FieldTag.QUAD_SQRT2
 
 def qv(*entries):
     return Vector(entries, Q)
+
+
+def rand_scalar(rng, field):
+    """A small random scalar; over Q(sqrt2) both parts are random rationals."""
+    a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if field is Q:
+        return a
+    return QuadScalar(a, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+
+def rand_matrix(rng, field, rows, cols):
+    return Matrix([[rand_scalar(rng, field) for _ in range(cols)]
+                   for _ in range(rows)], field)
 
 
 def test_rank_identity():
@@ -60,6 +72,15 @@ def test_rank_nullity_random():
         assert rank(m) + len(nullspace(m)) == cols
         for v in nullspace(m):
             assert m.matvec(v).is_zero()
+    for _ in range(30):
+        cols = rng.randint(1, 5)
+        # rank-deficient products give nontrivial kernels over Q(sqrt2)
+        m = rand_matrix(rng, K, rng.randint(1, 4), 2).matmul(rand_matrix(rng, K, 2, cols))
+        kernel = nullspace(m)
+        assert rank(m) + len(kernel) == cols
+        assert rank_of_vectors(kernel) == len(kernel)
+        for v in kernel:
+            assert m.matvec(v).is_zero()
 
 
 def test_solve_in_span():
@@ -90,6 +111,23 @@ def test_solve_checks_residual():
         x = solve(a, b)
         if x is not None:
             assert a.matvec(x) == b
+    solved = 0
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        a = rand_matrix(rng, K, n, rng.randint(1, 4))
+        # half the right-hand sides are in the column space by construction
+        if rng.random() < 0.5:
+            b = a.matvec(Vector([rand_scalar(rng, K) for _ in range(a.cols)], K))
+        else:
+            b = Vector([rand_scalar(rng, K) for _ in range(n)], K)
+        x = solve(a, b)
+        if x is None:
+            assert rank(a) < rank(Matrix.from_columns(
+                [a.column(j) for j in range(a.cols)] + [b]))
+        else:
+            solved += 1
+            assert a.matvec(x) == b
+    assert solved >= 15
 
 
 def test_greedy_subset_basic():
@@ -119,6 +157,56 @@ def test_greedy_subset_spans_input():
         assert rank_of_vectors(picked) == len(picked)
 
 
+def greedy_by_rank(vs):
+    """Reference rule: keep a vector iff it raises the rank of the kept set."""
+    kept, indices = [], []
+    for i, v in enumerate(vs):
+        if rank_of_vectors(kept + [v]) > len(kept):
+            kept.append(v)
+            indices.append(i)
+    return indices
+
+
+def low_rank_set(rng, field, dim, count, r):
+    """``count`` vectors in a random ``r``-dimensional subspace, some zero."""
+    gens = [[rand_scalar(rng, field) for _ in range(dim)] for _ in range(r)]
+    vs = []
+    for _ in range(count):
+        if rng.random() < 0.15:
+            vs.append(Vector.zero(dim, field))
+            continue
+        coeffs = [field.coerce(rng.randint(-2, 2)) for _ in range(r)]
+        vs.append(Vector([sum((c * g[i] for c, g in zip(coeffs, gens)), field.zero)
+                          for i in range(dim)], field))
+    return vs
+
+
+@pytest.mark.parametrize("field", [Q, K], ids=["rational", "quadratic"])
+def test_greedy_subset_matches_rank_rule(field):
+    rng = random.Random(17)
+    for _ in range(60):
+        dim = rng.randint(1, 5)
+        vs = low_rank_set(rng, field, dim, rng.randint(1, 10), rng.randint(0, dim))
+        assert greedy_independent_subset(vs) == greedy_by_rank(vs)
+    assert greedy_independent_subset([]) == []
+
+
+def test_greedy_subset_matches_rank_rule_cube_shape():
+    # 64 integer points in dimension 6, the size of the ellinf:6 vertex set
+    rng = random.Random(19)
+    cube = [Vector([s * 2 - 1 for s in map(int, f"{k:06b}")], Q) for k in range(64)]
+    rng.shuffle(cube)
+    sets = [cube, [Vector([rng.randint(-3, 3) for _ in range(6)], Q) for _ in range(64)]]
+    sets += [low_rank_set(rng, Q, 6, 64, r) for r in (2, 4)]
+    # the last vector leaves the span of the 63 before it
+    late = low_rank_set(rng, Q, 6, 63, 5) + [Vector([1, 2, 3, 5, 7, 11], Q)]
+    assert rank_of_vectors(late) == 6
+    sets.append(late)
+    for vs in sets:
+        assert greedy_independent_subset(vs) == greedy_by_rank(vs)
+    assert greedy_independent_subset(late)[-1] == 63
+
+
 def test_kron_layout():
     assert kron_coeff_vector(qv(1, 0), qv(0, 1)).entries == \
         (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
@@ -141,8 +229,8 @@ def test_kron_matches_example_vertex():
 
 
 def test_outer_flatten_examples():
-    assert outer_flatten(qv(1, 0), qv(1, 0)).entries[0] == 1
-    assert outer_flatten(qv(1, 1), qv(1, 0)).entries == \
+    assert kron_coeff_vector(qv(1, 0), qv(1, 0)).entries[0] == 1
+    assert kron_coeff_vector(qv(1, 1), qv(1, 0)).entries == \
         (Fraction(1), Fraction(0), Fraction(1), Fraction(0))
 
 
@@ -150,16 +238,8 @@ def test_outer_flatten_independence():
     # independent x's and f's give independent flattened outer products
     xs = [qv(1, 0), qv(1, 1)]
     fs = [qv(1, 0), qv(0, 1), qv(1, -1)][:2]
-    products = [outer_flatten(x, f) for x in xs for f in fs]
+    products = [kron_coeff_vector(x, f) for x in xs for f in fs]
     assert rank_of_vectors(products) == 4
-
-
-def test_kron_equals_outer_under_matching_layout():
-    rng = random.Random(5)
-    for _ in range(25):
-        a = Vector([Fraction(rng.randint(-3, 3)) for _ in range(3)], Q)
-        b = Vector([Fraction(rng.randint(-3, 3)) for _ in range(2)], Q)
-        assert kron_coeff_vector(a, b) == outer_flatten(a, b)
 
 
 def test_vector_field_mismatch():

@@ -146,8 +146,11 @@ def test_zero_operator_rejected():
 
 def test_order_requires_unit_norm():
     t = LinearOperator.from_images(ell1(2), ellinf(2), [qv(2, 2), qv(2, 2)])
-    with pytest.raises(NotUnitNormError):
+    # messages print scalars and vectors as literals
+    with pytest.raises(NotUnitNormError, match=r"^operator norm is 2, not 1; rescale first$"):
         order_of_smoothness(t)
+    with pytest.raises(NotUnitNormError, match=r"^operator norm is 2, not 1$"):
+        oracle_order_of_smoothness(t)
     assert order_of_smoothness(t.normalized()).index == 4
 
 
@@ -155,7 +158,7 @@ def test_index_requires_extreme_member():
     t = LinearOperator.from_images(ell1(2), ellinf(2), [qv(1, 1), qv(1, 1)])
     with pytest.raises(EmptyExtremeIntersectionError):
         index_of_smoothness(t, [qv(Fraction(1, 2), Fraction(1, 2))])
-    with pytest.raises(NotUnitNormError):
+    with pytest.raises(NotUnitNormError, match=r"^R member \(2,0\) is not unit norm$"):
         index_of_smoothness(t, [qv(2, 0)])
 
 
@@ -283,7 +286,7 @@ def test_construct_face_operator_all_admissible_orders():
 def test_construct_face_operator_rejects_bad_input():
     x_space, y_space = ell1(3), ellinf(2)
     edge = minimal_face(x_space.ball, qv(Fraction(1, 2), Fraction(1, 2), 0))
-    with pytest.raises(NotUnitNormError):
+    with pytest.raises(NotUnitNormError, match=r"^target point \(2,0\) is not unit norm$"):
         construct_face_operator(x_space, edge, y_space, qv(2, 0))
 
 
