@@ -209,10 +209,7 @@ def _cmd_op_order(args, argv) -> int:
 
 
 def _cmd_op_index(args, argv) -> int:
-    t = load_operator(args.operator)
-    att = operator_norm_and_attainment(t)
-    if att.operator_norm != t.domain.field.one:
-        t = t.normalized()
+    t = load_operator(args.operator).normalized()
     r = load_vector_set(args.set, t.domain.field, t.domain.dim)
     comp = _index_computation(t, r)
     results = {

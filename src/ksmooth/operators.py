@@ -167,24 +167,12 @@ def operator_norm_and_attainment(t: LinearOperator) -> AttainmentSet:
     to one lexicographically positive representative per +/- pair, in
     vertex-list order.
     """
-    field = t.domain.field
-    best = field.zero
-    values = []
-    for v in t.domain.ball.vertices:
-        n = norm(t.codomain, t.apply(v))
-        values.append(n)
-        if n > best:
-            best = n
+    vertices = t.domain.ball.vertices
+    values = [norm(t.codomain, t.apply(v)) for v in vertices]
+    best = max(values)
     if not best:
         raise ZeroOperatorError("the zero operator attains no norm")
-    reps: list[Vector] = []
-    seen = set()
-    for v, n in zip(t.domain.ball.vertices, values):
-        if n == best:
-            c = sign_canonical(v)
-            if c.entries not in seen:
-                seen.add(c.entries)
-                reps.append(c)
+    reps = _extreme_members(t, [v for v, n in zip(vertices, values) if n == best])
     basis = greedy_independent_subset(reps)
     return AttainmentSet(best, tuple(reps), tuple(basis))
 
@@ -280,26 +268,31 @@ def index_of_smoothness(t: LinearOperator, r: Sequence[Vector],
     return _index_computation(t, r, vector_basis, functional_basis).index
 
 
+def _outer_product_rank(vertices: Sequence[Vector],
+                        supports: Sequence[SupportSet]) -> int:
+    """Rank of the flattened ``x (x) y*`` over each vertex x and each y* of its support."""
+    return rank_of_vectors([kron_coeff_vector(v, y_star)
+                            for v, sup in zip(vertices, supports)
+                            for y_star in sup.extreme_functionals])
+
+
 def oracle_order_of_smoothness(t: LinearOperator) -> int:
     """Basis-free order of smoothness via flattened ambient outer products."""
     att = operator_norm_and_attainment(t)
     if att.operator_norm != t.domain.field.one:
         raise NotUnitNormError(f"operator norm is {serialize(att.operator_norm)}, not 1")
-    generators = []
-    for v in att.attaining_vertices:
-        sup = support_functionals_at(t.codomain, t.apply(v))
-        for y_star in sup.extreme_functionals:
-            generators.append(kron_coeff_vector(v, y_star))
-    return rank_of_vectors(generators)
+    vertices = att.attaining_vertices
+    return _outer_product_rank(
+        vertices, [support_functionals_at(t.codomain, t.apply(v)) for v in vertices])
 
 
 def order_of_smoothness(t: LinearOperator) -> SmoothnessReport:
     """The order of smoothness of a unit-norm operator, fully audited.
 
-    Runs the attainment scan, the basis-coordinate index computation and
-    the ambient outer-product oracle, asserts that index and oracle agree
-    and that the sum of image smoothness orders over a maximal independent
-    attaining set does not exceed them, and returns the full trail.
+    Runs the attainment scan once, then the basis-coordinate index and the
+    ambient outer-product oracle on the same image support sets, asserts that
+    they agree and that the sum of image smoothness orders over a maximal
+    independent attaining set does not exceed them, and returns the trail.
     """
     att = operator_norm_and_attainment(t)
     if att.operator_norm != t.domain.field.one:
@@ -309,7 +302,7 @@ def order_of_smoothness(t: LinearOperator) -> SmoothnessReport:
     if comp.rep_vertices != att.attaining_vertices:
         raise InternalInconsistencyError(
             "index computation saw other attaining vertices than the scan")
-    oracle = oracle_order_of_smoothness(t)
+    oracle = _outer_product_rank(att.attaining_vertices, comp.image_supports)
     if comp.index != oracle:
         raise InternalInconsistencyError(
             f"index {comp.index} by basis coordinates but {oracle} by the "

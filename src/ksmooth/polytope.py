@@ -240,7 +240,7 @@ class Polytope:
 
     __slots__ = ("dim", "field", "vrep", "hrep", "vertex_active", "_face_cache")
 
-    def __init__(self, vrep: VRep, hrep: HRep, validate: bool = True) -> None:
+    def __init__(self, vrep: VRep, hrep: HRep) -> None:
         if not vrep.vertices or not hrep.functionals:
             raise NotFullDimensionalError("empty representation")
         field = vrep.vertices[0].field
@@ -254,29 +254,30 @@ class Polytope:
             active = set()
             for j, f in enumerate(hrep.functionals):
                 value = f.dot(v)
-                if validate and value > field.one:
+                if value > field.one:
                     raise OriginNotInteriorError(
                         f"vertex {v} violates functional {f}")
                 if value == field.one:
                     active.add(j)
-            if validate and not active:
+            if not active:
                 raise NotOnBoundaryError(f"vertex {v} is not on the boundary")
             incidence.append(frozenset(active))
         object.__setattr__(self, "vertex_active", tuple(incidence))
         object.__setattr__(self, "_face_cache", {})
-        if validate:
-            if rank_of_vectors(list(vrep.vertices)) < d:
-                raise NotFullDimensionalError("vertex set does not span")
-            for i, v in enumerate(vrep.vertices):
-                if rank_of_vectors([hrep.functionals[j] for j in incidence[i]]) != d:
-                    raise NotFullDimensionalError(
-                        f"vertex {v} has active functionals of deficient rank")
+        if rank_of_vectors(list(vrep.vertices)) < d:
+            raise NotFullDimensionalError("vertex set does not span")
+        for i, v in enumerate(vrep.vertices):
+            if rank_of_vectors([hrep.functionals[j] for j in incidence[i]]) != d:
+                raise NotFullDimensionalError(
+                    f"vertex {v} has active functionals of deficient rank")
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polytope is immutable")
 
     @classmethod
     def from_vertices(cls, points: Sequence[Vector], unguarded: bool = False) -> "Polytope":
+        if points:
+            check_guard(points[0].dim, 0, unguarded)  # before canonicalize's hull LPs
         vrep = canonicalize(points)
         if not vrep.vertices:
             raise NotFullDimensionalError("no extreme points")

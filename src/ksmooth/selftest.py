@@ -51,7 +51,7 @@ class SuiteResult:
 
 
 def _describe(space: PolyhedralSpace) -> str:
-    return f"{space.name} vertices={[tuple(map(str, v.entries)) for v in space.ball.vertices]}"
+    return f"{space.name} vertices=[{', '.join(map(str, space.ball.vertices))}]"
 
 
 def _describe_operator(t: LinearOperator) -> str:
@@ -215,7 +215,7 @@ def interior_suite(seed: int, cases: int) -> SuiteResult:
             if by_rank != by_face:
                 failures.append(
                     f"case {case}: smoothness {by_rank} by support rank, "
-                    f"{by_face} by face at {tuple(map(str, p.entries))}; "
+                    f"{by_face} by face at {p}; "
                     f"{_describe(space)}")
     return SuiteResult("interior-law", checked, tuple(failures))
 
@@ -285,7 +285,7 @@ def bj_consistency_suite(seed: int, cases: int) -> SuiteResult:
         if by_james != by_breakpoints:
             failures.append(
                 f"case {case}: James {by_james} vs breakpoints {by_breakpoints} "
-                f"for x={tuple(map(str, x.entries))} y={tuple(map(str, y.entries))}; "
+                f"for x={x} y={y}; "
                 f"{_describe(space)}")
     return SuiteResult("bj-consistency", cases, tuple(failures))
 

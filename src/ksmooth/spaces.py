@@ -1,7 +1,7 @@
 """Polyhedral normed spaces: norms, support functionals, point smoothness.
 
-A ``PolyhedralSpace`` couples a unit ball (a symmetric polytope) with its
-polar dual.  The extreme points of the dual ball are exactly the facet
+A ``PolyhedralSpace`` holds only its unit ball, a symmetric polytope.
+By polarity the extreme points of the dual ball are exactly the facet
 functionals of the ball, so the support set ``J(x)`` of a unit vector is
 represented by its extreme points: the facet functionals active at ``x``.
 
@@ -42,12 +42,10 @@ class PolyhedralSpace:
     dim: int
     field: FieldTag
     ball: Polytope
-    dual: Polytope
 
     @classmethod
     def from_ball(cls, ball: Polytope, name: str) -> "PolyhedralSpace":
-        return cls(name=name, dim=ball.dim, field=ball.field,
-                   ball=ball, dual=ball.polar())
+        return cls(name=name, dim=ball.dim, field=ball.field, ball=ball)
 
     def __repr__(self) -> str:
         return (f"PolyhedralSpace({self.name!r}, dim={self.dim}, "
@@ -87,9 +85,11 @@ def normalized(space: PolyhedralSpace, x: Vector) -> Vector:
 def support_set(space: PolyhedralSpace, x: Vector) -> SupportSet:
     """Extreme support functionals of the unit vector x and their rank."""
     _check_point(space, x)
-    if norm(space, x) != space.field.one:
+    one = space.field.one
+    values = [f.dot(x) for f in space.ball.functionals]
+    if max(values) != one:
         raise NotUnitNormError(f"norm of {x} is not 1")
-    active = tuple(f for f in space.ball.functionals if f.dot(x) == space.field.one)
+    active = tuple(f for f, v in zip(space.ball.functionals, values) if v == one)
     return SupportSet(x, active, rank_of_vectors(list(active)))
 
 
@@ -133,6 +133,7 @@ def ell1(n: int, field: FieldTag = FieldTag.RATIONAL) -> PolyhedralSpace:
     """The space with the cross-polytope ball (sum-of-absolute-values norm)."""
     if n < 1:
         raise ValidationError("dimension must be positive")
+    check_guard(n, 2 * n)
     points = []
     for i in range(n):
         points.append(Vector.basis(i, n, field))
@@ -144,6 +145,9 @@ def ellinf(n: int, field: FieldTag = FieldTag.RATIONAL) -> PolyhedralSpace:
     """The space with the cube ball (max-of-absolute-values norm)."""
     if n < 1:
         raise ValidationError("dimension must be positive")
+    # dimension only: 2**n is too large to form for a huge n, and the vertex
+    # guard admits the 2**n vertices whenever the dimension guard admits n
+    check_guard(n, 0)
     points = []
     for bits in range(2 ** n):
         points.append(Vector([field.from_int(1 if bits & (1 << i) else -1)
@@ -212,7 +216,8 @@ def product_space(components: Sequence[PolyhedralSpace],
     Vertices are all concatenations of component vertices; facet
     functionals are the component functionals padded with zeros.  The
     incidence validation of the resulting polytope re-derives that each
-    product vertex is a genuine vertex.
+    product vertex is a genuine vertex; validating its polar once does the
+    same for each padded functional, which double description never saw.
     """
     if not components:
         raise ValidationError("empty product")
@@ -241,4 +246,5 @@ def product_space(components: Sequence[PolyhedralSpace],
             functionals.append(Vector(entries, field))
         offset += c.dim
     ball = Polytope(VRep(tuple(vertices)), HRep(tuple(functionals)))
+    ball.polar()
     return PolyhedralSpace.from_ball(ball, name)

@@ -263,6 +263,32 @@ def test_malformed_guard_variable_is_validation_error(capsys, monkeypatch):
     assert "KSMOOTH_MAX_DIM" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["ellinf:10", "ell1:99999999999999999999"])
+def test_dimension_guard_before_building_points(capsys, monkeypatch, spec):
+    import ksmooth.polytope as polytope
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the space was built before the dimension guard")
+
+    monkeypatch.delenv("KSMOOTH_MAX_DIM", raising=False)
+    monkeypatch.setattr(polytope, "canonicalize", fail)
+    # a regression must fail fast here, not build 2 * 10**20 points
+    monkeypatch.setattr(Vector, "basis", fail)
+    assert main(["space", "info", spec]) == 2
+    assert "exceeds guard 6 (set KSMOOTH_MAX_DIM to raise)" in capsys.readouterr().err
+
+
+def test_selftest_certificate_vertices_parse_back():
+    from ksmooth.selftest import _describe
+    from ksmooth.spaces import paper_example_space
+    space = paper_example_space()
+    listed = _describe(space).split("vertices=", 1)[1]
+    assert listed.startswith("[(") and listed.endswith(")]")
+    parsed = [parse_vector(text, space.field, space.dim)
+              for text in listed[1:-1].split(", ")]
+    assert [v.entries for v in parsed] == [v.entries for v in space.ball.vertices]
+
+
 def test_bundled_sample_operators(capsys):
     from pathlib import Path
     samples = Path(__file__).resolve().parent.parent / "samples"

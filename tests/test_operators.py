@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from ksmooth.errors import (
     NotUnitNormError,
     ZeroOperatorError,
 )
+import ksmooth.operators as operators
 from ksmooth.linalg import Matrix, Vector
 from ksmooth.operators import (
     LinearOperator,
@@ -68,6 +70,28 @@ def test_bundled_order_is_two_way_consistent(bundled):
     assert report.index == report.oracle_order
     assert report.index == 8
     assert report.min_bound <= report.index
+
+
+@pytest.mark.parametrize("make", [
+    paper_example_operator,
+    lambda: LinearOperator(ellinf(2), ellinf(2), Matrix.identity(2, Q)),
+], ids=["paper-example", "identity-ellinf2"])
+def test_order_scans_once_and_reads_each_support_set_once(monkeypatch, make):
+    t = make()
+    calls = Counter()
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("operator_norm_and_attainment", "support_functionals_at"):
+        monkeypatch.setattr(operators, name, counting(getattr(operators, name)))
+    report = order_of_smoothness(t)
+    assert calls["operator_norm_and_attainment"] == 1
+    assert calls["support_functionals_at"] == len(report.attainment.attaining_vertices)
+    assert report.oracle_order == oracle_order_of_smoothness(t) == report.index
 
 
 def test_bundled_z_generators_with_printed_bases(bundled):

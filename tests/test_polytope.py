@@ -10,6 +10,7 @@ from ksmooth.errors import (
     NotSymmetricError,
 )
 from ksmooth.linalg import Vector, rank_of_vectors
+import ksmooth.polytope as polytope
 from ksmooth.polytope import (
     Polytope,
     VRep,
@@ -208,3 +209,15 @@ def test_boundary_grid_face_dims_match_rank():
         face = minimal_face(p, x)
         functionals = [p.functionals[j] for j in face.active_set]
         assert face.dim == p.dim - rank_of_vectors(functionals)
+
+
+def test_dimension_guard_precedes_hull_lps(monkeypatch):
+    monkeypatch.delenv("KSMOOTH_MAX_DIM", raising=False)
+
+    def no_hull_lps(points):
+        raise AssertionError("hull LPs ran before the dimension guard")
+
+    monkeypatch.setattr(polytope, "canonicalize", no_hull_lps)
+    points = [v for i in range(7) for v in (Vector.basis(i, 7, Q), -Vector.basis(i, 7, Q))]
+    with pytest.raises(GuardExceededError, match="dimension 7 exceeds guard 6"):
+        Polytope.from_vertices(points)

@@ -5,6 +5,7 @@ import pytest
 
 from ksmooth.errors import NotUnitNormError
 from ksmooth.linalg import Vector
+from ksmooth.polytope import Polytope
 from ksmooth.scalars import FieldTag, INV_SQRT2, QuadScalar
 from ksmooth.spaces import (
     ell1,
@@ -113,10 +114,40 @@ def test_builders():
 
 def test_duality_structure():
     space = ell1(3)
-    assert sorted(v.entries for v in space.dual.vertices) == sorted(
+    polar = space.ball.polar()
+    assert sorted(v.entries for v in polar.vertices) == sorted(
         f.entries for f in space.ball.functionals)
-    assert sorted(f.entries for f in space.dual.functionals) == sorted(
+    assert sorted(f.entries for f in polar.functionals) == sorted(
         v.entries for v in space.ball.vertices)
+
+
+def _count_polytope_builds(monkeypatch):
+    calls = []
+    original = Polytope.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polytope, "__init__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("build", [lambda: ell1(3), lambda: ellinf(3),
+                                   paper_example_space,
+                                   lambda: random_space(5, 3, 5)],
+                         ids=["ell1:3", "ellinf:3", "paper-example", "random"])
+def test_space_builds_its_ball_once(monkeypatch, build):
+    calls = _count_polytope_builds(monkeypatch)
+    build()
+    assert len(calls) == 1
+
+
+def test_product_space_validates_its_polar_once(monkeypatch):
+    components = [ellinf(2), ell1(2)]
+    calls = _count_polytope_builds(monkeypatch)
+    product_space(components)
+    assert len(calls) == 2
 
 
 def test_normalized_helper():
