@@ -41,15 +41,12 @@ from .orthogonality import (
 )
 from .polytope import (
     FaceDescriptor,
-    HRep,
     Polytope,
-    VRep,
     canonicalize,
     count_faces,
+    dual_vertices,
     enumerate_faces,
-    h_to_v,
     minimal_face,
-    v_to_h,
 )
 from .scalars import FieldTag, QuadScalar, Scalar, parse, serialize, sign
 from .spaces import (

@@ -79,14 +79,6 @@ class GuardExceededError(ValidationError):
     """Dimension or vertex-count guard exceeded (see KSMOOTH_MAX_DIM)."""
 
 
-class NormalizationLeavesFieldError(ValidationError):
-    """Rescaling an operator to unit norm left the scalar field.
-
-    Unreachable for the two supported fields (both are closed under
-    division); kept as a guard on the normalization contract.
-    """
-
-
 class InternalInconsistencyError(KsmoothError):
     """Two independent computations of the same quantity disagree."""
 

@@ -40,28 +40,39 @@ def is_builtin_space(spec: str) -> bool:
     return spec == "paper-example" or _BUILTIN_RE.match(spec) is not None
 
 
+def _to_int(digits: str, what: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than CPython converts
+        raise ValidationError(f"{what} has too many digits ({len(digits)})") from None
+
+
+def _read_json(path: Path, what: str) -> object:
+    """The JSON document in the file at ``path``, a ``what`` file."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except ValueError as exc:  # bad UTF-8, or a number over CPython's digit limit
+        raise ValidationError(f"{path}: cannot decode {what} file: {exc}") from exc
+
+
 def load_space(spec: str, base_dir: Path | None = None) -> PolyhedralSpace:
     """Load a space from a builtin spec or a JSON file path."""
     if spec == "paper-example":
         return paper_example_space()
     m = _BUILTIN_RE.match(spec)
     if m:
-        n = int(m.group(2))
+        n = _to_int(m.group(2), "dimension")
         return ell1(n) if m.group(1) == "ell1" else ellinf(n)
     path = Path(spec)
     if base_dir is not None and not path.is_absolute():
         path = base_dir / path
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read space file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return space_from_document(doc, default_name=path.stem)
+    return space_from_document(_read_json(path, "space"), default_name=path.stem)
 
 
 def space_from_document(doc: object, default_name: str = "custom") -> PolyhedralSpace:
@@ -104,23 +115,12 @@ def space_to_document(space: PolyhedralSpace) -> dict:
     }
 
 
-def load_operator(spec: str, base_dir: Path | None = None) -> LinearOperator:
+def load_operator(spec: str) -> LinearOperator:
     """Load an operator from the builtin spec or a JSON file path."""
     if spec == "paper-example":
         return paper_example_operator()
     path = Path(spec)
-    if base_dir is not None and not path.is_absolute():
-        path = base_dir / path
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read operator file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    doc = _read_json(path, "operator")
     if not isinstance(doc, dict):
         raise ValidationError("operator document must be a JSON object")
     for key in ("domain", "codomain", "matrix"):
@@ -163,7 +163,7 @@ def parse_vector(text: str, field: FieldTag, dim: int) -> Vector:
     text = text.strip()
     m = _BASIS_RE.match(text)
     if m:
-        k = int(m.group(2))
+        k = _to_int(m.group(2), "basis index")
         if k > dim:
             raise DimensionMismatchError(f"e{k} outside dimension {dim}")
         v = Vector.basis(k - 1, dim, field)
@@ -180,15 +180,7 @@ def parse_vector(text: str, field: FieldTag, dim: int) -> Vector:
 def load_vector_set(path_str: str, field: FieldTag, dim: int) -> list[Vector]:
     """Load a set of vectors from a JSON file: either a bare list of rows or
     an object with a 'vectors' entry."""
-    path = Path(path_str)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read vector file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    doc = _read_json(Path(path_str), "vector")
     rows = doc.get("vectors") if isinstance(doc, dict) else doc
     if not isinstance(rows, list) or not rows:
         raise ValidationError("vector file must hold a nonempty list of rows")
@@ -204,7 +196,7 @@ def digest(spec: str) -> str:
     """Content digest of an input: file bytes for paths, the literal text
     for builtin specs."""
     path = Path(spec)
-    if not is_builtin_space(spec) and spec != "paper-example" and path.is_file():
+    if not is_builtin_space(spec) and path.is_file():
         data = path.read_bytes()
     else:
         data = spec.encode("utf-8")

@@ -380,7 +380,7 @@ def construct_face_operator(x_space: PolyhedralSpace, face: FaceDescriptor,
     and a q-smooth image point.
     """
     field = x_space.field
-    if face.improper or not face.active_set:
+    if not face.active_set:
         raise NotProperFaceError("face descriptor does not name a proper face")
     active = sorted(face.active_set)
     try:

@@ -1,18 +1,18 @@
-"""Exact symmetric polytopes with dual vertex/facet representations.
+"""Exact symmetric polytopes given by vertices and facet functionals.
 
 A unit ball here is a full-dimensional polytope, symmetric about the
-origin, with the origin in its interior.  The vertex representation
-(``VRep``) lists extreme points; the facet representation (``HRep``) lists
-functionals ``f`` with ``f(x) <= 1`` on the polytope, each supporting a
-facet.  By polarity the HRep functionals of a ball, read as points, are
-exactly the vertices of the polar dual.
+origin, with the origin in its interior.  It is held as two tuples: its
+extreme points (``vertices``) and the functionals ``f`` with ``f(x) <= 1``
+on the polytope, one supporting each facet (``functionals``).  By polarity
+the facet functionals of a ball, read as points, are exactly the vertices
+of the polar dual, and ``dual_vertices`` computes one tuple from the other.
 
-Conversion runs the incremental double description method: start from the
-parallelotope cut out by the first d independent +/- constraint pairs,
-then clip with the remaining halfspaces in input order.  Vertex adjacency
-during clipping is decided combinatorially and exactly: two vertices are
-adjacent iff their common active constraints have rank d-1, which is valid
-for degenerate polytopes as well.
+``dual_vertices`` runs the incremental double description method: start
+from the parallelotope cut out by the first d independent +/- constraint
+pairs, then clip with the remaining halfspaces in input order.  Vertex
+adjacency during clipping is decided combinatorially and exactly: two
+vertices are adjacent iff their common active constraints have rank d-1,
+which is valid for degenerate polytopes as well.
 
 Faces are keyed by their full active set (the maximal set of facets
 containing them); the dimension of the face with active set A is
@@ -57,9 +57,7 @@ def _guard_limits() -> tuple[int, int]:
     return max_dim, max(DEFAULT_MAX_VERTICES, 2 ** max_dim)
 
 
-def check_guard(dim: int, vertex_count: int, unguarded: bool = False) -> None:
-    if unguarded:
-        return
+def check_guard(dim: int, vertex_count: int) -> None:
     max_dim, max_vertices = _guard_limits()
     if dim > max_dim:
         raise GuardExceededError(
@@ -70,26 +68,11 @@ def check_guard(dim: int, vertex_count: int, unguarded: bool = False) -> None:
 
 
 @dataclass(frozen=True)
-class VRep:
-    """Vertex representation: the extreme points, closed under negation."""
-
-    vertices: tuple[Vector, ...]
-
-
-@dataclass(frozen=True)
-class HRep:
-    """Facet representation: functionals f with f(x) <= 1, one per facet."""
-
-    functionals: tuple[Vector, ...]
-
-
-@dataclass(frozen=True)
 class FaceDescriptor:
     """A face identified by the maximal set of facets containing it."""
 
     active_set: frozenset[int]
     dim: int
-    improper: bool = False
 
 
 def _negation_index(points: Sequence[Vector]) -> list[int]:
@@ -116,7 +99,7 @@ def in_convex_hull(point: Vector, generators: Sequence[Vector]) -> bool:
     return lp_feasible(rows, rhs, field) is not None
 
 
-def canonicalize(points: Sequence[Vector]) -> VRep:
+def canonicalize(points: Sequence[Vector]) -> tuple[Vector, ...]:
     """Reduce a point set to its extreme points, in first-seen order.
 
     Points inside the hull of the others are removed; the surviving set
@@ -135,7 +118,7 @@ def canonicalize(points: Sequence[Vector]) -> VRep:
         if not in_convex_hull(p, others):
             extremes.append(p)
     _negation_index(extremes)
-    return VRep(tuple(extremes))
+    return tuple(extremes)
 
 
 def dual_vertices(points: Sequence[Vector]) -> list[Vector]:
@@ -225,34 +208,24 @@ def dual_vertices(points: Sequence[Vector]) -> list[Vector]:
     return verts
 
 
-def v_to_h(v: VRep) -> HRep:
-    """Facet functionals of the polytope with vertex set ``v``."""
-    return HRep(tuple(dual_vertices(v.vertices)))
-
-
-def h_to_v(h: HRep) -> VRep:
-    """Vertices of the polytope ``{x : f(x) <= 1 for each f}``."""
-    return VRep(tuple(dual_vertices(h.functionals)))
-
-
 class Polytope:
-    """Immutable dual pair of representations with eager vertex-facet incidence."""
+    """Immutable vertices and facet functionals with eager vertex-facet incidence."""
 
-    __slots__ = ("dim", "field", "vrep", "hrep", "vertex_active", "_face_cache")
+    __slots__ = ("dim", "field", "vertices", "functionals", "vertex_active", "_face_cache")
 
-    def __init__(self, vrep: VRep, hrep: HRep) -> None:
-        if not vrep.vertices or not hrep.functionals:
+    def __init__(self, vertices: tuple[Vector, ...], functionals: tuple[Vector, ...]) -> None:
+        if not vertices or not functionals:
             raise NotFullDimensionalError("empty representation")
-        field = vrep.vertices[0].field
-        d = vrep.vertices[0].dim
+        field = vertices[0].field
+        d = vertices[0].dim
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "vrep", vrep)
-        object.__setattr__(self, "hrep", hrep)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "functionals", functionals)
         incidence = []
-        for v in vrep.vertices:
+        for v in vertices:
             active = set()
-            for j, f in enumerate(hrep.functionals):
+            for j, f in enumerate(functionals):
                 value = f.dot(v)
                 if value > field.one:
                     raise OriginNotInteriorError(
@@ -264,10 +237,10 @@ class Polytope:
             incidence.append(frozenset(active))
         object.__setattr__(self, "vertex_active", tuple(incidence))
         object.__setattr__(self, "_face_cache", {})
-        if rank_of_vectors(list(vrep.vertices)) < d:
+        if rank_of_vectors(list(vertices)) < d:
             raise NotFullDimensionalError("vertex set does not span")
-        for i, v in enumerate(vrep.vertices):
-            if rank_of_vectors([hrep.functionals[j] for j in incidence[i]]) != d:
+        for i, v in enumerate(vertices):
+            if rank_of_vectors([functionals[j] for j in incidence[i]]) != d:
                 raise NotFullDimensionalError(
                     f"vertex {v} has active functionals of deficient rank")
 
@@ -275,26 +248,18 @@ class Polytope:
         raise AttributeError("Polytope is immutable")
 
     @classmethod
-    def from_vertices(cls, points: Sequence[Vector], unguarded: bool = False) -> "Polytope":
+    def from_vertices(cls, points: Sequence[Vector]) -> "Polytope":
         if points:
-            check_guard(points[0].dim, 0, unguarded)  # before canonicalize's hull LPs
-        vrep = canonicalize(points)
-        if not vrep.vertices:
+            check_guard(points[0].dim, 0)  # before canonicalize's hull LPs
+        vertices = canonicalize(points)
+        if not vertices:
             raise NotFullDimensionalError("no extreme points")
-        check_guard(vrep.vertices[0].dim, len(vrep.vertices), unguarded)
-        return cls(vrep, v_to_h(vrep))
-
-    @property
-    def vertices(self) -> tuple[Vector, ...]:
-        return self.vrep.vertices
-
-    @property
-    def functionals(self) -> tuple[Vector, ...]:
-        return self.hrep.functionals
+        check_guard(vertices[0].dim, len(vertices))
+        return cls(vertices, tuple(dual_vertices(vertices)))
 
     def polar(self) -> "Polytope":
         """The polar dual: facet functionals become vertices and vice versa."""
-        return Polytope(VRep(self.hrep.functionals), HRep(self.vrep.vertices))
+        return Polytope(self.functionals, self.vertices)
 
     def face_vertices(self, face: FaceDescriptor) -> list[Vector]:
         """Vertices lying on the face (those whose active set contains it)."""

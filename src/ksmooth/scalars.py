@@ -262,41 +262,6 @@ class FieldTag(Enum):
         raise FieldMismatchError(f"cannot coerce {value!r} into the quadratic field")
 
 
-def tag_of(x: Scalar) -> FieldTag:
-    if isinstance(x, Fraction):
-        return FieldTag.RATIONAL
-    if isinstance(x, QuadScalar):
-        return FieldTag.QUAD_SQRT2
-    raise FieldMismatchError(f"not a scalar of a supported field: {x!r}")
-
-
-def _check_same_tag(x: Scalar, y: Scalar) -> None:
-    if tag_of(x) is not tag_of(y):
-        raise FieldMismatchError(f"mixed-field arithmetic: {x!r} and {y!r}")
-
-
-def add(x: Scalar, y: Scalar) -> Scalar:
-    _check_same_tag(x, y)
-    return x + y
-
-
-def sub(x: Scalar, y: Scalar) -> Scalar:
-    _check_same_tag(x, y)
-    return x - y
-
-
-def mul(x: Scalar, y: Scalar) -> Scalar:
-    _check_same_tag(x, y)
-    return x * y
-
-
-def div(x: Scalar, y: Scalar) -> Scalar:
-    _check_same_tag(x, y)
-    if not y:
-        raise ZeroDivisionError("scalar division by zero")
-    return x / y
-
-
 def sign(x: Scalar) -> int:
     if isinstance(x, Fraction):
         return _fraction_sign(x)
@@ -309,6 +274,13 @@ def sign(x: Scalar) -> int:
 # literal parsing / serialization
 # ---------------------------------------------------------------------------
 
+def _to_int(text: str, start: int, end: int) -> int:
+    try:
+        return int(text[start:end])
+    except ValueError:  # more digits than CPython converts, or a digit such as '²'
+        raise ScalarSyntaxError(text, start, "integer too long or not decimal") from None
+
+
 def _scan_rational(text: str, pos: int) -> tuple[Fraction, int]:
     start = pos
     if pos < len(text) and text[pos] == "-":
@@ -318,7 +290,7 @@ def _scan_rational(text: str, pos: int) -> tuple[Fraction, int]:
         pos += 1
     if pos == dstart:
         raise ScalarSyntaxError(text, pos, "expected digits")
-    num = int(text[start:pos])
+    num = _to_int(text, start, pos)
     if pos < len(text) and text[pos] == "/":
         pos += 1
         dstart = pos
@@ -326,7 +298,7 @@ def _scan_rational(text: str, pos: int) -> tuple[Fraction, int]:
             pos += 1
         if pos == dstart:
             raise ScalarSyntaxError(text, pos, "expected denominator digits")
-        den = int(text[dstart:pos])
+        den = _to_int(text, dstart, pos)
         if den == 0:
             raise ScalarSyntaxError(text, dstart, "zero denominator")
         return Fraction(num, den), pos

@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
 
 from .linalg import Matrix, Vector, rank_of_vectors
 from .operators import (
@@ -156,20 +155,13 @@ def invariance_suite(seed: int, cases: int, recombinations: int) -> SuiteResult:
     return SuiteResult("basis-invariance", cases * recombinations, tuple(failures))
 
 
-def rank1_suite(seed: int, cases: int,
-                dims: Optional[tuple[int, int]] = None) -> SuiteResult:
+def rank1_suite(seed: int, cases: int) -> SuiteResult:
     """Rank-1 law: order = (independent attaining count) x (image smoothness),
     and the order is an admissible product of the two dimensions."""
     rng = random.Random(seed)
     failures = []
     for case in range(cases):
-        if dims is None:
-            x, y = _random_pair(rng)
-        else:
-            x = random_space(rng.randrange(2 ** 30), dims[0],
-                             rng.randint(dims[0], dims[0] + 2))
-            y = random_space(rng.randrange(2 ** 30), dims[1],
-                             rng.randint(dims[1], dims[1] + 2))
+        x, y = _random_pair(rng)
         t = _random_rank1_operator(rng, x, y)
         att = operator_norm_and_attainment(t)
         report = order_of_smoothness(t)

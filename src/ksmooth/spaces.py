@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import Vector, rank_of_vectors
-from .polytope import HRep, Polytope, VRep, check_guard, minimal_face
+from .polytope import Polytope, check_guard, minimal_face
 from .scalars import FieldTag, INV_SQRT2, QuadScalar, Scalar
 
 
@@ -123,10 +123,8 @@ def point_smoothness(space: PolyhedralSpace, x: Vector) -> int:
 # builders
 # ---------------------------------------------------------------------------
 
-def from_vertices(points: Sequence[Vector], name: str = "custom",
-                  unguarded: bool = False) -> PolyhedralSpace:
-    ball = Polytope.from_vertices(points, unguarded=unguarded)
-    return PolyhedralSpace.from_ball(ball, name)
+def from_vertices(points: Sequence[Vector], name: str = "custom") -> PolyhedralSpace:
+    return PolyhedralSpace.from_ball(Polytope.from_vertices(points), name)
 
 
 def ell1(n: int, field: FieldTag = FieldTag.RATIONAL) -> PolyhedralSpace:
@@ -178,8 +176,7 @@ def paper_example_space() -> PolyhedralSpace:
     return from_vertices(points, "paper-example")
 
 
-def random_space(seed: int, dim: int, points: int,
-                 name: str | None = None) -> PolyhedralSpace:
+def random_space(seed: int, dim: int, points: int) -> PolyhedralSpace:
     """A reproducible random symmetric polytopal space over the rationals.
 
     Samples ``points`` rational points in [-1,1]^dim from a seeded
@@ -204,13 +201,12 @@ def random_space(seed: int, dim: int, points: int,
                 candidates.append(-p)
         if not candidates or rank_of_vectors(candidates) < dim:
             continue
-        space_name = name if name is not None else f"random:{seed}:{dim}:{points}"
-        return from_vertices(candidates, space_name)
+        return from_vertices(candidates, f"random:{seed}:{dim}:{points}")
     raise ValidationError(f"could not draw a full-dimensional space (seed={seed})")
 
 
 def product_space(components: Sequence[PolyhedralSpace],
-                  name: str = "product", unguarded: bool = False) -> PolyhedralSpace:
+                  name: str = "product") -> PolyhedralSpace:
     """The max-product of spaces: the ball is the product of the balls.
 
     Vertices are all concatenations of component vertices; facet
@@ -228,7 +224,7 @@ def product_space(components: Sequence[PolyhedralSpace],
     vertex_count = 1
     for c in components:
         vertex_count *= len(c.ball.vertices)
-    check_guard(total_dim, vertex_count, unguarded)
+    check_guard(total_dim, vertex_count)
 
     vertex_sets: list[list[Vector]] = [[]]
     for c in components:
@@ -245,6 +241,6 @@ def product_space(components: Sequence[PolyhedralSpace],
                 entries[offset + i] = e
             functionals.append(Vector(entries, field))
         offset += c.dim
-    ball = Polytope(VRep(tuple(vertices)), HRep(tuple(functionals)))
+    ball = Polytope(tuple(vertices), tuple(functionals))
     ball.polar()
     return PolyhedralSpace.from_ball(ball, name)

@@ -278,6 +278,35 @@ def test_dimension_guard_before_building_points(capsys, monkeypatch, spec):
     assert "exceeds guard 6 (set KSMOOTH_MAX_DIM to raise)" in capsys.readouterr().err
 
 
+LONG = "9" * 5000  # more digits than CPython converts to int by default
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["point", "smooth", "ell1:2", LONG + ",0"], "integer too long or not decimal"),
+    (["point", "smooth", "ell1:2", "e" + LONG], "basis index has too many digits (5000)"),
+    (["space", "info", "ell1:" + LONG], "dimension has too many digits (5000)"),
+    (["space", "info", "{dir}/space.json"], "space.json: cannot decode space file"),
+    (["op", "order", "{dir}/op.json"], "op.json: cannot decode operator file"),
+], ids=["literal", "basis-index", "builtin-dimension", "space-file-dim", "operator-entry"])
+def test_overlong_integer_is_validation_error(tmp_path, capsys, argv, message):
+    (tmp_path / "space.json").write_text(
+        '{"name": "x", "field": "rational", "dim": %s, "vertices": [["1"]]}' % LONG,
+        encoding="utf-8")
+    (tmp_path / "op.json").write_text(
+        '{"domain": "ell1:2", "codomain": "ell1:2", "matrix": [[%s, "0"], ["0", "1"]]}'
+        % LONG, encoding="utf-8")
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and message in err
+
+
+def test_file_not_in_utf8_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "\u00e9"}'.encode("latin-1"))
+    assert main(["space", "info", str(path)]) == 2
+    assert "latin1.json: cannot decode space file: 'utf-8' codec" in capsys.readouterr().err
+
+
 def test_selftest_certificate_vertices_parse_back():
     from ksmooth.selftest import _describe
     from ksmooth.spaces import paper_example_space

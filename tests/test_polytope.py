@@ -13,14 +13,11 @@ from ksmooth.linalg import Vector, rank_of_vectors
 import ksmooth.polytope as polytope
 from ksmooth.polytope import (
     Polytope,
-    VRep,
     canonicalize,
     count_faces,
     dual_vertices,
     enumerate_faces,
-    h_to_v,
     minimal_face,
-    v_to_h,
 )
 from ksmooth.scalars import FieldTag, INV_SQRT2, QuadScalar
 from ksmooth.spaces import paper_example_space, random_space
@@ -52,38 +49,37 @@ def cube(n):
 
 
 def test_square_to_cross_functionals():
-    h = v_to_h(VRep(tuple(square())))
-    assert sorted(f.entries for f in h.functionals) == sorted(
+    functionals = dual_vertices(square())
+    assert sorted(f.entries for f in functionals) == sorted(
         v.entries for v in cross())
 
 
 def test_cross_to_square_functionals():
-    h = v_to_h(VRep(tuple(cross())))
-    assert sorted(f.entries for f in h.functionals) == sorted(
+    functionals = dual_vertices(cross())
+    assert sorted(f.entries for f in functionals) == sorted(
         v.entries for v in square())
 
 
-def test_h_to_v_inverts_v_to_h():
+def test_dual_vertices_twice_returns_the_vertices():
     for points in (square(), cross(), cube(3)):
-        vrep = canonicalize(points)
-        hrep = v_to_h(vrep)
-        back = h_to_v(hrep)
-        assert sorted(v.entries for v in back.vertices) == sorted(
-            v.entries for v in vrep.vertices)
+        vertices = canonicalize(points)
+        back = dual_vertices(dual_vertices(vertices))
+        assert sorted(v.entries for v in back) == sorted(
+            v.entries for v in vertices)
 
 
 def test_polarity_involution_on_random_spaces():
     for seed in range(6):
         space = random_space(100 + seed, 3, 5)
-        again = v_to_h(h_to_v(space.ball.hrep))
-        assert sorted(f.entries for f in again.functionals) == sorted(
+        again = dual_vertices(dual_vertices(space.ball.functionals))
+        assert sorted(f.entries for f in again) == sorted(
             f.entries for f in space.ball.functionals)
 
 
 def test_canonicalize_drops_hull_points():
     points = cross() + [qv(Fraction(1, 2), 0)]
-    vrep = canonicalize(points)
-    assert sorted(v.entries for v in vrep.vertices) == sorted(
+    vertices = canonicalize(points)
+    assert sorted(v.entries for v in vertices) == sorted(
         v.entries for v in cross())
 
 

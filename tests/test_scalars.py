@@ -10,13 +10,9 @@ from ksmooth.scalars import (
     FieldTag,
     QuadScalar,
     SQRT2,
-    add,
-    div,
-    mul,
     parse,
     serialize,
     sign,
-    sub,
 )
 
 Q = FieldTag.RATIONAL
@@ -34,21 +30,16 @@ def test_mul_mixed_signs():
 
 
 def test_rational_add():
-    assert add(Fraction(3, 4), Fraction(1, 4)) == 1
+    assert Fraction(3, 4) + Fraction(1, 4) == 1
 
 
 def test_sqrt2_squares_to_two():
-    assert mul(SQRT2, SQRT2) == QuadScalar(2, 0)
+    assert SQRT2 * SQRT2 == QuadScalar(2, 0)
 
 
 def test_div_requires_nonzero():
     with pytest.raises(ZeroDivisionError):
-        div(QuadScalar(1), QuadScalar(0))
-
-
-def test_field_mismatch_rejected():
-    with pytest.raises(FieldMismatchError):
-        add(Fraction(1), QuadScalar(1))
+        QuadScalar(1) / QuadScalar(0)
 
 
 def test_sign_opposite_components():
@@ -132,12 +123,6 @@ def test_sign_agrees_with_float_on_random_inputs():
         approx = float(a) + float(b) * math.sqrt(2)
         if abs(approx) > 1e-9:
             assert sign(QuadScalar(a, b)) == (1 if approx > 0 else -1)
-
-
-def test_module_ops_match_operators():
-    x, y = QuadScalar(2, 3), QuadScalar(-1, Fraction(1, 2))
-    assert sub(x, y) == x - y
-    assert div(x, y) == x / y
 
 
 def test_coerce_rejects_cross_field():
