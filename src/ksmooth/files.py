@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from pathlib import Path
 
 from .errors import DimensionMismatchError, ValidationError
@@ -88,6 +89,8 @@ def space_from_document(doc: object, default_name: str = "custom") -> Polyhedral
     raw_vertices = doc.get("vertices")
     if not isinstance(dim, int) or dim < 1:
         raise ValidationError("'dim' must be a positive integer")
+    if dim > sys.maxsize:  # no row is that long, and str(dim) may pass the digit limit
+        raise ValidationError("'dim' is too large")
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise ValidationError("'vertices' must be a nonempty list")
     vertices = []

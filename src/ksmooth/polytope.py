@@ -14,6 +14,14 @@ adjacency during clipping is decided combinatorially and exactly: two
 vertices are adjacent iff their common active constraints have rank d-1,
 which is valid for degenerate polytopes as well.
 
+A ball is built by double description alone, with no LP: ``canonicalize``
+runs it once on the input points to find which of them are extreme (those
+whose active facet functionals have rank d), and ``Polytope.from_vertices``
+runs it again on the extreme points in first-seen order, which fixes the
+facet order every report shows.  ``in_convex_hull`` answers the same
+extremality question with one LP per point; it stays only as the
+reference route that the tests compare ``canonicalize`` against.
+
 Faces are keyed by their full active set (the maximal set of facets
 containing them); the dimension of the face with active set A is
 ``d - rank{f_j : j in A}``.
@@ -89,7 +97,9 @@ def _negation_index(points: Sequence[Vector]) -> list[int]:
 
 
 def in_convex_hull(point: Vector, generators: Sequence[Vector]) -> bool:
-    """Exact membership of ``point`` in the convex hull of ``generators``."""
+    """Exact membership of ``point`` in the convex hull of ``generators``.
+
+    One LP; only the tests call it, as the reference route for ``canonicalize``."""
     if not generators:
         return False
     field = point.field
@@ -102,23 +112,25 @@ def in_convex_hull(point: Vector, generators: Sequence[Vector]) -> bool:
 def canonicalize(points: Sequence[Vector]) -> tuple[Vector, ...]:
     """Reduce a point set to its extreme points, in first-seen order.
 
-    Points inside the hull of the others are removed; the surviving set
-    must be closed under negation (asymmetry is an error, not repaired).
-    Full-dimensionality is not checked here; it surfaces on later use.
+    One double description pass decides extremality: it runs on the
+    distinct points closed under negation, far points first (largest
+    absolute coordinate, stable), and a point is extreme exactly when its
+    active facet functionals have rank d.  The kept points must be closed
+    under negation (asymmetry is an error, not repaired), and a point set
+    that does not span raises ``NotFullDimensionalError``.
     """
-    unique: list[Vector] = []
-    seen = set()
-    for p in points:
-        if p.entries not in seen:
-            seen.add(p.entries)
-            unique.append(p)
-    extremes = []
-    for i, p in enumerate(unique):
-        others = [q for j, q in enumerate(unique) if j != i]
-        if not in_convex_hull(p, others):
-            extremes.append(p)
+    distinct = {p.entries: p for p in points}
+    unique = list(distinct.values())
+    for p in unique:
+        distinct.setdefault((-p).entries, -p)
+    # far points first: fewer intermediate vertices (Avis, Bremner & Seidel 1997)
+    hull = sorted(distinct.values(), key=lambda p: max(map(abs, p.entries)), reverse=True)
+    functionals = dual_vertices(hull)
+    one, d = hull[0].field.one, hull[0].dim
+    extremes = tuple(p for p in unique
+                     if rank_of_vectors([f for f in functionals if f.dot(p) == one]) == d)
     _negation_index(extremes)
-    return tuple(extremes)
+    return extremes
 
 
 def dual_vertices(points: Sequence[Vector]) -> list[Vector]:
@@ -250,10 +262,8 @@ class Polytope:
     @classmethod
     def from_vertices(cls, points: Sequence[Vector]) -> "Polytope":
         if points:
-            check_guard(points[0].dim, 0)  # before canonicalize's hull LPs
+            check_guard(points[0].dim, 0)  # before canonicalize's double description
         vertices = canonicalize(points)
-        if not vertices:
-            raise NotFullDimensionalError("no extreme points")
         check_guard(vertices[0].dim, len(vertices))
         return cls(vertices, tuple(dual_vertices(vertices)))
 

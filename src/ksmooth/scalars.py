@@ -254,7 +254,8 @@ class FieldTag(Enum):
                 return value
             if isinstance(value, int):
                 return Fraction(value)
-            raise FieldMismatchError(f"cannot coerce {value!r} into the rational field")
+            raise FieldMismatchError(
+                f"cannot coerce the quad-sqrt2 scalar {serialize(value)} into the rational field")
         if isinstance(value, QuadScalar):
             return value
         if isinstance(value, (int, Fraction)):

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from ksmooth.files import (
     load_vector_set,
     operator_to_document,
     parse_vector,
+    space_from_document,
     space_to_document,
 )
 from ksmooth.errors import DimensionMismatchError, ValidationError
@@ -134,11 +136,16 @@ def test_point_smooth_rejects_nonunit(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("space, point", [("ell1:2", "1,1"), ("paper-example", "1,1,1")])
-def test_validation_message_prints_literals(capsys, space, point):
-    assert main(["point", "smooth", space, point]) == 2
+@pytest.mark.parametrize("argv, message", [
+    (["point", "smooth", "ell1:2", "1,1"], "norm of (1,1) is not 1"),
+    (["point", "smooth", "paper-example", "1,1,1"], "norm of (1,1,1) is not 1"),
+    (["op", "construct-face", "paper-example", "e3", "ell1:2", "e1"],
+     "cannot coerce the quad-sqrt2 scalar 0 into the rational field"),
+], ids=["ell1:2-1,1", "paper-example-1,1,1", "construct-face-cross-field"])
+def test_validation_message_prints_literals(capsys, argv, message):
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"norm of ({point}) is not 1" in err
+    assert message in err
     assert "Fraction(" not in err and "QuadScalar(" not in err
 
 
@@ -281,14 +288,40 @@ def test_dimension_guard_before_building_points(capsys, monkeypatch, spec):
 LONG = "9" * 5000  # more digits than CPython converts to int by default
 
 
+def test_vertex_count_guard_after_extreme_points(tmp_path, capsys, monkeypatch):
+    # 88 rational points on the unit circle, all extreme: (+/-a/c, +/-b/c)
+    # and (+/-b/c, +/-a/c) for the first 11 primitive Pythagorean triples
+    triples = sorted((m * m + n * n, m * m - n * n, 2 * m * n)
+                     for m in range(2, 9) for n in range(1, m)
+                     if (m - n) % 2 and math.gcd(m, n) == 1)[:11]
+    points = {(Fraction(sx * x, c), Fraction(sy * y, c)) for c, a, b in triples
+              for x, y in ((a, b), (b, a)) for sx in (1, -1) for sy in (1, -1)}
+    assert len(points) == 88
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({
+        "name": "circle", "field": "rational", "dim": 2,
+        "vertices": [[str(x) for x in p] for p in sorted(points)]}),
+        encoding="utf-8")
+    monkeypatch.delenv("KSMOOTH_MAX_DIM", raising=False)
+    assert main(["space", "info", str(path)]) == 2
+    assert "88 vertices exceed guard 64" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["point", "smooth", "ell1:2", LONG + ",0"], "integer too long or not decimal"),
     (["point", "smooth", "ell1:2", "e" + LONG], "basis index has too many digits (5000)"),
     (["space", "info", "ell1:" + LONG], "dimension has too many digits (5000)"),
     (["space", "info", "{dir}/space.json"], "space.json: cannot decode space file"),
     (["op", "order", "{dir}/op.json"], "op.json: cannot decode operator file"),
-], ids=["literal", "basis-index", "builtin-dimension", "space-file-dim", "operator-entry"])
+    (None, "'dim' is too large"),
+], ids=["literal", "basis-index", "builtin-dimension", "space-file-dim", "operator-entry",
+        "in-memory-dim"])
 def test_overlong_integer_is_validation_error(tmp_path, capsys, argv, message):
+    if argv is None:  # a document built in Python, where no JSON parser caps the digits
+        with pytest.raises(ValidationError, match=message):
+            space_from_document({"name": "x", "field": "rational",
+                                 "dim": 10 ** 5000 - 1, "vertices": [["1"]]})
+        return
     (tmp_path / "space.json").write_text(
         '{"name": "x", "field": "rational", "dim": %s, "vertices": [["1"]]}' % LONG,
         encoding="utf-8")

@@ -32,7 +32,7 @@ CASES = {
 
 
 def _stdout(argv):
-    from ksmooth.cli import main
+    from ksmooth.cli import main  # late: run as a script, src/ joins the path first
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         main(list(argv))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,9 @@ from ksmooth.errors import (
     NotOnBoundaryError,
     NotSymmetricError,
 )
+from ksmooth.files import load_space
 from ksmooth.linalg import Vector, rank_of_vectors
+import ksmooth.lp as lp
 import ksmooth.polytope as polytope
 from ksmooth.polytope import (
     Polytope,
@@ -20,7 +23,7 @@ from ksmooth.polytope import (
     minimal_face,
 )
 from ksmooth.scalars import FieldTag, INV_SQRT2, QuadScalar
-from ksmooth.spaces import paper_example_space, random_space
+from ksmooth.spaces import ell1, ellinf, paper_example_space, random_space
 
 Q = FieldTag.RATIONAL
 
@@ -86,6 +89,97 @@ def test_canonicalize_drops_hull_points():
 def test_canonicalize_rejects_asymmetry():
     with pytest.raises(NotSymmetricError):
         canonicalize([qv(1, 0), qv(0, 1)])
+
+
+def test_canonicalize_rejects_flat_input():
+    # flat and asymmetric: the spanning check comes first
+    for points in ([qv(1, 0), qv(-1, 0)], [qv(1, 0), qv(-1, 0), qv(2, 0)]):
+        with pytest.raises(NotFullDimensionalError):
+            canonicalize(points)
+
+
+def _cloud(rng, dim):
+    """A symmetric rational cloud like the benchmark's: scaled axis points,
+    random points and quarter-sums of two of them, which are not extreme."""
+    half = [Vector.basis(i, dim, Q).scale(Fraction(rng.randint(2, 6), rng.randint(2, 5)))
+            for i in range(dim)]
+    for _ in range(dim + 2):
+        p = qv(*[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(dim)])
+        if not p.is_zero():
+            half.append(p)
+    for _ in range(2):
+        p, q = rng.sample(half, 2)
+        half.append((p + q).scale(Fraction(1, 4)))
+    return [s for p in half for s in (p, -p)]
+
+
+def _hull_lp_extremes(points):
+    """The LP reference route: each distinct point outside the hull of the others."""
+    unique = list({p.entries: p for p in points}.values())
+    return [p for i, p in enumerate(unique)
+            if not polytope.in_convex_hull(p, unique[:i] + unique[i + 1:])]
+
+
+def _matches_hull_lp_route(points):
+    """Compare ``canonicalize`` with the LP route; True if the extremes are symmetric."""
+    expected = _hull_lp_extremes(points)
+    try:
+        polytope._negation_index(expected)
+    except NotSymmetricError:
+        with pytest.raises(NotSymmetricError):
+            canonicalize(points)
+        return False
+    assert [p.entries for p in canonicalize(points)] == [p.entries for p in expected]
+    return True
+
+
+def test_canonicalize_matches_hull_lp_route():
+    symmetric = []
+    for dim in (2, 3, 4):
+        for seed in range(6):
+            rng = random.Random(f"{dim}:{seed}")
+            points = _cloud(rng, dim)
+            if seed % 3 == 1:  # interior points without their negations
+                points += [p.scale(Fraction(1, 3)) for p in rng.sample(points, 2)]
+            elif seed % 3 == 2:  # an extreme point without its negation
+                points.append(max(points, key=lambda p: max(map(abs, p.entries))).scale(2))
+            points += rng.sample(points, 3)  # repeats
+            rng.shuffle(points)
+            symmetric.append(_matches_hull_lp_route(points))
+    assert symmetric == [seed % 3 != 2 for _ in (2, 3, 4) for seed in range(6)]
+
+    # non-extreme points on the boundary: edge midpoints (active rank d-1)
+    # and facet centres (active rank 1) of the cube
+    for dim in (2, 3):
+        rng = random.Random(dim)
+        corners = cube(dim)
+        points = corners + cross(dim) + [
+            (p + q).scale(Fraction(1, 2)) for p in corners for q in corners
+            if sum(a != b for a, b in zip(p.entries, q.entries)) == 1]
+        rng.shuffle(points)
+        assert _matches_hull_lp_route(points)
+
+    K = FieldTag.QUAD_SQRT2
+    half = Fraction(1, 2)
+    ball = list(paper_example_space().ball.vertices)
+    inner = [Vector([half, half, 0], K), Vector([-half, -half, 0], K),  # inside the ball
+             Vector([half, 0, half], K), Vector([-half, 0, -half], K),  # on an edge
+             Vector([0, 0, half], K)]  # no negation, inside
+    assert _matches_hull_lp_route(inner[:1] + ball + inner[1:])
+    assert not _matches_hull_lp_route(ball + [Vector([0, 0, 2], K)])
+
+
+def test_construction_solves_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP ran while building a ball")
+
+    monkeypatch.setattr(polytope, "lp_feasible", no_lp)
+    monkeypatch.setattr(lp, "solve_lp", no_lp)
+    with pytest.raises(AssertionError):
+        polytope.in_convex_hull(qv(0, 0), cross())
+    cloud = load_space(str(Path(__file__).parent / "golden" / "cloud3.json"))
+    for space in (ell1(3), ellinf(3), paper_example_space(), random_space(5, 3, 8), cloud):
+        assert len(space.ball.vertices) >= 2 * space.dim
 
 
 def test_flat_input_fails_on_use():
@@ -210,10 +304,10 @@ def test_boundary_grid_face_dims_match_rank():
 def test_dimension_guard_precedes_hull_lps(monkeypatch):
     monkeypatch.delenv("KSMOOTH_MAX_DIM", raising=False)
 
-    def no_hull_lps(points):
-        raise AssertionError("hull LPs ran before the dimension guard")
+    def no_canonicalize(points):
+        raise AssertionError("canonicalize ran before the dimension guard")
 
-    monkeypatch.setattr(polytope, "canonicalize", no_hull_lps)
+    monkeypatch.setattr(polytope, "canonicalize", no_canonicalize)
     points = [v for i in range(7) for v in (Vector.basis(i, 7, Q), -Vector.basis(i, 7, Q))]
     with pytest.raises(GuardExceededError, match="dimension 7 exceeds guard 6"):
         Polytope.from_vertices(points)
