@@ -1,9 +1,18 @@
 """Exact vectors, matrices, rank, solving and independent subsets.
 
-Rank uses fraction-free (Bareiss) elimination after clearing row
-denominators, with full pivot search by a smallest-digit-length heuristic;
-this bounds coefficient growth without affecting exactness.  Every rank
-query recomputes from scratch: matrices here are tiny.
+``clear_denominators`` is the one clearing routine: it scales a list of
+rows by one common positive integer so that every entry is integral
+(``int`` over the rationals, a ``QuadScalar`` with integer parts over
+Q(sqrt 2)).  The hot scans over a ball run on such rows: a dot product is
+``sum(map(mul, a, b))`` and a comparison is against one integer, with at
+most one field scalar built at the end (``from_cleared``).
+
+Rank uses fraction-free (Bareiss) elimination on rows cleared one by one, with
+full pivot search by a smallest-size heuristic; this bounds coefficient
+growth without affecting exactness.  Over the rationals it runs on Python
+``int``s and every Bareiss division is an exact ``//``; over Q(sqrt 2) it
+divides in the field.  Every rank query recomputes from scratch: matrices
+here are tiny.
 
 Everything else runs on one Gauss-Jordan kernel: ``pivot_on`` is a single
 elimination step and ``_reduce`` brings rows to reduced row echelon form.
@@ -16,10 +25,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import floordiv, mul, truediv
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .scalars import FieldTag, Scalar, serialize
+from .scalars import FieldTag, QuadScalar, Scalar, serialize
 
 
 class Vector:
@@ -94,10 +104,7 @@ class Vector:
 
     def dot(self, other: "Vector") -> Scalar:
         self._check_peer(other)
-        total = self.field.zero
-        for a, b in zip(self.entries, other.entries):
-            total = total + a * b
-        return total
+        return sum(map(mul, self.entries, other.entries))
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -160,13 +167,7 @@ class Matrix:
             raise FieldMismatchError("matrix and vector fields differ")
         if v.dim != self.cols:
             raise DimensionMismatchError(f"matvec: {self.cols} columns vs dim {v.dim}")
-        out = []
-        for row in self.row_data:
-            total = self.field.zero
-            for a, b in zip(row, v.entries):
-                total = total + a * b
-            out.append(total)
-        return Vector(out, self.field)
+        return Vector([sum(map(mul, row, v.entries)) for row in self.row_data], self.field)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if other.field is not self.field:
@@ -193,36 +194,55 @@ class Matrix:
         return f"Matrix({[list(r) for r in self.row_data]!r}, {self.field.name})"
 
 
-def _denominators(x: Scalar) -> tuple[int, ...]:
-    if isinstance(x, Fraction):
-        return (x.denominator,)
-    return (x.a.denominator, x.b.denominator)
-
-
-def _scalar_size(x: Scalar) -> int:
+def _scalar_size(x: Scalar | int) -> int:
+    if isinstance(x, int):
+        return x.bit_length()
     if isinstance(x, Fraction):
         return x.numerator.bit_length() + x.denominator.bit_length()
     return (x.a.numerator.bit_length() + x.a.denominator.bit_length()
             + x.b.numerator.bit_length() + x.b.denominator.bit_length())
 
 
-def _cleared_rows(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    out = []
-    for row in rows:
-        scale = 1
-        for x in row:
-            for d in _denominators(x):
-                scale = lcm(scale, d)
-        out.append([x * scale for x in row] if scale != 1 else list(row))
-    return out
+def clear_denominators(rows: Iterable[Sequence[Scalar]],
+                       field: FieldTag) -> tuple[list[tuple], int]:
+    """Integral rows over one common positive scale: ``rows == cleared / scale``.
+
+    Over the rationals the cleared entries are ``int``s; over Q(sqrt 2)
+    they are ``QuadScalar``s whose two parts are integers.
+    """
+    rows = list(rows)
+    if field is FieldTag.RATIONAL:
+        scale = lcm(*{x.denominator for row in rows for x in row})
+        return [tuple(x.numerator * (scale // x.denominator) for x in row)
+                for row in rows], scale
+    scale = lcm(*{d for row in rows for x in row for d in (x.a.denominator, x.b.denominator)})
+    if scale == 1:
+        return [tuple(row) for row in rows], 1
+    return [tuple(QuadScalar(x.a * scale, x.b * scale) for x in row) for row in rows], scale
+
+
+def cleared_int(n: int, field: FieldTag) -> Scalar | int:
+    """The integer ``n`` as a cleared entry: itself over the rationals, a
+    ``QuadScalar`` over Q(sqrt 2), so that comparisons need no coercion."""
+    return n if field is FieldTag.RATIONAL else QuadScalar.from_int(n)
+
+
+def from_cleared(value: Scalar | int, scale: int, field: FieldTag) -> Scalar:
+    """The field scalar ``value / scale`` for a cleared ``value``."""
+    if field is FieldTag.RATIONAL:
+        return Fraction(value, scale)
+    return QuadScalar(value.a / scale, value.b / scale)
 
 
 def _rank_of_lists(rows: Sequence[Sequence[Scalar]], field: FieldTag) -> int:
     if not rows:
         return 0
-    work = _cleared_rows(rows)
+    # each row over its own scale: the rank is the same, the entries smaller
+    work = [list(clear_denominators([row], field)[0][0]) for row in rows]
+    # integer Bareiss divisions are exact; over Q(sqrt 2) they stay field divisions
+    div = floordiv if field is FieldTag.RATIONAL else truediv
     nr, nc = len(work), len(work[0])
-    prev = field.one
+    prev = 1
     rank = 0
     for step in range(min(nr, nc)):
         best = None
@@ -241,12 +261,15 @@ def _rank_of_lists(rows: Sequence[Sequence[Scalar]], field: FieldTag) -> int:
         if pj != step:
             for row in work:
                 row[step], row[pj] = row[pj], row[step]
-        pivot = work[step][step]
+        pivot_row = work[step]
+        pivot = pivot_row[step]
         for i in range(step + 1, nr):
-            factor = work[i][step]
+            row = work[i]
+            factor = row[step]
             for j in range(step + 1, nc):
-                work[i][j] = (pivot * work[i][j] - factor * work[step][j]) / prev
-            work[i][step] = field.zero
+                value = pivot * row[j] - factor * pivot_row[j]
+                row[j] = div(value, prev) if step else value  # prev is 1 at step 0
+            row[step] = 0
         prev = pivot
         rank += 1
     return rank

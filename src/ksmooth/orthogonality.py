@@ -33,7 +33,7 @@ from .errors import (
     SubspaceMembershipError,
     ValidationError,
 )
-from .linalg import Matrix, Vector, rank_of_vectors, solve
+from .linalg import Matrix, Vector, cleared_int, rank_of_vectors, solve
 from .lp import LPStatus, lp_feasible, solve_lp
 from .polytope import FaceDescriptor, dual_vertices, intersection_closure
 from .scalars import Scalar
@@ -96,7 +96,8 @@ def _verify_witness(space: PolyhedralSpace, witness: Witness,
     f = witness.functional
     if f.dot(witness.point) != one:
         raise InternalInconsistencyError("witness functional does not support its point")
-    if max(f.dot(v) for v in space.ball.vertices) != one:
+    values, scale = space.ball.vertex_values(f)
+    if max(values) != cleared_int(scale, space.field):
         raise InternalInconsistencyError("witness functional is not norm one")
     for y in vanish_on:
         if f.dot(y) != zero:

@@ -22,6 +22,13 @@ facet order every report shows.  ``in_convex_hull`` answers the same
 extremality question with one LP per point; it stays only as the
 reference route that the tests compare ``canonicalize`` against.
 
+A ``Polytope`` also holds both tuples cleared of denominators: the facet
+functionals as integer rows ``F`` over one positive scale ``D`` and the
+vertices as ``V`` over ``E`` (see ``linalg.clear_denominators``).  Its
+incidence, ``minimal_face`` and the scans of :mod:`ksmooth.spaces` and
+:mod:`ksmooth.operators` compare integer dot products with one integer
+instead of summing ``Fraction``s.
+
 Faces are keyed by their full active set (the maximal set of facets
 containing them); the dimension of the face with active set A is
 ``d - rank{f_j : j in A}``.
@@ -33,6 +40,7 @@ import itertools
 import os
 from collections import deque
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -45,7 +53,16 @@ from .errors import (
     OriginNotInteriorError,
     ValidationError,
 )
-from .linalg import Matrix, Vector, greedy_independent_subset, rank_of_vectors, solve
+from .linalg import (
+    Matrix,
+    Vector,
+    clear_denominators,
+    cleared_int,
+    from_cleared,
+    greedy_independent_subset,
+    rank_of_vectors,
+    solve,
+)
 from .lp import lp_feasible
 from .scalars import serialize
 
@@ -53,26 +70,32 @@ DEFAULT_MAX_DIM = 6
 DEFAULT_MAX_VERTICES = 64
 
 
-def _guard_limits() -> tuple[int, int]:
+def _max_dim() -> int:
     raw = os.environ.get("KSMOOTH_MAX_DIM")
     if raw is None:
-        return DEFAULT_MAX_DIM, DEFAULT_MAX_VERTICES
+        return DEFAULT_MAX_DIM
     try:
-        max_dim = int(raw)
+        return int(raw)
     except ValueError:
         raise ValidationError(
             f"KSMOOTH_MAX_DIM must be an integer, not {raw!r}") from None
-    return max_dim, max(DEFAULT_MAX_VERTICES, 2 ** max_dim)
 
 
 def check_guard(dim: int, vertex_count: int) -> None:
-    max_dim, max_vertices = _guard_limits()
+    """Reject a dimension above the guard, and more vertices than
+    ``max(DEFAULT_MAX_VERTICES, 2**max_dim)``."""
+    max_dim = _max_dim()
     if dim > max_dim:
         raise GuardExceededError(
             f"dimension {dim} exceeds guard {max_dim} (set KSMOOTH_MAX_DIM to raise)")
-    if vertex_count > max_vertices:
+    # vertex_count > 2**max_dim is decided by bit length: a large
+    # KSMOOTH_MAX_DIM would make the power itself huge to form.  A negative
+    # max_dim leaves only the default limit.
+    if vertex_count > DEFAULT_MAX_VERTICES and (
+            max_dim < 0 or (vertex_count - 1).bit_length() > max_dim):
         raise GuardExceededError(
-            f"{vertex_count} vertices exceed guard {max_vertices}")
+            f"{vertex_count} vertices exceed guard "
+            f"{max(DEFAULT_MAX_VERTICES, 2 ** max(max_dim, 0))}")
 
 
 @dataclass(frozen=True)
@@ -126,9 +149,14 @@ def canonicalize(points: Sequence[Vector]) -> tuple[Vector, ...]:
     # far points first: fewer intermediate vertices (Avis, Bremner & Seidel 1997)
     hull = sorted(distinct.values(), key=lambda p: max(map(abs, p.entries)), reverse=True)
     functionals = dual_vertices(hull)
-    one, d = hull[0].field.one, hull[0].dim
-    extremes = tuple(p for p in unique
-                     if rank_of_vectors([f for f in functionals if f.dot(p) == one]) == d)
+    cleared, scale = clear_denominators((f.entries for f in functionals), hull[0].field)
+
+    def is_extreme(p: Vector) -> bool:
+        values, p_scale = _cleared_products(cleared, scale, p)
+        bound = cleared_int(p_scale, p.field)
+        return rank_of_vectors([f for f, v in zip(functionals, values) if v == bound]) == p.dim
+
+    extremes = tuple(filter(is_extreme, unique))
     _negation_index(extremes)
     return extremes
 
@@ -171,8 +199,12 @@ def dual_vertices(points: Sequence[Vector]) -> list[Vector]:
         processed.append(i)
         processed.append(negation[i])
 
+    cleared, scale = clear_denominators((p.entries for p in points), field)
+
     def recompute_active(z: Vector) -> set[int]:
-        return {j for j in processed if points[j].dot(z) == field.one}
+        values, z_scale = _cleared_products(cleared, scale, z)
+        bound = cleared_int(z_scale, field)
+        return {j for j in processed if values[j] == bound}
 
     for idx, p in enumerate(points):
         if idx in processed:
@@ -220,33 +252,48 @@ def dual_vertices(points: Sequence[Vector]) -> list[Vector]:
     return verts
 
 
-class Polytope:
-    """Immutable vertices and facet functionals with eager vertex-facet incidence."""
+def _cleared_products(rows: Sequence[tuple], scale: int, x: Vector) -> tuple[list, int]:
+    """Each cleared row times ``x`` after clearing ``x`` once, and their common scale."""
+    [cleared], e = clear_denominators([x.entries], x.field)
+    return [sum(map(mul, row, cleared)) for row in rows], scale * e
 
-    __slots__ = ("dim", "field", "vertices", "functionals", "vertex_active", "_face_cache")
+
+class Polytope:
+    """Immutable vertices and facet functionals with eager vertex-facet incidence.
+
+    Both tuples are also held cleared of denominators: the facet
+    functionals as the integral rows ``F`` over one positive scale ``D``
+    (``functionals[j] == F[j] / D``) and the vertices as ``V`` over ``E``.
+    A facet value ``f_j(v_i) = 1`` is then the integer equality
+    ``F[j] . V[i] == D * E``.
+    """
+
+    __slots__ = ("dim", "field", "vertices", "functionals", "F", "D", "V", "E",
+                 "vertex_active", "_face_cache")
 
     def __init__(self, vertices: tuple[Vector, ...], functionals: tuple[Vector, ...]) -> None:
         if not vertices or not functionals:
             raise NotFullDimensionalError("empty representation")
         field = vertices[0].field
         d = vertices[0].dim
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "functionals", functionals)
+        F, D = clear_denominators((f.entries for f in functionals), field)
+        V, E = clear_denominators((v.entries for v in vertices), field)
+        for name, value in (("dim", d), ("field", field), ("vertices", vertices),
+                            ("functionals", functionals), ("F", tuple(F)), ("D", D),
+                            ("V", tuple(V)), ("E", E)):
+            object.__setattr__(self, name, value)
+        bound = cleared_int(D * E, field)
         incidence = []
-        for v in vertices:
-            active = set()
-            for j, f in enumerate(functionals):
-                value = f.dot(v)
-                if value > field.one:
-                    raise OriginNotInteriorError(
-                        f"vertex {v} violates functional {f}")
-                if value == field.one:
-                    active.add(j)
-            if not active:
+        for v, row in zip(vertices, V):
+            values = [sum(map(mul, f, row)) for f in F]
+            top = max(values)
+            if top > bound:
+                j = next(j for j, value in enumerate(values) if value > bound)
+                raise OriginNotInteriorError(
+                    f"vertex {v} violates functional {functionals[j]}")
+            if top != bound:
                 raise NotOnBoundaryError(f"vertex {v} is not on the boundary")
-            incidence.append(frozenset(active))
+            incidence.append(frozenset(j for j, value in enumerate(values) if value == bound))
         object.__setattr__(self, "vertex_active", tuple(incidence))
         object.__setattr__(self, "_face_cache", {})
         if rank_of_vectors(list(vertices)) < d:
@@ -258,6 +305,14 @@ class Polytope:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polytope is immutable")
+
+    def facet_values(self, x: Vector) -> tuple[list, int]:
+        """Every facet value at ``x``, cleared: ``f_j(x) == values[j] / scale``."""
+        return _cleared_products(self.F, self.D, x)
+
+    def vertex_values(self, f: Vector) -> tuple[list, int]:
+        """The functional ``f`` at every vertex, cleared: ``f(v_i) == values[i] / scale``."""
+        return _cleared_products(self.V, self.E, f)
 
     @classmethod
     def from_vertices(cls, points: Sequence[Vector]) -> "Polytope":
@@ -309,11 +364,13 @@ def minimal_face(p: Polytope, x: Vector) -> FaceDescriptor:
     """The face whose relative interior contains the boundary point ``x``."""
     if x.field is not p.field or x.dim != p.dim:
         raise DimensionMismatchError("point does not live in the polytope's space")
-    values = [f.dot(x) for f in p.functionals]
+    values, scale = p.facet_values(x)
     top = max(values)
-    if top != p.field.one:
-        raise NotOnBoundaryError(f"max functional value is {serialize(top)}, not 1")
-    active = frozenset(j for j, val in enumerate(values) if val == p.field.one)
+    bound = cleared_int(scale, p.field)
+    if top != bound:
+        raise NotOnBoundaryError(
+            f"max functional value is {serialize(from_cleared(top, scale, p.field))}, not 1")
+    active = frozenset(j for j, val in enumerate(values) if val == bound)
     dim = p.dim - rank_of_vectors([p.functionals[j] for j in active])
     return FaceDescriptor(active, dim)
 

@@ -9,11 +9,13 @@ acceptance tests both run these.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .files import operator_to_document, space_to_document
 from .linalg import Matrix, Vector, rank_of_vectors
 from .operators import (
     LinearOperator,
@@ -54,9 +56,13 @@ def _describe(space: PolyhedralSpace) -> str:
 
 
 def _describe_operator(t: LinearOperator) -> str:
-    rows = [[str(e) for e in row] for row in t.matrix.row_data]
-    return (f"operator {rows} : {_describe(t.domain)} -> {_describe(t.codomain)}")
-
+    """The operator file and its two space files, each named and followed by
+    its JSON document on the same line; written out under those names they
+    replay the case through ``ksmooth op order operator.json``."""
+    documents = (("operator.json", operator_to_document(t, "domain.json", "codomain.json")),
+                 ("domain.json", space_to_document(t.domain)),
+                 ("codomain.json", space_to_document(t.codomain)))
+    return " ".join(f"{name} {json.dumps(doc)}" for name, doc in documents)
 
 def _random_unit_operator(rng: random.Random, domain: PolyhedralSpace,
                           codomain: PolyhedralSpace) -> LinearOperator:

@@ -4,6 +4,9 @@ A ``PolyhedralSpace`` holds only its unit ball, a symmetric polytope.
 By polarity the extreme points of the dual ball are exactly the facet
 functionals of the ball, so the support set ``J(x)`` of a unit vector is
 represented by its extreme points: the facet functionals active at ``x``.
+``norm`` and ``support_set`` clear ``x`` of denominators once and compare
+its integer products with the ball's cleared facet rows against one
+integer (``Polytope.facet_values``).
 
 The smoothness order of a unit vector is the rank of its active
 functionals; it always equals the ambient dimension minus the dimension
@@ -29,7 +32,7 @@ from .errors import (
     NotUnitNormError,
     ValidationError,
 )
-from .linalg import Vector, rank_of_vectors
+from .linalg import Vector, cleared_int, from_cleared, rank_of_vectors
 from .polytope import Polytope, check_guard, minimal_face
 from .scalars import FieldTag, INV_SQRT2, QuadScalar, Scalar
 
@@ -71,7 +74,8 @@ def _check_point(space: PolyhedralSpace, x: Vector) -> None:
 def norm(space: PolyhedralSpace, x: Vector) -> Scalar:
     """The polytope norm: max of f(x) over the ball's facet functionals."""
     _check_point(space, x)
-    return max(f.dot(x) for f in space.ball.functionals)
+    values, scale = space.ball.facet_values(x)
+    return from_cleared(max(values), scale, space.field)
 
 
 def normalized(space: PolyhedralSpace, x: Vector) -> Vector:
@@ -85,11 +89,11 @@ def normalized(space: PolyhedralSpace, x: Vector) -> Vector:
 def support_set(space: PolyhedralSpace, x: Vector) -> SupportSet:
     """Extreme support functionals of the unit vector x and their rank."""
     _check_point(space, x)
-    one = space.field.one
-    values = [f.dot(x) for f in space.ball.functionals]
-    if max(values) != one:
+    values, scale = space.ball.facet_values(x)
+    bound = cleared_int(scale, space.field)
+    if max(values) != bound:
         raise NotUnitNormError(f"norm of {x} is not 1")
-    active = tuple(f for f, v in zip(space.ball.functionals, values) if v == one)
+    active = tuple(f for f, v in zip(space.ball.functionals, values) if v == bound)
     return SupportSet(x, active, rank_of_vectors(list(active)))
 
 

@@ -1,0 +1,232 @@
+"""The integer-cleared scans against the Fraction formulas they replace.
+
+Every scan over a ball (norm, support set, minimal face, attainment) and
+the rational Bareiss rank runs on rows cleared of denominators.  The
+reference route here is the plain field arithmetic of ``Vector.dot`` and
+the Gauss-Jordan kernel."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from ksmooth.errors import NotOnBoundaryError, OriginNotInteriorError, ZeroOperatorError
+from ksmooth.linalg import (
+    Matrix,
+    Vector,
+    _rank_of_lists,
+    _reduce,
+    clear_denominators,
+    from_cleared,
+    rank,
+)
+from ksmooth.operators import LinearOperator, operator_norm_and_attainment, sign_canonical
+from ksmooth.polytope import Polytope, minimal_face
+from ksmooth.scalars import FieldTag, QuadScalar
+from ksmooth.spaces import (
+    ell1,
+    ellinf,
+    norm,
+    paper_example_space,
+    product_space,
+    random_space,
+    support_set,
+)
+
+Q = FieldTag.RATIONAL
+K = FieldTag.QUAD_SQRT2
+
+
+def rand_scalar(rng, field, top=4):
+    a = Fraction(rng.randint(-top, top), rng.randint(1, 6))
+    if field is Q:
+        return a
+    return QuadScalar(a, Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+
+
+def rand_vector(rng, field, dim):
+    return Vector([rand_scalar(rng, field) for _ in range(dim)], field)
+
+
+def spaces():
+    out = [random_space(seed, dim, dim + 2) for seed, dim in
+           ((3, 2), (5, 2), (8, 3), (13, 3), (21, 4), (34, 4))]
+    out += [paper_example_space(), ellinf(3, K),
+            product_space([ell1(2), random_space(55, 2, 4)])]
+    return out
+
+
+SPACES = spaces()
+IDS = [s.name for s in SPACES]
+
+
+def reference_norm(space, x):
+    return max(f.dot(x) for f in space.ball.functionals)
+
+
+def probe_points(rng, space):
+    """Random directions, every vertex and midpoints of vertex pairs, all nonzero."""
+    vertices = space.ball.vertices
+    points = [rand_vector(rng, space.field, space.dim) for _ in range(8)]
+    points += vertices
+    half = space.field.one / space.field.from_int(2)
+    for _ in range(8):
+        u, w = rng.choice(vertices), rng.choice(vertices)
+        points.append((u + w).scale(half))
+    return [p for p in points if not p.is_zero()]
+
+
+@pytest.mark.parametrize("field", [Q, K], ids=["rational", "quadratic"])
+def test_clear_denominators_round_trip(field):
+    rng = random.Random(2)
+    for _ in range(30):
+        rows = [[rand_scalar(rng, field) for _ in range(rng.randint(1, 4))]
+                for _ in range(rng.randint(1, 4))]
+        cleared, scale = clear_denominators(rows, field)
+        assert scale >= 1
+        for row, crow in zip(rows, cleared):
+            assert [from_cleared(c, scale, field) for c in crow] == row
+            if field is Q:
+                assert all(type(c) is int for c in crow)
+            else:
+                assert all(c.a.denominator == 1 and c.b.denominator == 1 for c in crow)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=IDS)
+def test_ball_holds_its_cleared_rows(space):
+    ball, field = space.ball, space.field
+    assert [[from_cleared(e, ball.D, field) for e in row] for row in ball.F] == \
+        [list(f.entries) for f in ball.functionals]
+    assert [[from_cleared(e, ball.E, field) for e in row] for row in ball.V] == \
+        [list(v.entries) for v in ball.vertices]
+    reference = tuple(frozenset(j for j, f in enumerate(ball.functionals)
+                                if f.dot(v) == field.one) for v in ball.vertices)
+    assert ball.vertex_active == reference
+
+
+@pytest.mark.parametrize("space", SPACES, ids=IDS)
+def test_norm_support_set_and_face_match_fraction_route(space):
+    rng = random.Random(len(space.name))
+    one = space.field.one
+    zero = Vector.zero(space.dim, space.field)
+    assert norm(space, zero) == space.field.zero
+    for x in probe_points(rng, space):
+        n = norm(space, x)
+        assert n == reference_norm(space, x)
+        assert type(n) is type(one)
+        unit = x.scale(one / n)
+        active = {j for j, f in enumerate(space.ball.functionals) if f.dot(unit) == one}
+        supports = support_set(space, unit)
+        assert [f for f in space.ball.functionals if f in supports.extreme_functionals] \
+            == [space.ball.functionals[j] for j in sorted(active)]
+        assert minimal_face(space.ball, unit).active_set == active
+        values, scale = space.ball.vertex_values(space.ball.functionals[0])
+        assert from_cleared(max(values), scale, space.field) == \
+            max(space.ball.functionals[0].dot(v) for v in space.ball.vertices)
+
+
+def random_matrix(rng, field, rows, cols, kind):
+    if kind == "rank1":
+        a = [rand_scalar(rng, field) for _ in range(rows)]
+        b = [rand_scalar(rng, field) for _ in range(cols)]
+        return [[x * y for y in b] for x in a]
+    entries = [[rand_scalar(rng, field) for _ in range(cols)] for _ in range(rows)]
+    if kind == "zero-column":
+        j = rng.randrange(cols)
+        for row in entries:
+            row[j] = field.zero
+    return entries
+
+
+@pytest.mark.parametrize("codomain", SPACES, ids=IDS)
+def test_attainment_matches_fraction_route(codomain):
+    rng = random.Random(7 + codomain.dim)
+    field = codomain.field
+    domains = [s for s in SPACES if s.field is field]
+    for trial in range(6):
+        domain = domains[trial % len(domains)]
+        kind = ("full", "rank1", "zero-column")[trial % 3]
+        entries = random_matrix(rng, field, codomain.dim, domain.dim, kind)
+        if not any(any(row) for row in entries):
+            continue
+        t = LinearOperator(domain, codomain, Matrix(entries, field))
+        values = [reference_norm(codomain, t.apply(v)) for v in domain.ball.vertices]
+        best = max(values)
+        expected = []
+        for v, value in zip(domain.ball.vertices, values):
+            if value == best and sign_canonical(v) not in expected:
+                expected.append(sign_canonical(v))
+        att = operator_norm_and_attainment(t)
+        assert att.operator_norm == best
+        assert list(att.attaining_vertices) == expected
+
+
+def test_zero_operator_has_no_attainment():
+    space = random_space(3, 2, 4)
+    t = LinearOperator(space, space, Matrix([[0, 0], [0, 0]], Q))
+    with pytest.raises(ZeroOperatorError):
+        operator_norm_and_attainment(t)
+
+
+@pytest.mark.parametrize("field", [Q, K], ids=["rational", "quadratic"])
+def test_bareiss_rank_matches_gauss_jordan(field):
+    rng = random.Random(31)
+    for _ in range(80):
+        rows, cols, r = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 4)
+        gens = [[rand_scalar(rng, field) for _ in range(cols)] for _ in range(r)]
+        m = []
+        for _ in range(rows):
+            coeffs = [field.from_int(rng.randint(-2, 2)) for _ in range(r)]
+            m.append([sum((c * g[j] for c, g in zip(coeffs, gens)), field.zero)
+                      for j in range(cols)])
+        expected = len(_reduce([list(row) for row in m], cols))
+        assert expected <= r
+        assert _rank_of_lists(m, field) == expected
+        assert rank(Matrix(m, field)) == expected
+
+
+def test_bareiss_rank_on_large_entries():
+    # entries with many digits keep every division exact
+    big = 10 ** 40 + 7
+    m = [[Fraction(big, 3), Fraction(1, big)], [Fraction(2 * big, 3), Fraction(2, big)],
+         [Fraction(1, 7), Fraction(big)]]
+    assert _rank_of_lists(m, Q) == len(_reduce([list(row) for row in m], 2)) == 2
+    assert _rank_of_lists(m[:2], Q) == 1
+
+
+def qv(*entries):
+    return Vector(entries, Q)
+
+
+def kv(*entries):
+    return Vector([QuadScalar(e) if isinstance(e, (int, Fraction)) else e for e in entries], K)
+
+
+SQUARE = (qv(1, 1), qv(1, -1), qv(-1, 1), qv(-1, -1))
+CROSS_FUNCTIONALS = (qv(1, 0), qv(-1, 0), qv(0, 1), qv(0, -1))
+
+
+def test_polytope_rejects_vertex_outside_a_facet():
+    # the square's corners violate the square's own facets scaled by 2
+    doubled = tuple(f.scale(2) for f in CROSS_FUNCTIONALS)
+    with pytest.raises(OriginNotInteriorError, match=r"violates functional \(2,0\)"):
+        Polytope(SQUARE, doubled)
+    # the corners read as functionals: (1,1) takes the value 2 at itself
+    with pytest.raises(OriginNotInteriorError, match=r"vertex \(1,1\) violates functional \(1,1\)"):
+        Polytope(SQUARE, SQUARE)
+    r2 = QuadScalar(0, 1)
+    with pytest.raises(OriginNotInteriorError):
+        Polytope((kv(r2, 0), kv(-r2, 0), kv(0, 1), kv(0, -1)),
+                 (kv(1, 0), kv(-1, 0), kv(0, 1), kv(0, -1)))
+
+
+def test_polytope_rejects_vertex_inside():
+    half = Fraction(1, 2)
+    inner = (qv(half, half), qv(half, -half), qv(-half, half), qv(-half, -half))
+    with pytest.raises(NotOnBoundaryError, match=r"vertex \(1/2,1/2\) is not on the boundary"):
+        Polytope(inner, CROSS_FUNCTIONALS)
+    # one interior vertex among boundary ones
+    with pytest.raises(NotOnBoundaryError, match=r"vertex \(1/2,0\)"):
+        Polytope((qv(1, 0), qv(Fraction(1, 2), 0)), CROSS_FUNCTIONALS)
+    with pytest.raises(NotOnBoundaryError):
+        Polytope((kv(QuadScalar(0, Fraction(1, 2)), 0),), (kv(1, 0), kv(-1, 0)))

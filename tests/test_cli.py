@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -134,6 +136,19 @@ def test_point_smooth_rejects_nonunit(capsys):
     code = main(["point", "smooth", "ellinf:3", "1,1,2"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_huge_guard_variable_is_cheap(capsys, monkeypatch):
+    # the vertex limit 2**KSMOOTH_MAX_DIM must never be formed: at 10**12
+    # that power alone would take over 100 GB
+    monkeypatch.delenv("KSMOOTH_MAX_DIM", raising=False)
+    assert main(["space", "info", "ell1:2"]) == 0
+    default = capsys.readouterr().out
+    monkeypatch.setenv("KSMOOTH_MAX_DIM", str(10 ** 12))
+    start = time.perf_counter()
+    assert main(["space", "info", "ell1:2"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == default
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -349,6 +364,30 @@ def test_selftest_certificate_vertices_parse_back():
     parsed = [parse_vector(text, space.field, space.dim)
               for text in listed[1:-1].split(", ")]
     assert [v.entries for v in parsed] == [v.entries for v in space.ball.vertices]
+
+
+def test_selftest_certificate_replays_the_operator(tmp_path, capsys, monkeypatch):
+    import ksmooth.selftest as selftest
+    seen = []
+
+    def disagreeing_oracle(t):
+        seen.append(t)
+        return -1
+
+    monkeypatch.setattr(selftest, "oracle_order_of_smoothness", disagreeing_oracle)
+    result = selftest.order_equivalence_suite(5, 1)
+    [t] = seen
+    [certificate] = result.failures
+    decoder = json.JSONDecoder()
+    names = re.findall(r"(\w+\.json) (?=\{)", certificate)
+    assert names == ["operator.json", "domain.json", "codomain.json"]
+    for name in names:
+        start = certificate.index(f"{name} {{") + len(name) + 1
+        doc, _ = decoder.raw_decode(certificate, start)
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(capsys, "op", "order", str(tmp_path / "operator.json"), "--json")
+    assert code == 0
+    assert json.loads(out)["results"]["index"] == order_of_smoothness(t).index
 
 
 def test_bundled_sample_operators(capsys):

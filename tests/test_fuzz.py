@@ -1,9 +1,10 @@
-"""Property tests over malformed input: literals, vectors, space documents
-and command lines.  Every bad input must end in a ``ValidationError`` (or a
+"""Property tests over malformed input: literals, vectors, space documents,
+command lines and input files.  Every bad input must end in a ``ValidationError`` (or a
 CLI exit code in {0, 1, 2, 3}), never in another exception."""
 
 import contextlib
 import io
+import json
 import os
 
 import pytest
@@ -158,3 +159,99 @@ def test_cli_exit_codes_on_mutated_argv(scratch_cwd, argv):
             code = exc.code
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# space, operator and vector files
+# ---------------------------------------------------------------------------
+
+# Every digit in these files and in the mutations below is 0, 1 or 2, so a
+# mutated builtin spec is ell1:1, ellinf:2, ell1:12 and the like: cheap, or
+# rejected by the dimension guard before anything is built.
+BASE_FILES = {
+    "space.json": {"name": "square", "field": "rational", "dim": 2,
+                   "vertices": [["1", "1"], ["1", "-1"], ["-1", "1"], ["-1", "-1"],
+                                ["1/2", "0"]]},
+    "operator.json": {"domain": "space.json", "codomain": "ellinf:2",
+                      "matrix": [["1", "1/2"], ["0", "-1"]]},
+    "vectors.json": {"vectors": [["1", "1"], ["1", "-1/2"]]},
+}
+FILE_COMMANDS = [
+    ["space", "info", "space.json", "--json"],
+    ["op", "order", "operator.json"],
+    ["op", "index", "operator.json", "--set", "vectors.json"],
+]
+BYTES = b'{}[]",:-/012 re.\\\x00\xff\xc3'
+
+
+def _paths(doc, path=()):
+    """Every position in a JSON document, as a path of keys and indices."""
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _paths(value, path + (i,))
+
+
+def _mutate_json(draw, doc):
+    """Replace, drop or duplicate one position, or edit one literal string."""
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return draw(json_values)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    op = draw(st.sampled_from(["replace", "drop", "duplicate", "edit"]))
+    if op == "replace":
+        parent[key] = draw(json_values)
+    elif op == "drop":
+        del parent[key]
+    elif op == "duplicate" and isinstance(parent, list):
+        parent.insert(key, parent[key])
+    elif isinstance(parent[key], str):
+        text = parent[key]
+        i = draw(st.integers(0, len(text)))
+        chars = draw(st.text(alphabet=CHARS, min_size=0, max_size=2))
+        parent[key] = text[:i] + chars + text[i + draw(st.integers(0, 1)):]
+    return doc
+
+
+def _mutate_bytes(draw, data):
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.integers(0, len(data)))
+        byte = bytes([draw(st.sampled_from(BYTES))])
+        data = data[:i] + byte + data[i + draw(st.integers(0, 1)):]
+    return data
+
+
+@st.composite
+def mutated_files(draw):
+    files = {name: json.dumps(doc).encode("utf-8") for name, doc in BASE_FILES.items()}
+    name = draw(st.sampled_from(sorted(files)))
+    if draw(st.booleans()):
+        files[name] = _mutate_bytes(draw, files[name])
+    else:
+        doc = json.loads(files[name])
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            doc = _mutate_json(draw, doc)
+        files[name] = json.dumps(doc).encode("utf-8")
+    return files
+
+
+@settings(deadline=None, max_examples=60)
+@given(mutated_files())
+@example({**{n: json.dumps(d).encode() for n, d in BASE_FILES.items()},
+          "space.json": b'{"field": "rational", "dim": 2, "vertices": [["1", "1"]'})
+def test_cli_exit_codes_on_mutated_files(scratch_cwd, files):
+    for name, data in files.items():
+        with open(name, "wb") as handle:
+            handle.write(data)
+    for argv in FILE_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()

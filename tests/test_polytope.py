@@ -199,6 +199,23 @@ def test_dimension_guard(monkeypatch):
     assert p.dim == 7
 
 
+def test_vertex_guard_is_the_power_of_two_rule(monkeypatch):
+    # the limit is max(64, 2**KSMOOTH_MAX_DIM); 2**m is a Fraction below 1
+    # for negative m
+    for m in range(-3, 9):
+        monkeypatch.setenv("KSMOOTH_MAX_DIM", str(m))
+        limit = max(64, Fraction(2) ** m)
+        for count in range(300):
+            if count > limit:
+                message = f"{count} vertices exceed guard {limit}$"
+                with pytest.raises(GuardExceededError, match=message):
+                    polytope.check_guard(m, count)
+            else:
+                polytope.check_guard(m, count)
+    monkeypatch.setenv("KSMOOTH_MAX_DIM", str(10 ** 12))
+    polytope.check_guard(10 ** 12, 10 ** 100)
+
+
 def test_minimal_face_cube_vertex():
     p = Polytope.from_vertices(cube(3))
     face = minimal_face(p, qv(1, 1, 1))
