@@ -4,8 +4,9 @@
 rows by one common positive integer so that every entry is integral
 (``int`` over the rationals, a ``QuadScalar`` with integer parts over
 Q(sqrt 2)).  The hot scans over a ball run on such rows: a dot product is
-``sum(map(mul, a, b))`` and a comparison is against one integer, with at
-most one field scalar built at the end (``from_cleared``).
+``sum(map(mul, a, b))``, values are compared with each other, and at most
+one field scalar is built at the end (``from_cleared``).  Which rows are
+tight at a point is decided in :mod:`ksmooth.polytope` alone.
 
 Rank uses fraction-free (Bareiss) elimination on rows cleared one by one, with
 full pivot search by a smallest-size heuristic; this bounds coefficient
@@ -219,12 +220,6 @@ def clear_denominators(rows: Iterable[Sequence[Scalar]],
     if scale == 1:
         return [tuple(row) for row in rows], 1
     return [tuple(QuadScalar(x.a * scale, x.b * scale) for x in row) for row in rows], scale
-
-
-def cleared_int(n: int, field: FieldTag) -> Scalar | int:
-    """The integer ``n`` as a cleared entry: itself over the rationals, a
-    ``QuadScalar`` over Q(sqrt 2), so that comparisons need no coercion."""
-    return n if field is FieldTag.RATIONAL else QuadScalar.from_int(n)
 
 
 def from_cleared(value: Scalar | int, scale: int, field: FieldTag) -> Scalar:

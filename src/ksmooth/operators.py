@@ -192,11 +192,10 @@ def operator_norm_and_attainment(t: LinearOperator) -> AttainmentSet:
 
 def _extreme_members(t: LinearOperator, r: Sequence[Vector]) -> list[Vector]:
     """Members of r that are ball vertices, one per +/- pair, input order."""
-    vertex_entries = {v.entries for v in t.domain.ball.vertices}
     reps: list[Vector] = []
     seen = set()
     for x in r:
-        if x.entries in vertex_entries:
+        if t.domain.ball.has_vertex(x):
             c = sign_canonical(x)
             if c.entries not in seen:
                 seen.add(c.entries)

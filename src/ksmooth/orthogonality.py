@@ -33,9 +33,9 @@ from .errors import (
     SubspaceMembershipError,
     ValidationError,
 )
-from .linalg import Matrix, Vector, cleared_int, rank_of_vectors, solve
+from .linalg import Matrix, Vector, rank_of_vectors, solve
 from .lp import LPStatus, lp_feasible, solve_lp
-from .polytope import FaceDescriptor, dual_vertices, intersection_closure
+from .polytope import FaceDescriptor, Polytope, dual_vertices, intersection_closure
 from .scalars import Scalar
 from .spaces import PolyhedralSpace, norm, support_set
 
@@ -96,8 +96,7 @@ def _verify_witness(space: PolyhedralSpace, witness: Witness,
     f = witness.functional
     if f.dot(witness.point) != one:
         raise InternalInconsistencyError("witness functional does not support its point")
-    values, scale = space.ball.vertex_values(f)
-    if max(values) != cleared_int(scale, space.field):
+    if space.ball.vertices_at(f)[0] != one:
         raise InternalInconsistencyError("witness functional is not norm one")
     for y in vanish_on:
         if f.dot(y) != zero:
@@ -243,18 +242,18 @@ def _faces_meeting(space: PolyhedralSpace, v: Subspace):
     face with ball active set A has as vertices the section vertices
     active on all of A.  So the vertex active sets, closed under
     intersection, name the faces met, and the barycentre of a face's
-    section vertices lies in its relative interior.
+    section vertices lies in its relative interior.  The section is held as
+    a ``Polytope`` over all restricted functionals, so its incidence gives
+    those active sets in ball facet indices.
     """
     field = space.field
     ball = space.ball
     lattice = ball._face_lattice()
     restricted = [Vector([f.dot(b) for b in v.basis], field) for f in ball.functionals]
     distinct = {g.entries: g for g in restricted if not g.is_zero()}
-    vertices = dual_vertices(list(distinct.values()))
-    actives = [frozenset(j for j, g in enumerate(restricted) if g.dot(c) == field.one)
-               for c in vertices]
+    section = Polytope(tuple(dual_vertices(list(distinct.values()))), tuple(restricted))
     faces = []
-    for a in intersection_closure(actives):
+    for a in intersection_closure(section.vertex_active):
         if a not in lattice:
             raise InternalInconsistencyError(
                 "a face of the subspace section is not a face of the ball")
@@ -262,7 +261,7 @@ def _faces_meeting(space: PolyhedralSpace, v: Subspace):
     faces.sort(key=lambda face: (face.dim, tuple(sorted(face.active_set))))
     to_ambient = Matrix.from_columns(list(v.basis))
     for face in faces:
-        members = [c for c, act in zip(vertices, actives) if face.active_set <= act]
+        members = section.face_vertices(face)
         total = Vector.zero(len(v.basis), field)
         for c in members:
             total = total + c

@@ -24,14 +24,20 @@ reference route that the tests compare ``canonicalize`` against.
 
 A ``Polytope`` also holds both tuples cleared of denominators: the facet
 functionals as integer rows ``F`` over one positive scale ``D`` and the
-vertices as ``V`` over ``E`` (see ``linalg.clear_denominators``).  Its
-incidence, ``minimal_face`` and the scans of :mod:`ksmooth.spaces` and
-:mod:`ksmooth.operators` compare integer dot products with one integer
-instead of summing ``Fraction``s.
+vertices as ``V`` over ``E`` (see ``linalg.clear_denominators``).  Which
+rows are tight at a point is decided in one place, ``_tight``: it clears
+the point once, takes integer dot products and returns the largest value
+as a field scalar with the rows attaining it.  ``Polytope.facets_at`` and
+``Polytope.vertices_at`` are its two public faces; the incidence,
+``canonicalize``, ``minimal_face`` and the scans of :mod:`ksmooth.spaces`
+and :mod:`ksmooth.orthogonality` all go through it.  Double description
+needs no scan: a vertex it creates strictly inside an edge is tight
+exactly on the constraints tight at both ends and on the one inserted.
 
 Faces are keyed by their full active set (the maximal set of facets
 containing them); the dimension of the face with active set A is
-``d - rank{f_j : j in A}``.
+``d - rank{f_j : j in A}``, and ``minimal_face`` reads it from the other
+side, as the rank of the vertices on the face minus one.
 """
 
 from __future__ import annotations
@@ -57,14 +63,13 @@ from .linalg import (
     Matrix,
     Vector,
     clear_denominators,
-    cleared_int,
     from_cleared,
     greedy_independent_subset,
     rank_of_vectors,
     solve,
 )
 from .lp import lp_feasible
-from .scalars import serialize
+from .scalars import Scalar, serialize
 
 DEFAULT_MAX_DIM = 6
 DEFAULT_MAX_VERTICES = 64
@@ -152,9 +157,8 @@ def canonicalize(points: Sequence[Vector]) -> tuple[Vector, ...]:
     cleared, scale = clear_denominators((f.entries for f in functionals), hull[0].field)
 
     def is_extreme(p: Vector) -> bool:
-        values, p_scale = _cleared_products(cleared, scale, p)
-        bound = cleared_int(p_scale, p.field)
-        return rank_of_vectors([f for f, v in zip(functionals, values) if v == bound]) == p.dim
+        top, tight = _tight(cleared, scale, p)
+        return top == p.field.one and rank_of_vectors([functionals[j] for j in tight]) == p.dim
 
     extremes = tuple(filter(is_extreme, unique))
     _negation_index(extremes)
@@ -199,13 +203,6 @@ def dual_vertices(points: Sequence[Vector]) -> list[Vector]:
         processed.append(i)
         processed.append(negation[i])
 
-    cleared, scale = clear_denominators((p.entries for p in points), field)
-
-    def recompute_active(z: Vector) -> set[int]:
-        values, z_scale = _cleared_products(cleared, scale, z)
-        bound = cleared_int(z_scale, field)
-        return {j for j in processed if values[j] == bound}
-
     for idx, p in enumerate(points):
         if idx in processed:
             continue
@@ -239,10 +236,12 @@ def dual_vertices(points: Sequence[Vector]) -> list[Vector]:
                 u, w = verts[k_out], verts[k_in]
                 t = (-val_in) / (val_out - val_in)
                 z = w + (u - w).scale(t)
-                new_coords.setdefault(z.entries, z)
-        for z in new_coords.values():
+                # z lies strictly inside the edge uw: a processed constraint
+                # is tight at z exactly when it is tight at both ends
+                new_coords.setdefault(z.entries, (z, common | {idx}))
+        for z, active in new_coords.values():
             keep_verts.append(z)
-            keep_actives.append(recompute_active(z))
+            keep_actives.append(active)
         verts, actives = keep_verts, keep_actives
 
     for act in actives:
@@ -252,10 +251,18 @@ def dual_vertices(points: Sequence[Vector]) -> list[Vector]:
     return verts
 
 
-def _cleared_products(rows: Sequence[tuple], scale: int, x: Vector) -> tuple[list, int]:
-    """Each cleared row times ``x`` after clearing ``x`` once, and their common scale."""
+def _tight(rows: Sequence[tuple], scale: int, x: Vector) -> tuple[Scalar, list[int]]:
+    """The largest value of the rows ``rows / scale`` at ``x``, as a field
+    scalar, and the indices of the rows attaining it.
+
+    ``x`` is cleared once; the rows' values are then integer dot products
+    compared with each other, and only the maximum becomes a field scalar.
+    """
     [cleared], e = clear_denominators([x.entries], x.field)
-    return [sum(map(mul, row, cleared)) for row in rows], scale * e
+    values = [sum(map(mul, row, cleared)) for row in rows]
+    top = max(values)
+    return (from_cleared(top, scale * e, x.field),
+            [j for j, value in enumerate(values) if value == top])
 
 
 class Polytope:
@@ -264,12 +271,12 @@ class Polytope:
     Both tuples are also held cleared of denominators: the facet
     functionals as the integral rows ``F`` over one positive scale ``D``
     (``functionals[j] == F[j] / D``) and the vertices as ``V`` over ``E``.
-    A facet value ``f_j(v_i) = 1`` is then the integer equality
-    ``F[j] . V[i] == D * E``.
+    ``facets_at`` and ``vertices_at`` scan them, and the incidence
+    ``vertex_active`` is ``facets_at`` at every vertex.
     """
 
     __slots__ = ("dim", "field", "vertices", "functionals", "F", "D", "V", "E",
-                 "vertex_active", "_face_cache")
+                 "vertex_active", "_cache")
 
     def __init__(self, vertices: tuple[Vector, ...], functionals: tuple[Vector, ...]) -> None:
         if not vertices or not functionals:
@@ -282,20 +289,17 @@ class Polytope:
                             ("functionals", functionals), ("F", tuple(F)), ("D", D),
                             ("V", tuple(V)), ("E", E)):
             object.__setattr__(self, name, value)
-        bound = cleared_int(D * E, field)
         incidence = []
-        for v, row in zip(vertices, V):
-            values = [sum(map(mul, f, row)) for f in F]
-            top = max(values)
-            if top > bound:
-                j = next(j for j, value in enumerate(values) if value > bound)
+        for v in vertices:
+            top, tight = self.facets_at(v)
+            if top > field.one:
                 raise OriginNotInteriorError(
-                    f"vertex {v} violates functional {functionals[j]}")
-            if top != bound:
+                    f"vertex {v} violates functional {functionals[tight[0]]}")
+            if top != field.one:
                 raise NotOnBoundaryError(f"vertex {v} is not on the boundary")
-            incidence.append(frozenset(j for j, value in enumerate(values) if value == bound))
+            incidence.append(frozenset(tight))
         object.__setattr__(self, "vertex_active", tuple(incidence))
-        object.__setattr__(self, "_face_cache", {})
+        object.__setattr__(self, "_cache", {})
         if rank_of_vectors(list(vertices)) < d:
             raise NotFullDimensionalError("vertex set does not span")
         for i, v in enumerate(vertices):
@@ -306,13 +310,13 @@ class Polytope:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polytope is immutable")
 
-    def facet_values(self, x: Vector) -> tuple[list, int]:
-        """Every facet value at ``x``, cleared: ``f_j(x) == values[j] / scale``."""
-        return _cleared_products(self.F, self.D, x)
+    def facets_at(self, x: Vector) -> tuple[Scalar, list[int]]:
+        """``max_j f_j(x)`` (the gauge of ``x``) and the facets attaining it."""
+        return _tight(self.F, self.D, x)
 
-    def vertex_values(self, f: Vector) -> tuple[list, int]:
-        """The functional ``f`` at every vertex, cleared: ``f(v_i) == values[i] / scale``."""
-        return _cleared_products(self.V, self.E, f)
+    def vertices_at(self, f: Vector) -> tuple[Scalar, list[int]]:
+        """``max_i f(v_i)`` (the dual gauge of ``f``) and the vertices attaining it."""
+        return _tight(self.V, self.E, f)
 
     @classmethod
     def from_vertices(cls, points: Sequence[Vector]) -> "Polytope":
@@ -326,13 +330,19 @@ class Polytope:
         """The polar dual: facet functionals become vertices and vice versa."""
         return Polytope(self.functionals, self.vertices)
 
+    def has_vertex(self, x: Vector) -> bool:
+        """Whether ``x`` is one of the vertices (the entry set is built once)."""
+        if "vertex_entries" not in self._cache:
+            self._cache["vertex_entries"] = frozenset(v.entries for v in self.vertices)
+        return x.entries in self._cache["vertex_entries"]
+
     def face_vertices(self, face: FaceDescriptor) -> list[Vector]:
         """Vertices lying on the face (those whose active set contains it)."""
         return [v for v, act in zip(self.vertices, self.vertex_active)
                 if face.active_set <= act]
 
     def _face_lattice(self) -> dict[frozenset[int], int]:
-        cache = self._face_cache
+        cache = self._cache
         if "lattice" not in cache:
             cache["lattice"] = {
                 a: self.dim - rank_of_vectors([self.functionals[j] for j in a])
@@ -364,15 +374,13 @@ def minimal_face(p: Polytope, x: Vector) -> FaceDescriptor:
     """The face whose relative interior contains the boundary point ``x``."""
     if x.field is not p.field or x.dim != p.dim:
         raise DimensionMismatchError("point does not live in the polytope's space")
-    values, scale = p.facet_values(x)
-    top = max(values)
-    bound = cleared_int(scale, p.field)
-    if top != bound:
-        raise NotOnBoundaryError(
-            f"max functional value is {serialize(from_cleared(top, scale, p.field))}, not 1")
-    active = frozenset(j for j, val in enumerate(values) if val == bound)
-    dim = p.dim - rank_of_vectors([p.functionals[j] for j in active])
-    return FaceDescriptor(active, dim)
+    top, tight = p.facets_at(x)
+    if top != p.field.one:
+        raise NotOnBoundaryError(f"max functional value is {serialize(top)}, not 1")
+    active = frozenset(tight)
+    # from the vertex side: a k-face misses the origin, so its vertices span k + 1
+    on_face = [v for v, act in zip(p.vertices, p.vertex_active) if active <= act]
+    return FaceDescriptor(active, rank_of_vectors(on_face) - 1)
 
 
 def enumerate_faces(p: Polytope, dim: int) -> list[FaceDescriptor]:

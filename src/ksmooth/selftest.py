@@ -142,18 +142,11 @@ def invariance_suite(seed: int, cases: int, recombinations: int) -> SuiteResult:
         for trial in range(recombinations):
             c = _random_invertible(rng, len(base.vector_basis), x.field)
             d = _random_invertible(rng, len(base.functional_basis), x.field)
-            new_vb = [
-                Vector([sum((c.row_data[i][j] * base.vector_basis[j][k]
-                             for j in range(len(base.vector_basis))), x.field.zero)
-                        for k in range(x.dim)], x.field)
-                for i in range(len(base.vector_basis))]
-            new_fb = [
-                Vector([sum((d.row_data[i][j] * base.functional_basis[j][k]
-                             for j in range(len(base.functional_basis))), x.field.zero)
-                        for k in range(y.dim)], x.field)
-                for i in range(len(base.functional_basis))]
-            got = index_of_smoothness(t, r, vector_basis=new_vb,
-                                      functional_basis=new_fb)
+            new_vb = c.matmul(Matrix.from_rows(base.vector_basis))
+            new_fb = d.matmul(Matrix.from_rows(base.functional_basis))
+            got = index_of_smoothness(
+                t, r, vector_basis=[new_vb.row(i) for i in range(new_vb.rows)],
+                functional_basis=[new_fb.row(i) for i in range(new_fb.rows)])
             if got != base.index:
                 failures.append(
                     f"case {case} trial {trial}: index {base.index} became {got}; "

@@ -4,14 +4,15 @@ A ``PolyhedralSpace`` holds only its unit ball, a symmetric polytope.
 By polarity the extreme points of the dual ball are exactly the facet
 functionals of the ball, so the support set ``J(x)`` of a unit vector is
 represented by its extreme points: the facet functionals active at ``x``.
-``norm`` and ``support_set`` clear ``x`` of denominators once and compare
-its integer products with the ball's cleared facet rows against one
-integer (``Polytope.facet_values``).
+``norm`` and ``support_set`` both read them from one scan of the ball,
+``Polytope.facets_at``.
 
 The smoothness order of a unit vector is the rank of its active
 functionals; it always equals the ambient dimension minus the dimension
-of the minimal face containing the vector, and both quantities are
-computed and cross-asserted on every query.
+of the minimal face containing the vector.  That dimension is read from
+the ball vertices on the face, not from the functionals, so the two
+quantities are independent, and both are computed and cross-asserted on
+every query.
 
 Only polyhedral balls are modeled.  The p-norms with 1 < p < infinity
 have non-polyhedral (strictly convex) balls and irrational geometry and
@@ -32,7 +33,7 @@ from .errors import (
     NotUnitNormError,
     ValidationError,
 )
-from .linalg import Vector, cleared_int, from_cleared, rank_of_vectors
+from .linalg import Vector, rank_of_vectors
 from .polytope import Polytope, check_guard, minimal_face
 from .scalars import FieldTag, INV_SQRT2, QuadScalar, Scalar
 
@@ -74,8 +75,7 @@ def _check_point(space: PolyhedralSpace, x: Vector) -> None:
 def norm(space: PolyhedralSpace, x: Vector) -> Scalar:
     """The polytope norm: max of f(x) over the ball's facet functionals."""
     _check_point(space, x)
-    values, scale = space.ball.facet_values(x)
-    return from_cleared(max(values), scale, space.field)
+    return space.ball.facets_at(x)[0]
 
 
 def normalized(space: PolyhedralSpace, x: Vector) -> Vector:
@@ -89,12 +89,11 @@ def normalized(space: PolyhedralSpace, x: Vector) -> Vector:
 def support_set(space: PolyhedralSpace, x: Vector) -> SupportSet:
     """Extreme support functionals of the unit vector x and their rank."""
     _check_point(space, x)
-    values, scale = space.ball.facet_values(x)
-    bound = cleared_int(scale, space.field)
-    if max(values) != bound:
+    top, tight = space.ball.facets_at(x)
+    if top != space.field.one:
         raise NotUnitNormError(f"norm of {x} is not 1")
-    active = tuple(f for f, v in zip(space.ball.functionals, values) if v == bound)
-    return SupportSet(x, active, rank_of_vectors(list(active)))
+    active = [space.ball.functionals[j] for j in tight]
+    return SupportSet(x, tuple(active), rank_of_vectors(active))
 
 
 def support_functionals_at(space: PolyhedralSpace, y: Vector) -> SupportSet:
@@ -111,7 +110,8 @@ def point_smoothness(space: PolyhedralSpace, x: Vector) -> int:
 
     Computed two ways on every call: as the rank of the active support
     functionals, and as ambient dimension minus the dimension of the
-    minimal face containing x.  Disagreement signals a kernel bug.
+    minimal face containing x, which counts the ball vertices on that face.
+    Disagreement signals a kernel bug.
     """
     supports = support_set(space, x)
     face = minimal_face(space.ball, x)

@@ -120,9 +120,10 @@ def test_norm_support_set_and_face_match_fraction_route(space):
         assert [f for f in space.ball.functionals if f in supports.extreme_functionals] \
             == [space.ball.functionals[j] for j in sorted(active)]
         assert minimal_face(space.ball, unit).active_set == active
-        values, scale = space.ball.vertex_values(space.ball.functionals[0])
-        assert from_cleared(max(values), scale, space.field) == \
-            max(space.ball.functionals[0].dot(v) for v in space.ball.vertices)
+        f = space.ball.functionals[0]
+        top, tight = space.ball.vertices_at(f)
+        assert top == max(f.dot(v) for v in space.ball.vertices)
+        assert tight == [i for i, v in enumerate(space.ball.vertices) if f.dot(v) == top]
 
 
 def random_matrix(rng, field, rows, cols, kind):

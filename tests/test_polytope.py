@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,7 @@ from ksmooth.errors import (
     NotSymmetricError,
 )
 from ksmooth.files import load_space
-from ksmooth.linalg import Vector, rank_of_vectors
+from ksmooth.linalg import Matrix, Vector, rank_of_vectors, solve
 import ksmooth.lp as lp
 import ksmooth.polytope as polytope
 from ksmooth.polytope import (
@@ -294,6 +295,63 @@ def test_paper_conversion_incidences():
                 assert value < one
     assert len(ball.vertices) == 10
     assert len(ball.functionals) == 16
+
+
+def _brute_force_polar_vertices(points):
+    """Vertices of ``{f : p.f <= 1 for each p}`` from every d-subset of the
+    constraints: each independent subset solved with equality, kept when
+    the solution satisfies every constraint."""
+    d, field = points[0].dim, points[0].field
+    ones = Vector([field.one] * d, field)
+    found = set()
+    for subset in itertools.combinations(points, d):
+        if rank_of_vectors(list(subset)) == d:
+            f = solve(Matrix.from_rows(list(subset)), ones)
+            if all(p.dot(f) <= field.one for p in points):
+                found.add(f.entries)
+    return found
+
+
+def _degenerate_cloud(rng, dim):
+    """A small symmetric cloud with points in the relative interior of an
+    edge and of a facet of its hull and a repeated direction, so that many
+    constraints meet at one polar vertex."""
+    half = [Vector.basis(i, dim, Q).scale(Fraction(rng.randint(2, 6), rng.randint(2, 5)))
+            for i in range(dim)]
+    half += [qv(*[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(dim)])
+             for _ in range(dim)]
+    half = [p for p in half if not p.is_zero()]
+    ball = Polytope.from_vertices(half + [-p for p in half])
+    for k in (1, dim - 1):
+        on_face = ball.face_vertices(rng.choice(enumerate_faces(ball, k)))
+        total = on_face[0]
+        for v in on_face[1:]:
+            total = total + v
+        half.append(total.scale(Fraction(1, len(on_face))))
+    half.append(rng.choice(ball.vertices).scale(Fraction(rng.randint(1, 3), 4)))
+    points = list({p.entries: p for q in half for p in (q, -q)}.values())
+    rng.shuffle(points)
+    return points
+
+
+def test_dual_vertices_matches_brute_force():
+    # double description takes the tight set of a new vertex from its edge
+    # and never rescans it; a wrong tight set breaks adjacency on later
+    # insertions, so the vertex set is compared with the brute-force one
+    for dim in (2, 3):
+        for seed in range(6):
+            points = _degenerate_cloud(random.Random(f"dd:{dim}:{seed}"), dim)
+            got = [v.entries for v in dual_vertices(points)]
+            assert len(got) == len(set(got))
+            assert set(got) == _brute_force_polar_vertices(points)
+    K = FieldTag.QUAD_SQRT2
+    half = Fraction(1, 2)
+    points = list(paper_example_space().ball.vertices) + [
+        Vector(e, K) for p in ([half, 0, half], [0, half, half], [half, half, 0])
+        for e in (p, [-x for x in p])]
+    got = [v.entries for v in dual_vertices(points)]
+    assert len(got) == len(set(got)) == 16
+    assert set(got) == _brute_force_polar_vertices(points)
 
 
 def test_dual_vertices_requires_symmetry():

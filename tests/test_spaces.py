@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ksmooth.errors import NotUnitNormError
+from ksmooth.errors import InternalInconsistencyError, NotUnitNormError
 from ksmooth.linalg import Vector
 from ksmooth.polytope import Polytope
 from ksmooth.scalars import FieldTag, INV_SQRT2, QuadScalar
@@ -91,6 +91,20 @@ def test_point_smoothness_paper_apex():
     space = paper_example_space()
     apex = Vector([QuadScalar(0), QuadScalar(0), QuadScalar(1)], K)
     assert point_smoothness(space, apex) == 3
+
+
+def test_point_smoothness_catches_a_tampered_incidence():
+    # the face route counts ball vertices on the face (vertex_active); the
+    # support route ranks facet functionals, which the tampering leaves alone
+    space = ellinf(3)
+    x = qv(1, 1, 0)
+    assert point_smoothness(space, x) == 2
+    every_facet = frozenset(range(len(space.ball.functionals)))
+    object.__setattr__(space.ball, "vertex_active",
+                       (every_facet,) * len(space.ball.vertices))
+    assert support_set(space, x).smoothness_order == 2
+    with pytest.raises(InternalInconsistencyError, match="by face dimension"):
+        point_smoothness(space, x)
 
 
 def test_point_smoothness_bounds():
