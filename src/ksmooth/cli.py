@@ -41,7 +41,7 @@ from .files import (
     operator_to_document,
     parse_vector,
 )
-from .linalg import Vector
+from .linalg import Vector, rank_of_vectors
 from .operators import (
     PAPER_EXAMPLE_REFERENCE_ORDER,
     _index_computation,
@@ -56,7 +56,6 @@ from .polytope import FaceDescriptor, count_faces, minimal_face
 from .scalars import serialize
 from .selftest import run_all
 from .spaces import point_smoothness, support_set
-from .linalg import rank_of_vectors
 
 
 class _UsageError(Exception):
@@ -105,8 +104,9 @@ def _parse_face(space, text: str) -> FaceDescriptor:
 
 def _cmd_space_info(args, argv) -> int:
     space = load_space(args.space)
-    face_counts = {str(k): count_faces(space.ball, k) for k in range(space.dim)}
-    euler = sum((-1) ** k * count_faces(space.ball, k) for k in range(space.dim))
+    counts = [count_faces(space.ball, k) for k in range(space.dim)]
+    face_counts = {str(k): c for k, c in enumerate(counts)}
+    euler = sum((-1) ** k * c for k, c in enumerate(counts))
     euler_expected = 1 + (-1) ** (space.dim - 1)
     results = {
         "name": space.name,

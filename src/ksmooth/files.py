@@ -31,7 +31,7 @@ from pathlib import Path
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import Matrix, Vector
 from .operators import LinearOperator, paper_example_operator
-from .scalars import FieldTag, parse, serialize
+from .scalars import FieldTag, Scalar, parse, serialize
 from .spaces import PolyhedralSpace, ell1, ellinf, from_vertices, paper_example_space
 
 _BUILTIN_RE = re.compile(r"^(ell1|ellinf):([1-9]\d*)$")
@@ -60,6 +60,23 @@ def _read_json(path: Path, what: str) -> object:
         ) from exc
     except ValueError as exc:  # bad UTF-8, or a number over CPython's digit limit
         raise ValidationError(f"{path}: cannot decode {what} file: {exc}") from exc
+
+
+def _parse_rows(rows: list, dim: int, field: FieldTag, what: str) -> list[list[Scalar]]:
+    """Rows of ``dim`` scalar literals; an error names its row or cell as
+    ``what[i]`` or ``what[i][j]``."""
+    out = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise DimensionMismatchError(f"{what}[{i}] must be a list of {dim} scalar literals")
+        entries = []
+        for j, literal in enumerate(row):
+            try:
+                entries.append(parse(str(literal), field))
+            except ValidationError as exc:
+                raise ValidationError(f"{what}[{i}][{j}]: {exc}") from exc
+        out.append(entries)
+    return out
 
 
 def load_space(spec: str, base_dir: Path | None = None) -> PolyhedralSpace:
@@ -93,18 +110,8 @@ def space_from_document(doc: object, default_name: str = "custom") -> Polyhedral
         raise ValidationError("'dim' is too large")
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise ValidationError("'vertices' must be a nonempty list")
-    vertices = []
-    for i, row in enumerate(raw_vertices):
-        if not isinstance(row, list) or len(row) != dim:
-            raise DimensionMismatchError(
-                f"vertices[{i}] must be a list of {dim} scalar literals")
-        entries = []
-        for j, literal in enumerate(row):
-            try:
-                entries.append(parse(str(literal), field))
-            except ValidationError as exc:
-                raise ValidationError(f"vertices[{i}][{j}]: {exc}") from exc
-        vertices.append(Vector(entries, field))
+    vertices = [Vector(row, field)
+                for row in _parse_rows(raw_vertices, dim, field, "vertices")]
     name = doc.get("name", default_name)
     return from_vertices(vertices, str(name))
 
@@ -132,19 +139,10 @@ def load_operator(spec: str) -> LinearOperator:
     domain = load_space(str(doc["domain"]), base_dir=path.parent)
     codomain = load_space(str(doc["codomain"]), base_dir=path.parent)
     raw = doc["matrix"]
-    if (not isinstance(raw, list) or len(raw) != codomain.dim
-            or any(not isinstance(r, list) or len(r) != domain.dim for r in raw)):
+    if not isinstance(raw, list) or len(raw) != codomain.dim:
         raise DimensionMismatchError(
             f"matrix must be {codomain.dim} rows of {domain.dim} literals")
-    entries = []
-    for i, row in enumerate(raw):
-        out = []
-        for j, literal in enumerate(row):
-            try:
-                out.append(parse(str(literal), domain.field))
-            except ValidationError as exc:
-                raise ValidationError(f"matrix[{i}][{j}]: {exc}") from exc
-        entries.append(out)
+    entries = _parse_rows(raw, domain.dim, domain.field, "matrix")
     return LinearOperator(domain, codomain, Matrix(entries, domain.field))
 
 
@@ -187,12 +185,7 @@ def load_vector_set(path_str: str, field: FieldTag, dim: int) -> list[Vector]:
     rows = doc.get("vectors") if isinstance(doc, dict) else doc
     if not isinstance(rows, list) or not rows:
         raise ValidationError("vector file must hold a nonempty list of rows")
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise DimensionMismatchError(f"vectors[{i}] must have {dim} entries")
-        out.append(Vector([parse(str(x), field) for x in row], field))
-    return out
+    return [Vector(row, field) for row in _parse_rows(rows, dim, field, "vectors")]
 
 
 def digest(spec: str) -> str:

@@ -283,13 +283,14 @@ def rank_of_vectors(vs: Sequence[Vector]) -> int:
 
 def pivot_on(rows: list[list[Scalar]], r: int, c: int) -> None:
     """One Gauss-Jordan step in place: scale row ``r`` to a unit pivot in
-    column ``c``, then clear column ``c`` from every other row."""
+    column ``c``, then clear column ``c`` from every other row, skipping
+    the columns where row ``r`` is zero."""
     pivot = rows[r][c]
     rows[r] = [x / pivot for x in rows[r]]
     for i in range(len(rows)):
         if i != r and rows[i][c]:
             factor = rows[i][c]
-            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+            rows[i] = [x - factor * y if y else x for x, y in zip(rows[i], rows[r])]
 
 
 def _reduce(rows: list[list[Scalar]], ncols: int) -> list[int]:

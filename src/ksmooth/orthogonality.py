@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import Matrix, Vector, rank_of_vectors, solve
-from .lp import LPStatus, lp_feasible, solve_lp
+from .lp import lp_feasible
 from .polytope import FaceDescriptor, Polytope, dual_vertices, intersection_closure
 from .scalars import Scalar
 from .spaces import PolyhedralSpace, norm, support_set
@@ -101,22 +101,11 @@ def _verify_witness(space: PolyhedralSpace, witness: Witness,
     for y in vanish_on:
         if f.dot(y) != zero:
             raise InternalInconsistencyError("witness functional fails to vanish")
-    total = zero
-    for c in witness.coefficients:
-        if c < zero:
-            raise InternalInconsistencyError("witness coefficients not convex")
-        total = total + c
-    if total != one:
+    if any(c < zero for c in witness.coefficients):
+        raise InternalInconsistencyError("witness coefficients not convex")
+    if sum(witness.coefficients, zero) != one:
         raise InternalInconsistencyError("witness coefficients do not sum to one")
     return witness
-
-
-def _combine(extremes: Sequence[Vector], coefficients: Sequence[Scalar],
-             space: PolyhedralSpace) -> Vector:
-    out = Vector.zero(space.dim, space.field)
-    for c, f in zip(coefficients, extremes):
-        out = out + f.scale(c)
-    return out
 
 
 def _bracket_witness(space: PolyhedralSpace, point: Vector,
@@ -170,7 +159,7 @@ def _annihilating_witness(space: PolyhedralSpace, point: Vector,
     coefficients = lp_feasible(rows, rhs, field)
     if coefficients is None:
         return None
-    functional = _combine(extremes, coefficients, space)
+    functional = Matrix.from_columns(list(extremes)).matvec(Vector(coefficients, field))
     return _verify_witness(
         space, Witness(point, functional, tuple(extremes), coefficients), targets)
 
@@ -188,9 +177,12 @@ def _relint_sample(space: PolyhedralSpace, face: FaceDescriptor,
                    basis: Sequence[Vector]) -> Optional[Vector]:
     """A point of relint(face) inside span(basis), or None when they miss.
 
-    Maximizes a shared slack below every non-active facet constraint; the
-    intersection meets the relative interior iff the optimum is positive.
-    One LP per face: the tests keep it as the reference for
+    With ``y = B(u - v)`` and ``a`` the first active facet, asks for
+    ``(f_j - f_a)(y) = 0`` on the other active facets and
+    ``(f_k - f_a)(y) <= -1`` on every non-active one, ``u, v >= 0``.  Some
+    ``y`` passes iff a positive multiple of it lies in relint(face), and
+    since ``-f_a`` is non-active, ``f_a(y) >= 1/2`` scales it onto the
+    face.  One LP per face: the tests keep it as the reference for
     ``_faces_meeting``.
     """
     field = space.field
@@ -200,34 +192,25 @@ def _relint_sample(space: PolyhedralSpace, face: FaceDescriptor,
     if not others:
         raise InternalInconsistencyError(
             "a proper face of a symmetric ball cannot activate every facet")
-    r = len(basis)
     zero, one = field.zero, field.one
+    values = [[f.dot(b) for b in basis] for f in functionals]
 
-    def dots(j: int) -> list[Scalar]:
-        return [functionals[j].dot(b) for b in basis]
+    def row(j: int) -> list[Scalar]:
+        d = [x - y for x, y in zip(values[j], values[active[0]])]
+        return d + [-x for x in d]
 
-    rows = []
-    rhs = []
-    for j in active:
-        d = dots(j)
-        rows.append(d + [-v for v in d] + [zero] * (1 + len(others)))
-        rhs.append(one)
+    rows = [row(j) + [zero] * len(others) for j in active[1:]]
+    rhs = [zero] * len(rows)
     for k, j in enumerate(others):
-        d = dots(j)
-        slack = [one if kk == k else zero for kk in range(len(others))]
-        rows.append(d + [-v for v in d] + [one] + slack)
-        rhs.append(one)
-    objective = [zero] * (2 * r) + [one] + [zero] * len(others)
-    result = solve_lp(rows, rhs, objective, field, maximize=True)
-    if result.status is not LPStatus.OPTIMAL:
+        rows.append(row(j) + [one if kk == k else zero for kk in range(len(others))])
+        rhs.append(-one)
+    solution = lp_feasible(rows, rhs, field)
+    if solution is None:
         return None
-    if not result.objective > zero:
-        return None
-    coords = [result.solution[a] - result.solution[r + a] for a in range(r)]
-    point = Vector.zero(space.dim, field)
-    for c, b in zip(coords, basis):
-        point = point + b.scale(c)
-    return point
+    r = len(basis)
+    y = Matrix.from_columns(list(basis)).matvec(
+        Vector([solution[i] - solution[r + i] for i in range(r)], field))
+    return y.scale(one / functionals[active[0]].dot(y))
 
 
 def _faces_meeting(space: PolyhedralSpace, v: Subspace):
@@ -262,11 +245,8 @@ def _faces_meeting(space: PolyhedralSpace, v: Subspace):
     to_ambient = Matrix.from_columns(list(v.basis))
     for face in faces:
         members = section.face_vertices(face)
-        total = Vector.zero(len(v.basis), field)
-        for c in members:
-            total = total + c
-        coords = total.scale(field.one / field.from_int(len(members)))
-        yield face, to_ambient.matvec(coords)
+        weights = Vector([field.one / field.from_int(len(members))] * len(members), field)
+        yield face, to_ambient.matvec(Matrix.from_columns(members).matvec(weights))
 
 
 def bj_subspace_vector(space: PolyhedralSpace, v: Subspace, z: Vector) -> BJVerdict:

@@ -211,20 +211,25 @@ def interior_suite(seed: int, cases: int) -> SuiteResult:
     return SuiteResult("interior-law", checked, tuple(failures))
 
 
-def face_count_suite(max_dim: int = 5) -> SuiteResult:
+_CUBE_MAX_DIM = 5
+
+
+def face_count_suite() -> SuiteResult:
     """Cube-face counts: the cube ball in dimension N has C(N,k)*2^k faces
-    of dimension N-k; cross-checked against the Euler characteristic."""
+    of dimension N-k, for N up to ``_CUBE_MAX_DIM``; cross-checked against
+    the Euler characteristic."""
     failures = []
     checked = 0
-    for n in range(2, max_dim + 1):
+    for n in range(2, _CUBE_MAX_DIM + 1):
         space = ellinf(n)
+        counts = [count_faces(space.ball, i) for i in range(n)]
         for k in range(1, n + 1):
             checked += 1
-            got = count_faces(space.ball, n - k)
+            got = counts[n - k]
             expected = comb(n, k) * 2 ** k
             if got != expected:
                 failures.append(f"dim {n}: {got} faces of dim {n - k}, expected {expected}")
-        euler = sum((-1) ** i * count_faces(space.ball, i) for i in range(n))
+        euler = sum((-1) ** i * c for i, c in enumerate(counts))
         if euler != 1 + (-1) ** (n - 1):
             failures.append(f"dim {n}: Euler characteristic {euler}")
     return SuiteResult("face-counts", checked, tuple(failures))

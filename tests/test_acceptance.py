@@ -101,7 +101,7 @@ def test_criterion_3_smoothness_equals_face_codimension():
 
 def test_criterion_4_cube_face_counts():
     with criterion(4, "cube face counts C(N,k)*2^k for N in 2..5 plus Euler"):
-        result = face_count_suite(max_dim=5)
+        result = face_count_suite()
         assert not result.failures, result.failures
 
 

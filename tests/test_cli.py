@@ -3,6 +3,7 @@ import math
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,7 @@ from ksmooth.scalars import FieldTag, parse, serialize
 from ksmooth.spaces import ell1
 
 Q = FieldTag.RATIONAL
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def run(capsys, *argv):
@@ -238,6 +240,15 @@ def test_op_index_requires_extreme_member(tmp_path, capsys):
     assert code == 2
 
 
+def test_vector_file_bad_literal_names_its_cell(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([["1", "x"]]), encoding="utf-8")
+    assert main(["op", "index", str(SAMPLES / "identity-ellinf2.json"),
+                 "--set", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error: vectors[0][1]: invalid scalar literal 'x'" in err
+
+
 def test_construct_face_command(tmp_path, capsys):
     out_path = tmp_path / "face-op.json"
     code, out = run(capsys, "op", "construct-face", "ell1:3", "e1;e2",
@@ -391,11 +402,9 @@ def test_selftest_certificate_replays_the_operator(tmp_path, capsys, monkeypatch
 
 
 def test_bundled_sample_operators(capsys):
-    from pathlib import Path
-    samples = Path(__file__).resolve().parent.parent / "samples"
-    code, out = run(capsys, "op", "order", str(samples / "rank1-ell1-ellinf.json"))
+    code, out = run(capsys, "op", "order", str(SAMPLES / "rank1-ell1-ellinf.json"))
     assert code == 0 and "index of smoothness: 4" in out
-    code, out = run(capsys, "op", "order", str(samples / "identity-ellinf2.json"))
+    code, out = run(capsys, "op", "order", str(SAMPLES / "identity-ellinf2.json"))
     assert code == 0 and "index of smoothness: 4" in out
     assert "extreme contraction: yes" in out
 

@@ -18,21 +18,9 @@ def test_infeasible_detected():
 
 
 def test_redundant_rows_handled():
+    # the doubled row keeps an artificial basic at value 0 after phase 1
     sol = lp_feasible([[1, 1], [2, 2]], [1, 2], Q)
-    assert sol is not None and sum(sol) == 1
-
-
-def test_maximize_slack():
-    # x free (split u-v), slack s shared under x+s<=1 and -x+s<=1: optimum 1
-    rows = [[1, -1, 1, 1, 0], [-1, 1, 1, 0, 1]]
-    result = solve_lp(rows, [1, 1], [0, 0, 1, 0, 0], Q, maximize=True)
-    assert result.status is LPStatus.OPTIMAL
-    assert result.objective == 1
-
-
-def test_unbounded_detected():
-    result = solve_lp([[1, -1]], [0], [-1, 0], Q)
-    assert result.status is LPStatus.UNBOUNDED
+    assert sol == (1, 0)
 
 
 def test_quadratic_field_pivoting():
@@ -43,13 +31,15 @@ def test_quadratic_field_pivoting():
 
 
 def test_degenerate_cycling_terminates():
-    # classic degenerate vertex; Bland's rule must still terminate
+    # classic degenerate rows; Bland's rule must still terminate
     rows = [
         [Fraction(1, 4), -8, -1, 9, 1, 0, 0],
         [Fraction(1, 2), -12, Fraction(-1, 2), 3, 0, 1, 0],
         [0, 0, 1, 0, 0, 0, 1],
     ]
-    c = [Fraction(-3, 4), 20, Fraction(-1, 2), 6, 0, 0, 0]
-    result = solve_lp(rows, [0, 0, 1], c, Q)
-    assert result.status is LPStatus.OPTIMAL
-    assert result.objective == Fraction(-5, 4)
+    b = [0, 0, 1]
+    result = solve_lp(rows, b, Q)
+    assert result.status is LPStatus.FEASIBLE
+    z = result.solution
+    assert all(zj >= 0 for zj in z)
+    assert [sum(a * zj for a, zj in zip(row, z)) for row in rows] == b

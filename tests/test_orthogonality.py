@@ -245,3 +245,46 @@ def test_section_walk_matches_lp_route():
         for face, point in walk:
             assert sub.contains(point)
             assert minimal_face(space.ball, point).active_set == face.active_set
+
+
+# witnesses as "functional|coefficients": a feasibility LP may return any
+# feasible point, so these pin the ones the simplex returns
+PINNED_WITNESSES = {
+    "ell1": (
+        '1,0,0|0,1/2,1/2,0', '-1,0,0|0,1/2,1/2,0', '0,1,0|0,1/2,1/2,0',
+        '0,-1,0|0,1/2,1/2,0', '1,1,0|1/2,1/2,0,0', '1,1,0|1/2,1/2,0,0',
+        '1,-1,0|1/2,1/2,0,0', '-1,1,0|1/2,1/2,0,0', '1,1,0|1/2,1/2',
+        '1,-1,0|1/2,1/2', '-1,1,0|1/2,1/2', '-1,-1,0|1/2,1/2', '0,0,1|0,1/2,1/2,0',
+        '0,0,-1|0,1/2,1/2,0', '1,0,1|1/2,0,1/2,0', '1,0,1|1/2,1/2,0,0',
+        '1,0,-1|1/2,1/2,0,0', '-1,0,1|1/2,0,1/2,0', '1,0,1|1/2,1/2',
+        '1,0,-1|1/2,1/2', '-1,0,1|1/2,1/2', '-1,0,-1|1/2,1/2', '0,1,1|1/2,0,1/2,0',
+        '0,1,1|1/2,0,1/2,0', '0,1,-1|1/2,0,1/2,0', '0,-1,1|1/2,0,1/2,0',
+        '0,1,1|1/2,1/2', '0,1,-1|1/2,1/2', '0,-1,1|1/2,1/2', '0,-1,-1|1/2,1/2',
+    ),
+    "ellinf": (
+        '-1,0,0|1', '1,0,0|1', '0,-1,0|1', '0,1,0|1', '0,-1,0|1,0', '0,-1,0|1,0',
+        '-1,0,0|1,0', '1,0,0|1,0', '0,-1,0|1', '-1,0,0|1', '1,0,0|1', '0,1,0|1',
+        '0,0,-1|1', '0,0,1|1', '0,0,-1|1,0', '0,0,-1|1,0', '-1,0,0|1,0',
+        '1,0,0|1,0', '0,0,-1|1', '-1,0,0|1', '1,0,0|1', '0,0,1|1', '0,0,-1|1,0',
+        '0,0,-1|1,0', '0,-1,0|1,0', '0,1,0|1,0', '0,0,-1|1', '0,-1,0|1', '0,1,0|1',
+        '0,0,1|1',
+    ),
+    "quad": ('0,0,1|1/2,1/2,0,0,0,0,0,0',),
+}
+
+
+def _pinned(verdict):
+    assert verdict
+    return tuple(",".join(map(str, w.functional.entries)) + "|"
+                 + ",".join(map(str, w.coefficients)) for w in verdict.witnesses)
+
+
+def test_witnesses_pinned():
+    # every LP witness is the one the simplex has always returned
+    assert _pinned(is_strong_auerbach(ell1(3), basis_vectors(3))) == PINNED_WITNESSES["ell1"]
+    assert _pinned(is_strong_auerbach(ellinf(3), basis_vectors(3))) == \
+        PINNED_WITNESSES["ellinf"]
+    space = paper_example_space()
+    e = [Vector.basis(i, 3, K) for i in range(3)]
+    verdict = bj_vector_subspace(space, e[2], Subspace.span(space, [e[0]]))
+    assert _pinned(verdict) == PINNED_WITNESSES["quad"]
