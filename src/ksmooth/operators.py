@@ -17,11 +17,9 @@ Both ranks equal the dimension of the span of the extreme support
 functionals of the operator itself, so a mismatch is a kernel bug and is
 surfaced as an internal inconsistency, never patched.
 
-The attainment scan that both routes share works on cleared rows: with
-the operator matrix cleared to ``Tn`` over ``t`` and the codomain facets to
-``F`` over ``D``, it forms ``G = F Tn`` once and takes ``max_j G_j . V_k``
-for each cleared domain vertex ``V_k``; the norm is one quotient
-``top / (D t E)`` and ties are integer equalities.
+The attainment scan that both routes share is ``Polytope.image_gauge_max``
+of the domain ball: integer dot products on cleared rows, whose format
+only :mod:`ksmooth.polytope` knows.
 
 Everything here is finite-dimensional, which is what makes the oracle
 characterization unconditional: every operator is compact, attains its
@@ -33,7 +31,6 @@ strictly convex (non-polyhedral) spaces are out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -52,8 +49,6 @@ from .errors import (
 from .linalg import (
     Matrix,
     Vector,
-    clear_denominators,
-    from_cleared,
     greedy_independent_subset,
     kron_coeff_vector,
     nullspace,
@@ -176,18 +171,12 @@ def operator_norm_and_attainment(t: LinearOperator) -> AttainmentSet:
     to one lexicographically positive representative per +/- pair, in
     vertex-list order.
     """
-    field, ball, target = t.domain.field, t.domain.ball, t.codomain.ball
-    tn, scale = clear_denominators(t.matrix.row_data, field)
-    # g_j = F_j . Tn, so that ||T v_k|| = max_j g_j . V_k / (D t E)
-    g = [[sum(map(mul, f, column)) for column in zip(*tn)] for f in target.F]
-    values = [max(sum(map(mul, row, v)) for row in g) for v in ball.V]
-    top = max(values)
-    if not top:
+    ball = t.domain.ball
+    best, attaining = ball.image_gauge_max(t.codomain.ball, t.matrix.row_data)
+    if not best:
         raise ZeroOperatorError("the zero operator attains no norm")
-    reps = _extreme_members(t, [v for v, n in zip(ball.vertices, values) if n == top])
-    basis = greedy_independent_subset(reps)
-    best = from_cleared(top, target.D * scale * ball.E, field)
-    return AttainmentSet(best, tuple(reps), tuple(basis))
+    reps = _extreme_members(t, [ball.vertices[k] for k in attaining])
+    return AttainmentSet(best, tuple(reps), tuple(greedy_independent_subset(reps)))
 
 
 def _extreme_members(t: LinearOperator, r: Sequence[Vector]) -> list[Vector]:

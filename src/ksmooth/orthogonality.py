@@ -9,10 +9,9 @@ LP over those extreme functionals.
 
 Subspace-level tests iterate the proper faces of the ball: the support
 set is constant on the relative interior of a face, so each face whose
-relative interior meets the subspace contributes a single check.  Those
-faces are read off the section of the ball by the subspace, a polytope
-computed exactly by double description: its faces are exactly the ball
-faces whose relative interior the subspace meets.
+relative interior meets the subspace contributes a single check.
+``polytope.faces_meeting`` yields those faces, read off the section of
+the ball by the subspace, with a point of each.
 
 Every positive verdict carries one witness functional per contributing
 face, stored as convex-combination coefficients over the extreme
@@ -35,7 +34,7 @@ from .errors import (
 )
 from .linalg import Matrix, Vector, rank_of_vectors, solve
 from .lp import lp_feasible
-from .polytope import FaceDescriptor, Polytope, dual_vertices, intersection_closure
+from .polytope import FaceDescriptor, faces_meeting
 from .scalars import Scalar
 from .spaces import PolyhedralSpace, norm, support_set
 
@@ -183,7 +182,7 @@ def _relint_sample(space: PolyhedralSpace, face: FaceDescriptor,
     ``y`` passes iff a positive multiple of it lies in relint(face), and
     since ``-f_a`` is non-active, ``f_a(y) >= 1/2`` scales it onto the
     face.  One LP per face: the tests keep it as the reference for
-    ``_faces_meeting``.
+    ``polytope.faces_meeting``.
     """
     field = space.field
     functionals = space.ball.functionals
@@ -213,42 +212,6 @@ def _relint_sample(space: PolyhedralSpace, face: FaceDescriptor,
     return y.scale(one / functionals[active[0]].dot(y))
 
 
-def _faces_meeting(space: PolyhedralSpace, v: Subspace):
-    """The ball faces whose relative interior meets v, each with a point of
-    that meeting, by dimension and then by sorted active set.
-
-    In the coordinates of v's basis, the section of the ball by v is the
-    polytope cut out by the restricted facet functionals
-    ``g_j = (f_j(b_1), ..., f_j(b_r))``, whose vertices double description
-    finds.  Its faces are exactly the sections of the ball faces whose
-    relative interior v meets (Fukuda & Prodon, 1996), and the section
-    face with ball active set A has as vertices the section vertices
-    active on all of A.  So the vertex active sets, closed under
-    intersection, name the faces met, and the barycentre of a face's
-    section vertices lies in its relative interior.  The section is held as
-    a ``Polytope`` over all restricted functionals, so its incidence gives
-    those active sets in ball facet indices.
-    """
-    field = space.field
-    ball = space.ball
-    lattice = ball._face_lattice()
-    restricted = [Vector([f.dot(b) for b in v.basis], field) for f in ball.functionals]
-    distinct = {g.entries: g for g in restricted if not g.is_zero()}
-    section = Polytope(tuple(dual_vertices(list(distinct.values()))), tuple(restricted))
-    faces = []
-    for a in intersection_closure(section.vertex_active):
-        if a not in lattice:
-            raise InternalInconsistencyError(
-                "a face of the subspace section is not a face of the ball")
-        faces.append(FaceDescriptor(a, lattice[a]))
-    faces.sort(key=lambda face: (face.dim, tuple(sorted(face.active_set))))
-    to_ambient = Matrix.from_columns(list(v.basis))
-    for face in faces:
-        members = section.face_vertices(face)
-        weights = Vector([field.one / field.from_int(len(members))] * len(members), field)
-        yield face, to_ambient.matvec(Matrix.from_columns(members).matvec(weights))
-
-
 def bj_subspace_vector(space: PolyhedralSpace, v: Subspace, z: Vector) -> BJVerdict:
     """Whether every unit vector of the subspace v is BJ-orthogonal to z.
 
@@ -257,7 +220,7 @@ def bj_subspace_vector(space: PolyhedralSpace, v: Subspace, z: Vector) -> BJVerd
     functionals.
     """
     witnesses = []
-    for face, point in _faces_meeting(space, v):
+    for face, point in faces_meeting(space.ball, v.basis):
         extremes = [space.ball.functionals[j] for j in sorted(face.active_set)]
         witness = _bracket_witness(space, point, extremes, z)
         if witness is None:
@@ -270,7 +233,7 @@ def bj_subspace_subspace(space: PolyhedralSpace, v: Subspace, w: Subspace) -> BJ
     """Whether every unit vector of v admits one support functional
     annihilating all of w."""
     witnesses = []
-    for face, point in _faces_meeting(space, v):
+    for face, point in faces_meeting(space.ball, v.basis):
         extremes = [space.ball.functionals[j] for j in sorted(face.active_set)]
         witness = _annihilating_witness(space, point, extremes, w.basis)
         if witness is None:

@@ -12,27 +12,30 @@ from the parallelotope cut out by the first d independent +/- constraint
 pairs, then clip with the remaining halfspaces in input order.  Vertex
 adjacency during clipping is decided combinatorially and exactly: two
 vertices are adjacent iff their common active constraints have rank d-1,
-which is valid for degenerate polytopes as well.
+which is valid for degenerate polytopes as well.  It returns each vertex
+with its tight set (the input points on which it is 1), found by no scan:
+a vertex created strictly inside an edge is tight exactly on the
+constraints tight at both ends and on the one inserted.
 
 A ball is built by double description alone, with no LP: ``canonicalize``
-runs it once on the input points to find which of them are extreme (those
-whose active facet functionals have rank d), and ``Polytope.from_vertices``
+runs it on the input points and keeps those whose tight functionals
+(the tight sets, transposed) have rank d, and ``Polytope.from_vertices``
 runs it again on the extreme points in first-seen order, which fixes the
-facet order every report shows.  ``in_convex_hull`` answers the same
-extremality question with one LP per point; it stays only as the
-reference route that the tests compare ``canonicalize`` against.
+facet order every report shows.  ``in_convex_hull`` (one LP per point) is
+the reference route the tests compare ``canonicalize`` against.  The
+section of a ball by a subspace is never built as a ``Polytope``:
+``faces_meeting`` reads the faces met from one pass's tight sets.
 
-A ``Polytope`` also holds both tuples cleared of denominators: the facet
-functionals as integer rows ``F`` over one positive scale ``D`` and the
-vertices as ``V`` over ``E`` (see ``linalg.clear_denominators``).  Which
-rows are tight at a point is decided in one place, ``_tight``: it clears
-the point once, takes integer dot products and returns the largest value
-as a field scalar with the rows attaining it.  ``Polytope.facets_at`` and
-``Polytope.vertices_at`` are its two public faces; the incidence,
-``canonicalize``, ``minimal_face`` and the scans of :mod:`ksmooth.spaces`
-and :mod:`ksmooth.orthogonality` all go through it.  Double description
-needs no scan: a vertex it creates strictly inside an edge is tight
-exactly on the constraints tight at both ends and on the one inserted.
+A ``Polytope`` also holds both tuples cleared of denominators, which no
+other module reads: the facet functionals as integer rows ``F`` over one
+positive scale ``D`` and the vertices as ``V`` over ``E`` (see
+``linalg.clear_denominators``).  One scan, ``_tight``, decides which rows
+are tight at a point: it clears the point once, takes integer dot
+products and returns the largest value as a field scalar with the rows
+attaining it.  ``facets_at`` and ``vertices_at`` are its public faces.
+``Polytope.__init__`` takes the incidence by this scan and ranks each
+vertex's tight facets, a check independent of double description's
+bookkeeping; ``image_gauge_max`` is the operators' attainment scan.
 
 Faces are keyed by their full active set (the maximal set of facets
 containing them); the dimension of the face with active set A is
@@ -142,8 +145,8 @@ def canonicalize(points: Sequence[Vector]) -> tuple[Vector, ...]:
 
     One double description pass decides extremality: it runs on the
     distinct points closed under negation, far points first (largest
-    absolute coordinate, stable), and a point is extreme exactly when its
-    active facet functionals have rank d.  The kept points must be closed
+    absolute coordinate, stable), and a point is extreme exactly when the
+    functionals tight at it have rank d.  The kept points must be closed
     under negation (asymmetry is an error, not repaired), and a point set
     that does not span raises ``NotFullDimensionalError``.
     """
@@ -153,20 +156,20 @@ def canonicalize(points: Sequence[Vector]) -> tuple[Vector, ...]:
         distinct.setdefault((-p).entries, -p)
     # far points first: fewer intermediate vertices (Avis, Bremner & Seidel 1997)
     hull = sorted(distinct.values(), key=lambda p: max(map(abs, p.entries)), reverse=True)
-    functionals = dual_vertices(hull)
-    cleared, scale = clear_denominators((f.entries for f in functionals), hull[0].field)
-
-    def is_extreme(p: Vector) -> bool:
-        top, tight = _tight(cleared, scale, p)
-        return top == p.field.one and rank_of_vectors([functionals[j] for j in tight]) == p.dim
-
-    extremes = tuple(filter(is_extreme, unique))
+    functionals, tight = dual_vertices(hull)
+    at = {p.entries: [] for p in hull}  # the tight sets, transposed
+    for f, members in zip(functionals, tight):
+        for i in members:
+            at[hull[i].entries].append(f)
+    extremes = tuple(p for p in unique
+                     if len(at[p.entries]) >= p.dim and rank_of_vectors(at[p.entries]) == p.dim)
     _negation_index(extremes)
     return extremes
 
 
-def dual_vertices(points: Sequence[Vector]) -> list[Vector]:
-    """Vertices of ``{f : p.f <= 1 for each p}`` by double description.
+def dual_vertices(points: Sequence[Vector]) -> tuple[list[Vector], list[frozenset[int]]]:
+    """Vertices of ``{f : p.f <= 1 for each p}`` by double description,
+    each with its tight set: the indices of the points ``p`` with ``p.f == 1``.
 
     The input must be symmetric and span the ambient space (otherwise the
     polar is unbounded).  Insertion order is the input order, so the
@@ -198,15 +201,11 @@ def dual_vertices(points: Sequence[Vector]) -> list[Vector]:
         actives.append({init[j] if s == 1 else negation[init[j]]
                         for j, s in enumerate(signs)})
 
-    processed = []
-    for i in init:
-        processed.append(i)
-        processed.append(negation[i])
-
+    processed = set(init) | {negation[i] for i in init}
     for idx, p in enumerate(points):
         if idx in processed:
             continue
-        processed.append(idx)
+        processed.add(idx)
         values = [p.dot(v) - field.one for v in verts]
         if not any(val > 0 for val in values):
             for k, val in enumerate(values):
@@ -248,7 +247,7 @@ def dual_vertices(points: Sequence[Vector]) -> list[Vector]:
         if rank_of_vectors([points[j] for j in act]) != d:
             raise InternalInconsistencyError(
                 "double description produced a non-vertex point")
-    return verts
+    return verts, [frozenset(act) for act in actives]
 
 
 def _tight(rows: Sequence[tuple], scale: int, x: Vector) -> tuple[Scalar, list[int]]:
@@ -318,13 +317,30 @@ class Polytope:
         """``max_i f(v_i)`` (the dual gauge of ``f``) and the vertices attaining it."""
         return _tight(self.V, self.E, f)
 
+    def image_gauge_max(self, target: "Polytope",
+                        rows: Sequence[Sequence[Scalar]]) -> tuple[Scalar, list[int]]:
+        """``max_k`` of the ``target`` gauge of ``A v_k`` over the vertices
+        ``v_k``, for the matrix ``A`` with the given rows, and the vertices
+        attaining it.
+
+        With ``A`` cleared to ``An`` over ``a``, ``G = target.F An`` is formed
+        once and each vertex value is ``max_j G_j . V_k``, an integer; the
+        maximum is one quotient by ``target.D * a * E``.
+        """
+        an, scale = clear_denominators(rows, self.field)
+        g = [[sum(map(mul, f, column)) for column in zip(*an)] for f in target.F]
+        values = [max(sum(map(mul, row, v)) for row in g) for v in self.V]
+        top = max(values)
+        return (from_cleared(top, target.D * scale * self.E, self.field),
+                [k for k, value in enumerate(values) if value == top])
+
     @classmethod
     def from_vertices(cls, points: Sequence[Vector]) -> "Polytope":
         if points:
             check_guard(points[0].dim, 0)  # before canonicalize's double description
         vertices = canonicalize(points)
         check_guard(vertices[0].dim, len(vertices))
-        return cls(vertices, tuple(dual_vertices(vertices)))
+        return cls(vertices, tuple(dual_vertices(vertices)[0]))
 
     def polar(self) -> "Polytope":
         """The polar dual: facet functionals become vertices and vice versa."""
@@ -368,6 +384,45 @@ def intersection_closure(generators: Sequence[frozenset[int]]) -> list[frozenset
                 found[c] = None
                 queue.append(c)
     return list(found)
+
+
+def faces_meeting(p: Polytope, basis: Sequence[Vector]):
+    """The faces of ``p`` whose relative interior meets span(basis), each
+    with a point of that meeting, by dimension and then by sorted active set.
+
+    In the coordinates of the basis, the section of ``p`` by the span is
+    the polytope cut out by the restricted facet functionals
+    ``g_j = (f_j(b_1), ..., f_j(b_r))``; double description over the
+    distinct nonzero ones gives its vertices and the ``g`` tight at each.
+    Its faces are exactly the sections of the faces of ``p`` whose relative
+    interior the span meets (Fukuda & Prodon, 1996), and the section face
+    with active set A has as vertices the section vertices tight on all of
+    A.  So the tight sets, mapped back to facet indices of ``p`` and closed
+    under intersection, name the faces met, and the barycentre of a face's
+    section vertices lies in its relative interior.
+    """
+    field = p.field
+    lattice = p._face_lattice()
+    facets_of: dict[tuple, list[int]] = {}
+    for j, f in enumerate(p.functionals):
+        g = tuple(f.dot(b) for b in basis)
+        if any(g):
+            facets_of.setdefault(g, []).append(j)
+    section, tight = dual_vertices([Vector(g, field) for g in facets_of])
+    groups = list(facets_of.values())
+    active = [frozenset(j for k in members for j in groups[k]) for members in tight]
+    faces = []
+    for a in intersection_closure(active):
+        if a not in lattice:
+            raise InternalInconsistencyError(
+                "a face of the subspace section is not a face of the ball")
+        faces.append(FaceDescriptor(a, lattice[a]))
+    faces.sort(key=lambda face: (face.dim, tuple(sorted(face.active_set))))
+    to_ambient = Matrix.from_columns(list(basis))
+    for face in faces:
+        members = [z for z, a in zip(section, active) if face.active_set <= a]
+        weights = Vector([field.one / field.from_int(len(members))] * len(members), field)
+        yield face, to_ambient.matvec(Matrix.from_columns(members).matvec(weights))
 
 
 def minimal_face(p: Polytope, x: Vector) -> FaceDescriptor:

@@ -31,9 +31,6 @@ from typing import Union
 
 from .errors import FieldMismatchError, InternalInconsistencyError, ScalarSyntaxError
 
-_SQRT2_FLOAT = 2.0 ** 0.5
-
-
 def _fraction_sign(x: Fraction) -> int:
     if x > 0:
         return 1
@@ -52,22 +49,14 @@ class QuadScalar:
     ``Fraction`` and are decided exactly.
     """
 
-    __slots__ = ("_a", "_b")
+    __slots__ = ("a", "b")
 
     def __init__(self, a: Union[Fraction, int] = 0, b: Union[Fraction, int] = 0) -> None:
-        object.__setattr__(self, "_a", Fraction(a))
-        object.__setattr__(self, "_b", Fraction(b))
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QuadScalar is immutable")
-
-    @property
-    def a(self) -> Fraction:
-        return self._a
-
-    @property
-    def b(self) -> Fraction:
-        return self._b
 
     @classmethod
     def from_int(cls, n: int) -> "QuadScalar":
@@ -88,22 +77,22 @@ class QuadScalar:
         a**2 and 2*b**2 (they are never equal for nonzero b since the
         square root of two is irrational).
         """
-        sa = _fraction_sign(self._a)
-        sb = _fraction_sign(self._b)
+        sa = _fraction_sign(self.a)
+        sb = _fraction_sign(self.b)
         if sa == 0 and sb == 0:
             return 0
         if sa >= 0 and sb >= 0:
             return 1
         if sa <= 0 and sb <= 0:
             return -1
-        d = self._a * self._a - 2 * self._b * self._b
+        d = self.a * self.a - 2 * self.b * self.b
         if d == 0:
             raise InternalInconsistencyError(
                 "a^2 = 2 b^2 is impossible for rational a, b not both zero")
         return sa if d > 0 else sb
 
     def __bool__(self) -> bool:
-        return bool(self._a) or bool(self._b)
+        return bool(self.a) or bool(self.b)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Fraction):
@@ -111,14 +100,14 @@ class QuadScalar:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return self._a == q._a and self._b == q._b
+        return self.a == q.a and self.b == q.b
 
     def __hash__(self) -> int:
         # Matches hash(Fraction) when the value is rational, so equal
         # values hash equally.
-        if self._b == 0:
-            return hash(self._a)
-        return hash((self._a, self._b))
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b))
 
     def _cmp_sign(self, other: object) -> "int | None":
         if isinstance(other, Fraction):
@@ -153,7 +142,7 @@ class QuadScalar:
         return s >= 0
 
     def __neg__(self) -> "QuadScalar":
-        return QuadScalar(-self._a, -self._b)
+        return QuadScalar(-self.a, -self.b)
 
     def __abs__(self) -> "QuadScalar":
         return -self if self.sign() < 0 else self
@@ -162,7 +151,7 @@ class QuadScalar:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return QuadScalar(self._a + q._a, self._b + q._b)
+        return QuadScalar(self.a + q.a, self.b + q.b)
 
     __radd__ = __add__
 
@@ -170,28 +159,28 @@ class QuadScalar:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return QuadScalar(self._a - q._a, self._b - q._b)
+        return QuadScalar(self.a - q.a, self.b - q.b)
 
     def __rsub__(self, other: object) -> "QuadScalar":
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return QuadScalar(q._a - self._a, q._b - self._b)
+        return QuadScalar(q.a - self.a, q.b - self.b)
 
     def __mul__(self, other: object) -> "QuadScalar":
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return QuadScalar(self._a * q._a + 2 * self._b * q._b,
-                          self._a * q._b + self._b * q._a)
+        return QuadScalar(self.a * q.a + 2 * self.b * q.b,
+                          self.a * q.b + self.b * q.a)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadScalar":
-        n = self._a * self._a - 2 * self._b * self._b
+        n = self.a * self.a - 2 * self.b * self.b
         if n == 0:
             raise ZeroDivisionError("division by zero quadratic scalar")
-        return QuadScalar(self._a / n, -self._b / n)
+        return QuadScalar(self.a / n, -self.b / n)
 
     def __truediv__(self, other: object) -> "QuadScalar":
         q = self._coerce(other)
@@ -205,11 +194,8 @@ class QuadScalar:
             return NotImplemented
         return q * self.inverse()
 
-    def __float__(self) -> float:
-        return float(self._a) + float(self._b) * _SQRT2_FLOAT
-
     def __repr__(self) -> str:
-        return f"QuadScalar({self._a!r}, {self._b!r})"
+        return f"QuadScalar({self.a!r}, {self.b!r})"
 
     def __str__(self) -> str:
         return serialize(self)

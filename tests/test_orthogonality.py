@@ -11,7 +11,6 @@ from ksmooth.errors import (
 from ksmooth.linalg import Vector, rank_of_vectors
 from ksmooth.orthogonality import (
     Subspace,
-    _faces_meeting,
     _relint_sample,
     bj_subspace_subspace,
     bj_subspace_vector,
@@ -20,7 +19,7 @@ from ksmooth.orthogonality import (
     is_best_coapproximation,
     is_strong_auerbach,
 )
-from ksmooth.polytope import enumerate_faces, minimal_face
+from ksmooth.polytope import enumerate_faces, faces_meeting, minimal_face
 from ksmooth.scalars import FieldTag, QuadScalar
 from ksmooth.selftest import _bj_breakpoint_oracle
 from ksmooth.spaces import ell1, ellinf, norm, normalized, paper_example_space, random_space
@@ -236,7 +235,7 @@ def _section_cases():
 
 def test_section_walk_matches_lp_route():
     for space, sub in _section_cases():
-        walk = list(_faces_meeting(space, sub))
+        walk = list(faces_meeting(space.ball, sub.basis))
         reference = list(_lp_faces_meeting(space, sub))
         assert [face for face, _ in walk] == [face for face, _ in reference]
         if len(sub.basis) == 1:

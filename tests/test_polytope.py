@@ -14,6 +14,7 @@ from ksmooth.errors import (
 from ksmooth.files import load_space
 from ksmooth.linalg import Matrix, Vector, rank_of_vectors, solve
 import ksmooth.lp as lp
+from ksmooth.orthogonality import Subspace, bj_subspace_subspace, bj_subspace_vector
 import ksmooth.polytope as polytope
 from ksmooth.polytope import (
     Polytope,
@@ -53,13 +54,13 @@ def cube(n):
 
 
 def test_square_to_cross_functionals():
-    functionals = dual_vertices(square())
+    functionals, _ = dual_vertices(square())
     assert sorted(f.entries for f in functionals) == sorted(
         v.entries for v in cross())
 
 
 def test_cross_to_square_functionals():
-    functionals = dual_vertices(cross())
+    functionals, _ = dual_vertices(cross())
     assert sorted(f.entries for f in functionals) == sorted(
         v.entries for v in square())
 
@@ -67,7 +68,7 @@ def test_cross_to_square_functionals():
 def test_dual_vertices_twice_returns_the_vertices():
     for points in (square(), cross(), cube(3)):
         vertices = canonicalize(points)
-        back = dual_vertices(dual_vertices(vertices))
+        back, _ = dual_vertices(dual_vertices(vertices)[0])
         assert sorted(v.entries for v in back) == sorted(
             v.entries for v in vertices)
 
@@ -75,7 +76,7 @@ def test_dual_vertices_twice_returns_the_vertices():
 def test_polarity_involution_on_random_spaces():
     for seed in range(6):
         space = random_space(100 + seed, 3, 5)
-        again = dual_vertices(dual_vertices(space.ball.functionals))
+        again, _ = dual_vertices(dual_vertices(space.ball.functionals)[0])
         assert sorted(f.entries for f in again) == sorted(
             f.entries for f in space.ball.functionals)
 
@@ -159,6 +160,12 @@ def test_canonicalize_matches_hull_lp_route():
             if sum(a != b for a, b in zip(p.entries, q.entries)) == 1]
         rng.shuffle(points)
         assert _matches_hull_lp_route(points)
+    # an edge midpoint of the 4-dimensional cross-polytope is tight on four
+    # facets, which have rank 3: extremality needs the rank, not the count
+    corners = cross(4)
+    assert _matches_hull_lp_route(corners + [
+        (p + q).scale(Fraction(1, 2)) for p, q in itertools.combinations(corners, 2)
+        if not (p + q).is_zero()])
 
     K = FieldTag.QUAD_SQRT2
     half = Fraction(1, 2)
@@ -181,6 +188,34 @@ def test_construction_solves_no_lp(monkeypatch):
     cloud = load_space(str(Path(__file__).parent / "golden" / "cloud3.json"))
     for space in (ell1(3), ellinf(3), paper_example_space(), random_space(5, 3, 8), cloud):
         assert len(space.ball.vertices) >= 2 * space.dim
+
+
+def test_subspace_walk_builds_no_polytope(monkeypatch):
+    # canonicalize reads double description's tight sets and the section
+    # walk maps them back to ball facets: neither rescans nor revalidates
+    spaces = [ell1(3), paper_example_space(), random_space(5, 3, 8)]
+    tight_calls = []
+    real_tight = polytope._tight
+
+    def counted_tight(*args):
+        tight_calls.append(args)
+        return real_tight(*args)
+
+    monkeypatch.setattr(polytope, "_tight", counted_tight)
+    for space in spaces:
+        vertices = space.ball.vertices
+        assert canonicalize(vertices + (vertices[0].scale(Fraction(1, 2)),)) == vertices
+    assert tight_calls == []
+
+    def no_polytope(*args, **kwargs):
+        raise AssertionError("a Polytope was built for a subspace query")
+
+    monkeypatch.setattr(Polytope, "__init__", no_polytope)
+    for space in spaces:
+        e = [Vector.basis(i, 3, space.field) for i in range(3)]
+        plane = Subspace.span(space, e[:2])
+        bj_subspace_vector(space, plane, e[2])
+        bj_subspace_subspace(space, plane, Subspace.span(space, e[2:]))
 
 
 def test_flat_input_fails_on_use():
@@ -334,24 +369,33 @@ def _degenerate_cloud(rng, dim):
     return points
 
 
+def _check_against_brute_force(points):
+    """The polar vertices and their tight sets, against every d-subset and a
+    ``p . f == 1`` scan of every point."""
+    vertices, tight = dual_vertices(points)
+    got = [v.entries for v in vertices]
+    assert len(got) == len(set(got))
+    assert set(got) == _brute_force_polar_vertices(points)
+    one = points[0].field.one
+    assert tight == [frozenset(i for i, p in enumerate(points) if p.dot(f) == one)
+                     for f in vertices]
+    return got
+
+
 def test_dual_vertices_matches_brute_force():
     # double description takes the tight set of a new vertex from its edge
     # and never rescans it; a wrong tight set breaks adjacency on later
-    # insertions, so the vertex set is compared with the brute-force one
+    # insertions and misleads canonicalize, so both the vertex set and
+    # each returned tight set are compared with a brute-force scan
     for dim in (2, 3):
         for seed in range(6):
-            points = _degenerate_cloud(random.Random(f"dd:{dim}:{seed}"), dim)
-            got = [v.entries for v in dual_vertices(points)]
-            assert len(got) == len(set(got))
-            assert set(got) == _brute_force_polar_vertices(points)
+            _check_against_brute_force(_degenerate_cloud(random.Random(f"dd:{dim}:{seed}"), dim))
     K = FieldTag.QUAD_SQRT2
     half = Fraction(1, 2)
     points = list(paper_example_space().ball.vertices) + [
         Vector(e, K) for p in ([half, 0, half], [0, half, half], [half, half, 0])
         for e in (p, [-x for x in p])]
-    got = [v.entries for v in dual_vertices(points)]
-    assert len(got) == len(set(got)) == 16
-    assert set(got) == _brute_force_polar_vertices(points)
+    assert len(_check_against_brute_force(points)) == 16
 
 
 def test_dual_vertices_requires_symmetry():

@@ -110,7 +110,7 @@ def test_order_compatible_with_operations(a, b):
 def test_ordering_total():
     values = [QuadScalar(1, -1), QuadScalar(0), QuadScalar(-1, 1),
               QuadScalar(3, -2), QuadScalar(Fraction(1, 2), Fraction(1, 2))]
-    ordered = sorted(values, key=lambda v: float(v))
+    ordered = sorted(values, key=lambda v: float(v.a) + float(v.b) * math.sqrt(2))
     assert sorted(values) == ordered
 
 

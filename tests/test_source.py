@@ -6,15 +6,18 @@ from pathlib import Path
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "ksmooth"
 
 
+def _trees(skip=()):
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name not in skip:
+            yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def test_no_assert_statements():
     # invariants raise InternalInconsistencyError: `python -O` strips asserts
-    paths = sorted(SOURCE.glob("*.py"))
-    assert paths
-    found = []
-    for path in paths:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+    trees = list(_trees())
+    assert trees
+    found = [f"{name}:{node.lineno}" for name, tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
     assert not found, found
 
 
@@ -37,3 +40,32 @@ def test_bench_span_names_resolve():
                 if not callable(scope.get(name)):
                     missing.append(f"{layer}.{entry}")
     assert not missing, missing
+
+
+def test_core_names_no_float():
+    # the core is float-free: no conversion, annotation or literal type
+    found = [f"{name}:{node.lineno}" for name, tree in _trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "float"]
+    assert found == [], found
+
+
+def test_cleared_rows_and_double_description_stay_in_polytope():
+    # only polytope.py (and linalg.py, which defines the clearing) knows the
+    # cleared rows F/D/V/E or runs double description and the face lattice;
+    # __init__.py only re-exports
+    names = {"clear_denominators", "from_cleared",
+             "dual_vertices", "intersection_closure", "_face_lattice"}
+    rows = {"F", "D", "V", "E"}
+    found = []
+    for name, tree in _trees(skip=("polytope.py", "linalg.py", "__init__.py")):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                used = {a.name for a in node.names} & names
+            elif isinstance(node, ast.Attribute):
+                used = {node.attr} & (names | rows)
+            elif isinstance(node, ast.Name):
+                used = {node.id} & names
+            else:
+                continue
+            found += [f"{name}:{node.lineno}:{u}" for u in sorted(used)]
+    assert found == [], found
