@@ -1,25 +1,23 @@
 """Linear operators between polyhedral spaces and their smoothness orders.
 
-The order of smoothness of a unit-norm operator is computed along two
-independent routes, and every report cross-asserts that they agree:
+The order of smoothness of a unit-norm operator T is the dimension of the
+span of the extreme points of J(T).  For polyhedral X and Y these are the
+``x (x) y*`` with x a vertex of B_X, y* a facet functional of B_Y and
+``y*(Tx) = ||T||`` (Ruess & Stegall, Math. Ann. 261, 1982).  Two routes
+compute it, sharing only the attainment scan ``Polytope.image_gauge_max``
+(integer dot products on the cleared rows of :mod:`ksmooth.polytope`), and
+every report cross-asserts that they agree:
 
-* the index route works in basis coordinates: pick a basis of the span of
-  the attaining extreme vectors and a basis of the span of the collected
-  extreme support functionals of their images, express each attaining
-  vector and each of its image functionals in those bases, and take the
-  rank of the resulting coefficient tuples ``((alpha_i beta_j))``;
+* the index route works in basis coordinates: it computes the support set
+  of each attaining vertex's image, picks a basis of the span of the
+  vertices and one of the span of their support functionals, and takes
+  the rank of the coefficient tuples ``((alpha_i beta_j))``;
 
-* the oracle route works in ambient coordinates: take the rank of the
-  flattened outer products ``x (x) y*`` over attaining extreme vectors
-  ``x`` and extreme support functionals ``y*`` of ``Tx``.
+* the oracle route works in ambient coordinates: it takes the rank of the
+  flattened ``x (x) y*`` over the (vertex, facet) pairs the scan returns.
 
-Both ranks equal the dimension of the span of the extreme support
-functionals of the operator itself, so a mismatch is a kernel bug and is
-surfaced as an internal inconsistency, never patched.
-
-The attainment scan that both routes share is ``Polytope.image_gauge_max``
-of the domain ball: integer dot products on cleared rows, whose format
-only :mod:`ksmooth.polytope` knows.
+A mismatch is a kernel bug and is surfaced as an internal inconsistency,
+never patched.
 
 Everything here is finite-dimensional, which is what makes the oracle
 characterization unconditional: every operator is compact, attains its
@@ -118,11 +116,12 @@ class LinearOperator:
 
 @dataclass(frozen=True)
 class AttainmentSet:
-    """Norm value and the extreme points attaining it, one per +/- pair."""
+    """Norm, attaining extreme points (one per +/- pair), facets tight at each image."""
 
     operator_norm: Scalar
     attaining_vertices: tuple[Vector, ...]
     basis_indices: tuple[int, ...]
+    image_facets: tuple[tuple[Vector, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -169,14 +168,21 @@ def operator_norm_and_attainment(t: LinearOperator) -> AttainmentSet:
     Valid because ``x -> ||Tx||`` is convex, so its maximum over the ball
     is attained at an extreme point.  Attaining vertices are deduplicated
     to one lexicographically positive representative per +/- pair, in
-    vertex-list order.
+    vertex-list order, each with the codomain facets tight at its image.
     """
-    ball = t.domain.ball
-    best, attaining = ball.image_gauge_max(t.codomain.ball, t.matrix.row_data)
+    ball, target = t.domain.ball, t.codomain.ball
+    best, attaining = ball.image_gauge_max(target, t.matrix.row_data)
     if not best:
         raise ZeroOperatorError("the zero operator attains no norm")
-    reps = _extreme_members(t, [ball.vertices[k] for k in attaining])
-    return AttainmentSet(best, tuple(reps), tuple(greedy_independent_subset(reps)))
+    pairs = {}
+    for k, tight in attaining.items():
+        v = ball.vertices[k]
+        c = sign_canonical(v)
+        if c.entries not in pairs:
+            facets = [target.functionals[j] for j in tight]
+            pairs[c.entries] = (c, tuple(facets if c is v else [-f for f in facets]))
+    reps, image_facets = zip(*pairs.values())
+    return AttainmentSet(best, reps, tuple(greedy_independent_subset(reps)), image_facets)
 
 
 def _extreme_members(t: LinearOperator, r: Sequence[Vector]) -> list[Vector]:
@@ -269,12 +275,11 @@ def index_of_smoothness(t: LinearOperator, r: Sequence[Vector],
     return _index_computation(t, r, vector_basis, functional_basis).index
 
 
-def _outer_product_rank(vertices: Sequence[Vector],
-                        supports: Sequence[SupportSet]) -> int:
-    """Rank of the flattened ``x (x) y*`` over each vertex x and each y* of its support."""
-    return rank_of_vectors([kron_coeff_vector(v, y_star)
-                            for v, sup in zip(vertices, supports)
-                            for y_star in sup.extreme_functionals])
+def _pair_rank(att: AttainmentSet) -> int:
+    """Rank of the flattened ``x (x) y*`` over the scan's (vertex, facet) pairs."""
+    return rank_of_vectors([kron_coeff_vector(x, y_star)
+                            for x, facets in zip(att.attaining_vertices, att.image_facets)
+                            for y_star in facets])
 
 
 def oracle_order_of_smoothness(t: LinearOperator) -> int:
@@ -282,18 +287,16 @@ def oracle_order_of_smoothness(t: LinearOperator) -> int:
     att = operator_norm_and_attainment(t)
     if att.operator_norm != t.domain.field.one:
         raise NotUnitNormError(f"operator norm is {serialize(att.operator_norm)}, not 1")
-    vertices = att.attaining_vertices
-    return _outer_product_rank(
-        vertices, [support_functionals_at(t.codomain, t.apply(v)) for v in vertices])
+    return _pair_rank(att)
 
 
 def order_of_smoothness(t: LinearOperator) -> SmoothnessReport:
     """The order of smoothness of a unit-norm operator, fully audited.
 
-    Runs the attainment scan once, then the basis-coordinate index and the
-    ambient outer-product oracle on the same image support sets, asserts that
-    they agree and that the sum of image smoothness orders over a maximal
-    independent attaining set does not exceed them, and returns the trail.
+    Runs the attainment scan once, then the index on the image support sets
+    and the outer-product oracle on the scan's (vertex, facet) pairs, asserts
+    that they agree and that the sum of image smoothness orders over a
+    maximal independent attaining set does not exceed them; returns the trail.
     """
     att = operator_norm_and_attainment(t)
     if att.operator_norm != t.domain.field.one:
@@ -303,7 +306,7 @@ def order_of_smoothness(t: LinearOperator) -> SmoothnessReport:
     if comp.rep_vertices != att.attaining_vertices:
         raise InternalInconsistencyError(
             "index computation saw other attaining vertices than the scan")
-    oracle = _outer_product_rank(att.attaining_vertices, comp.image_supports)
+    oracle = _pair_rank(att)
     if comp.index != oracle:
         raise InternalInconsistencyError(
             f"index {comp.index} by basis coordinates but {oracle} by the "

@@ -30,12 +30,13 @@ A ``Polytope`` also holds both tuples cleared of denominators, which no
 other module reads: the facet functionals as integer rows ``F`` over one
 positive scale ``D`` and the vertices as ``V`` over ``E`` (see
 ``linalg.clear_denominators``).  One scan, ``_tight``, decides which rows
-are tight at a point: it clears the point once, takes integer dot
-products and returns the largest value as a field scalar with the rows
-attaining it.  ``facets_at`` and ``vertices_at`` are its public faces.
+are tight at a point: it clears the point once, takes integer dot products
+and returns the largest value as a field scalar with the rows attaining
+it.  ``facets_at`` and ``vertices_at`` are its public faces.
 ``Polytope.__init__`` takes the incidence by this scan and ranks each
 vertex's tight facets, a check independent of double description's
-bookkeeping; ``image_gauge_max`` is the operators' attainment scan.
+bookkeeping; ``image_gauge_max``, the operators' attainment scan, also
+returns the target facets tight at each attaining image.
 
 Faces are keyed by their full active set (the maximal set of facets
 containing them); the dimension of the face with active set A is
@@ -317,22 +318,23 @@ class Polytope:
         """``max_i f(v_i)`` (the dual gauge of ``f``) and the vertices attaining it."""
         return _tight(self.V, self.E, f)
 
-    def image_gauge_max(self, target: "Polytope",
-                        rows: Sequence[Sequence[Scalar]]) -> tuple[Scalar, list[int]]:
+    def image_gauge_max(self, target: "Polytope", rows: Sequence[Sequence[Scalar]],
+                        ) -> tuple[Scalar, dict[int, list[int]]]:
         """``max_k`` of the ``target`` gauge of ``A v_k`` over the vertices
-        ``v_k``, for the matrix ``A`` with the given rows, and the vertices
-        attaining it.
+        ``v_k``, for the matrix ``A`` with the given rows, and each attaining
+        ``k`` mapped to the ``target`` facets attaining it at ``A v_k``.
 
         With ``A`` cleared to ``An`` over ``a``, ``G = target.F An`` is formed
-        once and each vertex value is ``max_j G_j . V_k``, an integer; the
-        maximum is one quotient by ``target.D * a * E``.
+        once; the integers ``G_j . V_k`` give both the maximum, one quotient
+        by ``target.D * a * E``, and the tight facets, with no second scan.
         """
         an, scale = clear_denominators(rows, self.field)
         g = [[sum(map(mul, f, column)) for column in zip(*an)] for f in target.F]
-        values = [max(sum(map(mul, row, v)) for row in g) for v in self.V]
-        top = max(values)
+        values = [[sum(map(mul, row, v)) for row in g] for v in self.V]
+        top = max(map(max, values))
         return (from_cleared(top, target.D * scale * self.E, self.field),
-                [k for k, value in enumerate(values) if value == top])
+                {k: [j for j, value in enumerate(row_values) if value == top]
+                 for k, row_values in enumerate(values) if top in row_values})
 
     @classmethod
     def from_vertices(cls, points: Sequence[Vector]) -> "Polytope":

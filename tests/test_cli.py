@@ -17,7 +17,7 @@ from ksmooth.files import (
     space_from_document,
     space_to_document,
 )
-from ksmooth.errors import DimensionMismatchError, ValidationError
+from ksmooth.errors import DimensionMismatchError, InternalInconsistencyError, ValidationError
 from ksmooth.linalg import Vector
 from ksmooth.operators import order_of_smoothness
 from ksmooth.scalars import FieldTag, parse, serialize
@@ -378,17 +378,21 @@ def test_selftest_certificate_vertices_parse_back():
 
 
 def test_selftest_certificate_replays_the_operator(tmp_path, capsys, monkeypatch):
+    import ksmooth.operators as operators
     import ksmooth.selftest as selftest
+    pair_rank = operators._pair_rank
     seen = []
 
-    def disagreeing_oracle(t):
-        seen.append(t)
+    def disagreeing_oracle(att):
+        seen.append(att)
         return -1
 
-    monkeypatch.setattr(selftest, "oracle_order_of_smoothness", disagreeing_oracle)
+    monkeypatch.setattr(operators, "_pair_rank", disagreeing_oracle)
     result = selftest.order_equivalence_suite(5, 1)
-    [t] = seen
+    monkeypatch.undo()
+    [att] = seen
     [certificate] = result.failures
+    assert "by the outer-product oracle" in certificate
     decoder = json.JSONDecoder()
     names = re.findall(r"(\w+\.json) (?=\{)", certificate)
     assert names == ["operator.json", "domain.json", "codomain.json"]
@@ -398,7 +402,25 @@ def test_selftest_certificate_replays_the_operator(tmp_path, capsys, monkeypatch
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     code, out = run(capsys, "op", "order", str(tmp_path / "operator.json"), "--json")
     assert code == 0
-    assert json.loads(out)["results"]["index"] == order_of_smoothness(t).index
+    results = json.loads(out)["results"]
+    assert results["attaining_vertices"] == [str(v) for v in att.attaining_vertices]
+    assert results["index"] == pair_rank(att)
+
+
+def test_selftest_reports_an_inconsistency_as_a_certificate(capsys, monkeypatch):
+    import ksmooth.selftest as selftest
+
+    def inconsistent(t):
+        raise InternalInconsistencyError("index 1 by basis coordinates but 2 by the oracle")
+
+    monkeypatch.setattr(selftest, "order_of_smoothness", inconsistent)
+    code = main(["selftest", "--seed", "7", "--cases", "4"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "FAIL order-equivalence: 4 checks, 4 failures" in out
+    assert ("counterexample: case 0: index 1 by basis coordinates but 2 by the oracle; "
+            "operator.json {") in out
+    assert "PASS face-counts" in out
 
 
 def test_bundled_sample_operators(capsys):

@@ -6,11 +6,12 @@ import pytest
 
 from ksmooth.errors import (
     EmptyExtremeIntersectionError,
+    InternalInconsistencyError,
     NotUnitNormError,
     ZeroOperatorError,
 )
 import ksmooth.operators as operators
-from ksmooth.linalg import Matrix, Vector
+from ksmooth.linalg import Matrix, Vector, rank_of_vectors
 from ksmooth.operators import (
     LinearOperator,
     _index_computation,
@@ -28,6 +29,7 @@ from ksmooth.polytope import enumerate_faces, minimal_face
 from ksmooth.scalars import FieldTag, INV_SQRT2, QuadScalar
 from ksmooth.selftest import _random_rank1_operator, _random_unit_operator
 from ksmooth.spaces import (
+    SupportSet,
     ell1,
     ellinf,
     paper_example_space,
@@ -92,6 +94,22 @@ def test_order_scans_once_and_reads_each_support_set_once(monkeypatch, make):
     assert calls["operator_norm_and_attainment"] == 1
     assert calls["support_functionals_at"] == len(report.attainment.attaining_vertices)
     assert report.oracle_order == oracle_order_of_smoothness(t) == report.index
+
+
+def test_oracle_does_not_read_the_index_support_sets(monkeypatch):
+    # a support set that loses a functional changes the index but not the
+    # oracle, which reads the scan's (vertex, facet) pairs
+    real = operators.support_functionals_at
+
+    def dropping(space, y):
+        sup = real(space, y)
+        kept = sup.extreme_functionals[:-1] or sup.extreme_functionals
+        return SupportSet(sup.base_point, kept, rank_of_vectors(kept))
+
+    monkeypatch.setattr(operators, "support_functionals_at", dropping)
+    space = ellinf(2)
+    with pytest.raises(InternalInconsistencyError, match="outer-product oracle"):
+        order_of_smoothness(LinearOperator(space, space, Matrix.identity(2, Q)))
 
 
 def test_bundled_z_generators_with_printed_bases(bundled):

@@ -25,6 +25,7 @@ from ksmooth.polytope import (
     minimal_face,
 )
 from ksmooth.scalars import FieldTag, INV_SQRT2, QuadScalar
+from ksmooth.operators import paper_example_operator
 from ksmooth.spaces import ell1, ellinf, paper_example_space, random_space
 
 Q = FieldTag.RATIONAL
@@ -419,6 +420,28 @@ def test_boundary_grid_face_dims_match_rank():
         functionals = [p.functionals[j] for j in face.active_set]
         assert face.dim == p.dim - rank_of_vectors(functionals)
 
+
+
+def test_image_gauge_max_returns_the_facets_tight_at_each_image():
+    # the facets come from the scan's own row values; facets_at recomputes them
+    rng = random.Random(23)
+    cases = [(paper_example_space(), ellinf(3, FieldTag.QUAD_SQRT2),
+              paper_example_operator().matrix.row_data)]
+    for seed in range(8):
+        x = random_space(3100 + seed, rng.randint(2, 4), rng.randint(4, 6))
+        y = random_space(3200 + seed, rng.randint(2, 4), rng.randint(4, 6))
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(x.dim)]
+                for _ in range(y.dim)]
+        cases.append((x, y, rows))
+    for x, y, rows in cases:
+        a = Matrix(rows, x.field)
+        best, attaining = x.ball.image_gauge_max(y.ball, rows)
+        for k, v in enumerate(x.ball.vertices):
+            top, tight = y.ball.facets_at(a.matvec(v))
+            if k in attaining:
+                assert top == best and attaining[k] == tight
+            else:
+                assert top < best
 
 def test_dimension_guard_precedes_hull_lps(monkeypatch):
     monkeypatch.delenv("KSMOOTH_MAX_DIM", raising=False)

@@ -69,3 +69,22 @@ def test_cleared_rows_and_double_description_stay_in_polytope():
                 continue
             found += [f"{name}:{node.lineno}:{u}" for u in sorted(used)]
     assert found == [], found
+
+
+
+def test_oracle_reads_no_support_set():
+    # the oracle ranks the attainment scan's (vertex, facet) pairs; naming a
+    # support-set or index helper would let it share the index route's errors
+    banned = {"support_functionals_at", "support_set", "normalized",
+              "_index_computation", "_extreme_members"}
+    tree = ast.parse((SOURCE / "operators.py").read_text(encoding="utf-8"))
+    bodies = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name in ("oracle_order_of_smoothness", "_pair_rank")]
+    assert len(bodies) == 2
+    found = []
+    for body in bodies:
+        for node in ast.walk(body):
+            used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if used in banned:
+                found.append(f"{body.name}:{node.lineno}:{used}")
+    assert found == [], found
