@@ -11,7 +11,8 @@ An operator file references its spaces by path or builtin spec::
      "matrix": [["1", "0"], ["0", "1"]]}
 
 Matrix rows are codomain coordinates; column j is the image of the j-th
-ambient basis vector.  All scalars use the exact literal grammar of
+ambient basis vector.  ``dim`` must be a JSON integer (``true`` is
+rejected, not read as 1).  All scalars use the exact literal grammar of
 :mod:`ksmooth.scalars`, so files round-trip bit-exactly.
 
 Builtin space specs: ``ell1:n``, ``ellinf:n``, ``paper-example``; the
@@ -104,7 +105,7 @@ def space_from_document(doc: object, default_name: str = "custom") -> Polyhedral
         raise ValidationError(f"unknown field {doc.get('field')!r}") from None
     dim = doc.get("dim")
     raw_vertices = doc.get("vertices")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValidationError("'dim' must be a positive integer")
     if dim > sys.maxsize:  # no row is that long, and str(dim) may pass the digit limit
         raise ValidationError("'dim' is too large")

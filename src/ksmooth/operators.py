@@ -54,7 +54,7 @@ from .linalg import (
     rank_of_vectors,
     solve,
 )
-from .polytope import FaceDescriptor
+from .polytope import FaceDescriptor, check_guard
 from .scalars import FieldTag, QuadScalar, Scalar, serialize, sign
 from .spaces import (
     PolyhedralSpace,
@@ -350,6 +350,8 @@ def rank1_admissible_orders(n: int, m: int) -> list[int]:
     """All orders a rank-1 unit-norm operator can have between dims n and m."""
     if n < 1 or m < 1:
         raise ValidationError("dimensions must be positive")
+    check_guard(n, 0)
+    check_guard(m, 0)
     return sorted({p * q for p in range(1, n + 1) for q in range(1, m + 1)})
 
 

@@ -21,7 +21,7 @@ functionals used, and re-verified exactly before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -212,6 +212,20 @@ def _relint_sample(space: PolyhedralSpace, face: FaceDescriptor,
     return y.scale(one / functionals[active[0]].dot(y))
 
 
+def _walk_faces(space: PolyhedralSpace, v: Subspace,
+                witness: Callable[..., Optional[Witness]], target: object) -> BJVerdict:
+    """``witness(space, point, extremes, target)`` on each face of the ball
+    meeting v; the first face without a witness gives the counterexample."""
+    witnesses = []
+    for face, point in faces_meeting(space.ball, v.basis):
+        extremes = [space.ball.functionals[j] for j in sorted(face.active_set)]
+        found = witness(space, point, extremes, target)
+        if found is None:
+            return BJVerdict(False, counterexample_point=point)
+        witnesses.append(found)
+    return BJVerdict(True, tuple(witnesses))
+
+
 def bj_subspace_vector(space: PolyhedralSpace, v: Subspace, z: Vector) -> BJVerdict:
     """Whether every unit vector of the subspace v is BJ-orthogonal to z.
 
@@ -219,27 +233,13 @@ def bj_subspace_vector(space: PolyhedralSpace, v: Subspace, z: Vector) -> BJVerd
     each face meeting v contributes one bracketing test over its active
     functionals.
     """
-    witnesses = []
-    for face, point in faces_meeting(space.ball, v.basis):
-        extremes = [space.ball.functionals[j] for j in sorted(face.active_set)]
-        witness = _bracket_witness(space, point, extremes, z)
-        if witness is None:
-            return BJVerdict(False, counterexample_point=point)
-        witnesses.append(witness)
-    return BJVerdict(True, tuple(witnesses))
+    return _walk_faces(space, v, _bracket_witness, z)
 
 
 def bj_subspace_subspace(space: PolyhedralSpace, v: Subspace, w: Subspace) -> BJVerdict:
     """Whether every unit vector of v admits one support functional
     annihilating all of w."""
-    witnesses = []
-    for face, point in faces_meeting(space.ball, v.basis):
-        extremes = [space.ball.functionals[j] for j in sorted(face.active_set)]
-        witness = _annihilating_witness(space, point, extremes, w.basis)
-        if witness is None:
-            return BJVerdict(False, counterexample_point=point)
-        witnesses.append(witness)
-    return BJVerdict(True, tuple(witnesses))
+    return _walk_faces(space, v, _annihilating_witness, w.basis)
 
 
 def is_best_coapproximation(space: PolyhedralSpace, x: Vector, y0: Vector,

@@ -16,7 +16,7 @@ Scalar literal grammar (used by :func:`parse` / :func:`serialize`)::
 
     rational := '-'? digits ('/' digits)?
     quad     := rational (('+'|'-') (rational '*')? 'r2')?
-              | ('-'? (rational '*')? 'r2') (('+'|'-') rational)?
+              | ('-'? 'r2' | rational '*' 'r2') (('+'|'-') rational)?
 
 ``r2`` denotes the square root of two.  Whitespace is forbidden inside a
 literal.  ``serialize`` always emits the rational-first form (``a+b*r2``),
@@ -292,17 +292,17 @@ def _scan_rational(text: str, pos: int) -> tuple[Fraction, int]:
     return Fraction(num), pos
 
 
-def _scan_r2_term(text: str, pos: int) -> tuple[Fraction, int]:
-    """Scan ``(rational '*')? 'r2'`` and return its rational coefficient."""
-    coeff = Fraction(1)
-    if pos < len(text) and (text[pos].isdigit() or text[pos] == "-"):
-        coeff, pos = _scan_rational(text, pos)
-        if pos >= len(text) or text[pos] != "*":
-            raise ScalarSyntaxError(text, pos, "expected '*' before r2")
-        pos += 1
-    if not text.startswith("r2", pos):
-        raise ScalarSyntaxError(text, pos, "expected 'r2'")
-    return coeff, pos + 2
+def _scan_term(text: str, pos: int) -> tuple[Fraction, bool, int]:
+    """Scan ``'r2' | rational ('*' 'r2')?``; return its coefficient, whether
+    it is an r2 term, and the position after it."""
+    if text.startswith("r2", pos):
+        return Fraction(1), True, pos + 2
+    coeff, pos = _scan_rational(text, pos)
+    if pos < len(text) and text[pos] == "*":
+        if not text.startswith("r2", pos + 1):
+            raise ScalarSyntaxError(text, pos + 1, "expected 'r2'")
+        return coeff, True, pos + 3
+    return coeff, False, pos
 
 
 def parse(text: str, tag: FieldTag) -> Scalar:
@@ -317,59 +317,29 @@ def parse(text: str, tag: FieldTag) -> Scalar:
     if not text:
         raise ScalarSyntaxError(text, 0, "empty literal")
 
-    pos = 0
-    neg = text[0] == "-"
-    r2_first = text.startswith("r2", 1 if neg else 0) or _looks_like_coeff_r2(text)
-
-    a = Fraction(0)
-    b = Fraction(0)
-    if text.startswith("r2", 1 if neg else 0):
-        # bare (possibly negated) 'r2' head
-        pos = (1 if neg else 0) + 2
-        b = Fraction(-1) if neg else Fraction(1)
-    elif r2_first:
-        b, pos = _scan_r2_term(text, 0)
+    if text.startswith("-r2"):
+        head, is_r2, pos = Fraction(-1), True, 3
     else:
-        a, pos = _scan_rational(text, 0)
-        if pos < len(text):
-            if text[pos] not in "+-":
-                raise ScalarSyntaxError(text, pos, "expected '+' or '-'")
-            op = -1 if text[pos] == "-" else 1
-            b, pos = _scan_r2_term(text, pos + 1)
-            b *= op
-        if pos != len(text):
-            raise ScalarSyntaxError(text, pos, "trailing characters")
-        return _finish(text, tag, a, b)
-
-    # optional trailing rational after an r2-first head ("r2-1")
+        head, is_r2, pos = _scan_term(text, 0)
+    a, b = (Fraction(0), head) if is_r2 else (head, Fraction(0))
     if pos < len(text):
         if text[pos] not in "+-":
             raise ScalarSyntaxError(text, pos, "expected '+' or '-'")
         op = -1 if text[pos] == "-" else 1
-        a, pos = _scan_rational(text, pos + 1)
-        a *= op
-    if pos != len(text):
-        raise ScalarSyntaxError(text, pos, "trailing characters")
-    return _finish(text, tag, a, b)
-
-
-def _looks_like_coeff_r2(text: str) -> bool:
-    # distinguishes "3*r2" / "1/2*r2..." from "3+..." / plain "3"
-    pos = 0
-    if pos < len(text) and text[pos] == "-":
         pos += 1
-    if pos >= len(text) or not text[pos].isdigit():
-        return False
-    while pos < len(text) and text[pos].isdigit():
-        pos += 1
-    if pos < len(text) and text[pos] == "/":
-        pos += 1
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-    return pos < len(text) and text[pos] == "*"
-
-
-def _finish(text: str, tag: FieldTag, a: Fraction, b: Fraction) -> Scalar:
+        if is_r2:
+            a, pos = _scan_rational(text, pos)
+            a *= op
+        else:
+            # a rational head takes an r2 tail; name it when no term starts here
+            if not (text[pos:pos + 1].isdigit() or text.startswith(("-", "r2"), pos)):
+                raise ScalarSyntaxError(text, pos, "expected 'r2'")
+            b, is_r2, pos = _scan_term(text, pos)
+            if not is_r2:
+                raise ScalarSyntaxError(text, pos, "expected '*' before r2")
+            b *= op
+        if pos != len(text):
+            raise ScalarSyntaxError(text, pos, "trailing characters")
     if tag is FieldTag.RATIONAL:
         if b != 0:
             raise ScalarSyntaxError(text, 0, "quadratic literal under rational field tag")

@@ -269,6 +269,28 @@ def test_rank1_orders_command(capsys):
     assert "1, 2, 4" in out
 
 
+@pytest.mark.parametrize("n, guard, code", [("7", None, 2), ("7", "7", 0),
+                                             ("1000000000000", None, 2)],
+                         ids=["over-guard", "guard-raised", "13-digit"])
+def test_rank1_orders_dimension_guard(capsys, monkeypatch, n, guard, code):
+    if guard is None:
+        monkeypatch.delenv("KSMOOTH_MAX_DIM", raising=False)
+    else:
+        monkeypatch.setenv("KSMOOTH_MAX_DIM", guard)
+    assert main(["rank1", "orders", n, "2"]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert f"dimension {n} exceeds guard 6" in err
+
+
+def test_space_file_boolean_dim_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"name": "x", "field": "rational", "dim": True,
+                                "vertices": [["1"], ["-1"]]}), encoding="utf-8")
+    assert main(["space", "info", str(path)]) == 2
+    assert "'dim' must be a positive integer" in capsys.readouterr().err
+
+
 def test_ortho_check_command(capsys):
     code, out = run(capsys, "ortho", "check", "ell1:2", "e1", "e2")
     assert code == 0

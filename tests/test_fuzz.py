@@ -97,7 +97,8 @@ def test_space_from_document_raises_only_validation_errors(doc):
 
 # Cheap commands only: every mutation below keeps spaces at dimension 1 or 2,
 # or makes a spec that fails fast (an unknown path, or dimension >= 10,
-# which the guard rejects before building anything).
+# which the guard rejects before building anything); rank1 orders stays at
+# dimensions up to 6 or fails the same guard.
 COMMANDS = [
     ["space", "info", "ell1:2"],
     ["space", "info", "ellinf:2", "--json"],
@@ -106,6 +107,7 @@ COMMANDS = [
     ["ortho", "check", "ell1:2", "e1", "e2"],
     ["ortho", "check", "ellinf:2", "1,1", "1,-1", "--json"],
     ["op", "construct-face", "ell1:2", "1,0", "ellinf:2", "1,1"],
+    ["rank1", "orders", "2", "3"],
 ]
 TOKENS = ["ell1:2", "ellinf:2", "ell1:1", "paper-example", "e1", "-e2", "e3", "1,0",
           "(1,0)", "1/2,1/2", "r2,0", "1/0,1", LONG + ",0", "e" + LONG, "ell1:" + LONG,

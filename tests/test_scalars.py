@@ -70,6 +70,45 @@ def test_parse_errors_carry_position():
         parse("", Q)
 
 
+RATIONAL_TAG = "quadratic literal under rational field tag"
+# literal -> serialized value under Q(sqrt 2); each is quadratic, so the
+# rational tag rejects it at position 0
+ACCEPTED = {"-3*r2": "-3*r2", "1+-2*r2": "1-2*r2", "r2+-1": "-1+r2", "-r2-1": "-1-r2",
+            "3*r2+1/2": "1/2+3*r2", "1/2*r2": "1/2*r2"}
+# literal -> (position, reason) under both tags
+REJECTED = {"--3*r2": (1, "expected digits"), "1+-r2": (3, "expected digits"),
+            "x": (0, "expected digits"), "+1": (0, "expected digits"),
+            "0-": (2, "expected 'r2'"), "1/2+2r2": (5, "expected '*' before r2"),
+            "r2*3": (2, "expected '+' or '-'"), "3r2": (1, "expected '+' or '-'"),
+            "1/*r2": (2, "expected denominator digits")}
+
+
+def _assert_rejected(text, tag, position, reason):
+    with pytest.raises(ScalarSyntaxError) as exc:
+        parse(text, tag)
+    assert type(exc.value) is ScalarSyntaxError
+    assert exc.value.position == position
+    assert str(exc.value) == f"invalid scalar literal {text!r} at position {position}: {reason}"
+
+
+@pytest.mark.parametrize("text", sorted(ACCEPTED))
+def test_grammar_table_accepted(text):
+    value = parse(text, K)
+    assert type(value) is QuadScalar and serialize(value) == ACCEPTED[text]
+    _assert_rejected(text, Q, 0, RATIONAL_TAG)
+
+
+@pytest.mark.parametrize("tag", [Q, K], ids=["rational", "quad"])
+@pytest.mark.parametrize("text", sorted(REJECTED))
+def test_grammar_table_rejected(text, tag):
+    _assert_rejected(text, tag, *REJECTED[text])
+
+
+def test_grammar_table_r2_under_rational_tag():
+    _assert_rejected("r2", Q, 0, RATIONAL_TAG)
+    assert serialize(parse("r2", K)) == "r2"
+
+
 def test_quadratic_literal_rejected_under_rational_tag():
     with pytest.raises(ScalarSyntaxError):
         parse("r2", Q)
