@@ -239,9 +239,11 @@ def _cmd_op_construct_face(args, argv) -> int:
     report = order_of_smoothness(t)
     doc = operator_to_document(t, args.space_x, args.space_y)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write operator file {args.out}: {exc}") from exc
     results = _order_results(t, report)
     results["operator_file"] = doc
     results["face_dim"] = face.dim
@@ -263,7 +265,7 @@ def _cmd_op_construct_face(args, argv) -> int:
 
 def _cmd_rank1_orders(args, argv) -> int:
     admissible = rank1_admissible_orders(args.n, args.m)
-    forbidden = sorted(rank1_forbidden_primes(args.n, args.m))
+    forbidden = sorted(rank1_forbidden_primes(admissible))
     results = {"admissible_orders": admissible, "forbidden_primes": forbidden}
     lines = [
         f"admissible rank-1 smoothness orders for dims {args.n} x {args.m}: "

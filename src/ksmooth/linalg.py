@@ -18,8 +18,9 @@ here are tiny.
 Everything else runs on one Gauss-Jordan kernel: ``pivot_on`` is a single
 elimination step and ``_reduce`` brings rows to reduced row echelon form.
 ``solve``, ``nullspace``, ``greedy_independent_subset`` and the simplex
-pivots of :mod:`ksmooth.lp` all go through it.  Rank stays on Bareiss,
-which is faster on the shapes used here.
+pivots of :mod:`ksmooth.lp` all go through it; ``solve`` reduces a matrix
+once for all its right-hand sides.  Rank stays on Bareiss, which is
+faster on the shapes used here.
 """
 
 from __future__ import annotations
@@ -317,24 +318,28 @@ def _reduce(rows: list[list[Scalar]], ncols: int) -> list[int]:
     return pivot_cols
 
 
-def solve(a: Matrix, b: Vector) -> Optional[Vector]:
-    """Exact solution of ``a x = b``, or ``None`` when inconsistent.
-
-    Unique when ``a`` has full column rank; otherwise free variables are
-    fixed at zero (deterministically).
+def solve(a: Matrix, bs: Sequence[Vector]) -> Optional[list[Vector]]:
+    """Exact solutions of ``a x = b`` for each ``b`` in ``bs``, or ``None``
+    when some ``b`` is inconsistent, from one reduction of ``a`` augmented
+    with every ``b``.  Pivots are searched in ``a``'s columns only, so each
+    solution is the one its ``b`` alone gives: unique when ``a`` has full
+    column rank, otherwise with free variables fixed at zero.
     """
-    if b.field is not a.field:
-        raise FieldMismatchError("matrix and vector fields differ")
-    if b.dim != a.rows:
-        raise DimensionMismatchError(f"solve: {a.rows} rows vs rhs dim {b.dim}")
-    aug = [list(row) + [b[i]] for i, row in enumerate(a.row_data)]
-    pivot_cols = _reduce(aug, a.cols)
-    if any(row[-1] for row in aug[len(pivot_cols):]):
+    for b in bs:
+        if b.field is not a.field:
+            raise FieldMismatchError("matrix and vector fields differ")
+        if b.dim != a.rows:
+            raise DimensionMismatchError(f"solve: {a.rows} rows vs rhs dim {b.dim}")
+    n = a.cols
+    aug = [list(row) + [b[i] for b in bs] for i, row in enumerate(a.row_data)]
+    pivot_cols = _reduce(aug, n)
+    if any(any(row[n:]) for row in aug[len(pivot_cols):]):
         return None
-    solution = [a.field.zero] * a.cols
+    solutions = [[a.field.zero] * n for _ in bs]
     for k, c in enumerate(pivot_cols):
-        solution[c] = aug[k][-1]
-    return Vector(solution, a.field)
+        for solution, value in zip(solutions, aug[k][n:]):
+            solution[c] = value
+    return [Vector(solution, a.field) for solution in solutions]
 
 
 def nullspace(a: Matrix) -> list[Vector]:

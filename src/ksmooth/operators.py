@@ -198,14 +198,6 @@ def _extreme_members(t: LinearOperator, r: Sequence[Vector]) -> list[Vector]:
     return reps
 
 
-def _coordinates(basis: Sequence[Vector], target: Vector,
-                 what: str) -> Vector:
-    solution = solve(Matrix.from_columns(list(basis)), target)
-    if solution is None:
-        raise SpanViolationError(f"{what} {target} is outside the collected span")
-    return solution
-
-
 def _index_computation(t: LinearOperator, r: Sequence[Vector],
                        vector_basis: Optional[Sequence[Vector]] = None,
                        functional_basis: Optional[Sequence[Vector]] = None,
@@ -251,12 +243,15 @@ def _index_computation(t: LinearOperator, r: Sequence[Vector],
             raise ValidationError(
                 "explicit functional basis does not span the support functionals")
 
-    generators = []
-    for v, sup in zip(reps, supports):
-        alpha = _coordinates(chosen, v, "attaining vector")
-        for y_star in sup.extreme_functionals:
-            beta = _coordinates(f_basis, y_star, "support functional")
-            generators.append(kron_coeff_vector(alpha, beta))
+    alphas = solve(Matrix.from_columns(chosen), reps)
+    if alphas is None:
+        raise SpanViolationError("an attaining vector is outside the collected span")
+    betas = solve(Matrix.from_columns(f_basis), collected)
+    if betas is None:
+        raise SpanViolationError("a support functional is outside the collected span")
+    betas = iter(betas)
+    generators = [kron_coeff_vector(alpha, next(betas))
+                  for alpha, sup in zip(alphas, supports) for _ in sup.extreme_functionals]
     return IndexComputation(tuple(reps), tuple(supports), tuple(chosen),
                             tuple(f_basis), tuple(generators),
                             rank_of_vectors(generators))
@@ -355,19 +350,20 @@ def rank1_admissible_orders(n: int, m: int) -> list[int]:
     return sorted({p * q for p in range(1, n + 1) for q in range(1, m + 1)})
 
 
-def rank1_forbidden_primes(n: int, m: int) -> set[int]:
-    """Primes up to n*m that are not admissible rank-1 orders.
+def rank1_forbidden_primes(admissible: Sequence[int]) -> set[int]:
+    """Primes up to n*m that are not admissible rank-1 orders, given
+    ``admissible = rank1_admissible_orders(n, m)``, whose largest member is n*m.
 
     Derived from the admissible set itself rather than from a stated
     prime range, so boundary cases resolve themselves.
     """
-    admissible = set(rank1_admissible_orders(n, m))
-    top = n * m
+    top = max(admissible)
+    allowed = set(admissible)
     is_prime = [True] * (top + 1)
     primes = set()
     for k in range(2, top + 1):
         if is_prime[k]:
-            if k not in admissible:
+            if k not in allowed:
                 primes.add(k)
             for j in range(k * k, top + 1, k):
                 is_prime[j] = False
@@ -428,12 +424,9 @@ def construct_face_operator(x_space: PolyhedralSpace, face: FaceDescriptor,
     basis_matrix = Matrix.from_columns(chosen).transpose()
     image_columns = [u] * p + [Vector.zero(y_space.dim, field)] * (x_space.dim - p)
     image_matrix = Matrix.from_columns(image_columns)
-    rows = []
-    for i in range(y_space.dim):
-        row = solve(basis_matrix, image_matrix.row(i))
-        if row is None:
-            raise CompletionFailureError("completed basis is singular")
-        rows.append(row)
+    rows = solve(basis_matrix, [image_matrix.row(i) for i in range(y_space.dim)])
+    if rows is None:
+        raise CompletionFailureError("completed basis is singular")
     operator = LinearOperator(x_space, y_space, Matrix.from_rows(rows))
 
     att = operator_norm_and_attainment(operator)

@@ -62,7 +62,7 @@ class Subspace:
         return cls(ambient, tuple(vectors))
 
     def contains(self, x: Vector) -> bool:
-        return solve(Matrix.from_columns(list(self.basis)), x) is not None
+        return solve(Matrix.from_columns(list(self.basis)), [x]) is not None
 
 
 @dataclass(frozen=True)
@@ -252,8 +252,11 @@ def is_best_coapproximation(space: PolyhedralSpace, x: Vector, y0: Vector,
 
 
 def is_strong_auerbach(space: PolyhedralSpace, basis: Sequence[Vector]) -> BJVerdict:
-    """Whether every sub-span of the basis is BJ-orthogonal to the
-    complementary sub-span (all 2^n - 2 nonempty proper subsets)."""
+    """Whether every sub-span of the basis (``space.dim`` vectors) is BJ-orthogonal
+    to the complementary sub-span (all 2^n - 2 nonempty proper subsets)."""
+    if len(basis) != space.dim:
+        raise DimensionMismatchError(
+            f"a basis of {space.name} has {space.dim} vectors, not {len(basis)}")
     one = space.field.one
     for b in basis:
         if norm(space, b) != one:

@@ -9,13 +9,14 @@ of the polar dual, and ``dual_vertices`` computes one tuple from the other.
 
 ``dual_vertices`` runs the incremental double description method: start
 from the parallelotope cut out by the first d independent +/- constraint
-pairs, then clip with the remaining halfspaces in input order.  Vertex
-adjacency during clipping is decided combinatorially and exactly: two
-vertices are adjacent iff their common active constraints have rank d-1,
-which is valid for degenerate polytopes as well.  It returns each vertex
-with its tight set (the input points on which it is 1), found by no scan:
-a vertex created strictly inside an edge is tight exactly on the
-constraints tight at both ends and on the one inserted.
+pairs, its 2^d corners solved in one reduction, then clip with the
+remaining halfspaces in input order.  Vertex adjacency during clipping is
+decided combinatorially and exactly: two vertices are adjacent iff their
+common active constraints have rank d-1, which is valid for degenerate
+polytopes as well.  It returns each vertex with its tight set (the input
+points on which it is 1), found by no scan: a vertex created strictly
+inside an edge is tight exactly on the constraints tight at both ends and
+on the one inserted.
 
 A ball is built by double description alone, with no LP: ``canonicalize``
 runs it on the input points and keeps those whose tight functionals
@@ -29,14 +30,13 @@ section of a ball by a subspace is never built as a ``Polytope``:
 A ``Polytope`` also holds both tuples cleared of denominators, which no
 other module reads: the facet functionals as integer rows ``F`` over one
 positive scale ``D`` and the vertices as ``V`` over ``E`` (see
-``linalg.clear_denominators``).  One scan, ``_tight``, decides which rows
-are tight at a point: it clears the point once, takes integer dot products
-and returns the largest value as a field scalar with the rows attaining
-it.  ``facets_at`` and ``vertices_at`` are its public faces.
-``Polytope.__init__`` takes the incidence by this scan and ranks each
-vertex's tight facets, a check independent of double description's
-bookkeeping; ``image_gauge_max``, the operators' attainment scan, also
-returns the target facets tight at each attaining image.
+``linalg.clear_denominators``).  One kernel, ``_row_max``, finds the rows
+tight at a cleared point by integer dot products.  ``Polytope.__init__``
+runs it on the rows of ``V`` and ranks each vertex's tight facets, a check
+independent of double description's bookkeeping; ``_tight``, behind
+``facets_at`` and ``vertices_at``, clears a point once and returns the
+maximum as a field scalar; ``image_gauge_max``, the operators' attainment
+scan, also returns the target facets tight at each attaining image.
 
 Faces are keyed by their full active set (the maximal set of facets
 containing them); the dimension of the face with active set A is
@@ -189,18 +189,15 @@ def dual_vertices(points: Sequence[Vector]) -> tuple[list[Vector], list[frozense
     init = init[:d]
     slab = Matrix.from_rows([points[i] for i in init])
 
-    # vertices of the initial parallelotope |p_i . f| <= 1
-    verts: list[Vector] = []
-    actives: list[set[int]] = []
-    for signs in itertools.product((1, -1), repeat=d):
-        rhs = Vector([field.from_int(s) for s in signs], field)
-        corner = solve(slab, rhs)
-        if corner is None:
-            raise InternalInconsistencyError(
-                "independent constraints left a parallelotope corner unsolvable")
-        verts.append(corner)
-        actives.append({init[j] if s == 1 else negation[init[j]]
-                        for j, s in enumerate(signs)})
+    # vertices of the initial parallelotope |p_i . f| <= 1, from one reduction
+    corners = list(itertools.product((1, -1), repeat=d))
+    verts = solve(slab, [Vector([field.from_int(s) for s in signs], field)
+                         for signs in corners])
+    if verts is None:
+        raise InternalInconsistencyError(
+            "independent constraints left a parallelotope corner unsolvable")
+    actives = [{init[j] if s == 1 else negation[init[j]] for j, s in enumerate(signs)}
+               for signs in corners]
 
     processed = set(init) | {negation[i] for i in init}
     for idx, p in enumerate(points):
@@ -251,18 +248,21 @@ def dual_vertices(points: Sequence[Vector]) -> tuple[list[Vector], list[frozense
     return verts, [frozenset(act) for act in actives]
 
 
+def _row_max(rows: Sequence[tuple], point: tuple) -> tuple:
+    """The largest integer dot product of the cleared ``rows`` with the
+    cleared ``point``, and the indices of the rows attaining it."""
+    values = [sum(map(mul, row, point)) for row in rows]
+    top = max(values)
+    return top, [j for j, value in enumerate(values) if value == top]
+
+
 def _tight(rows: Sequence[tuple], scale: int, x: Vector) -> tuple[Scalar, list[int]]:
     """The largest value of the rows ``rows / scale`` at ``x``, as a field
-    scalar, and the indices of the rows attaining it.
-
-    ``x`` is cleared once; the rows' values are then integer dot products
-    compared with each other, and only the maximum becomes a field scalar.
-    """
+    scalar, and the indices of the rows attaining it: ``x`` is cleared once
+    and only the maximum of ``_row_max`` becomes a field scalar."""
     [cleared], e = clear_denominators([x.entries], x.field)
-    values = [sum(map(mul, row, cleared)) for row in rows]
-    top = max(values)
-    return (from_cleared(top, scale * e, x.field),
-            [j for j, value in enumerate(values) if value == top])
+    top, tight = _row_max(rows, cleared)
+    return from_cleared(top, scale * e, x.field), tight
 
 
 class Polytope:
@@ -272,7 +272,7 @@ class Polytope:
     functionals as the integral rows ``F`` over one positive scale ``D``
     (``functionals[j] == F[j] / D``) and the vertices as ``V`` over ``E``.
     ``facets_at`` and ``vertices_at`` scan them, and the incidence
-    ``vertex_active`` is ``facets_at`` at every vertex.
+    ``vertex_active`` is read from ``F`` at every row of ``V``.
     """
 
     __slots__ = ("dim", "field", "vertices", "functionals", "F", "D", "V", "E",
@@ -290,12 +290,12 @@ class Polytope:
                             ("V", tuple(V)), ("E", E)):
             object.__setattr__(self, name, value)
         incidence = []
-        for v in vertices:
-            top, tight = self.facets_at(v)
-            if top > field.one:
+        for v, row in zip(vertices, V):
+            top, tight = _row_max(F, row)  # f_j(v) = F_j . V_k / (D E)
+            if top > D * E:
                 raise OriginNotInteriorError(
                     f"vertex {v} violates functional {functionals[tight[0]]}")
-            if top != field.one:
+            if top != D * E:
                 raise NotOnBoundaryError(f"vertex {v} is not on the boundary")
             incidence.append(frozenset(tight))
         object.__setattr__(self, "vertex_active", tuple(incidence))

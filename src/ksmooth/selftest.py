@@ -27,7 +27,7 @@ from .operators import (
     rank1_admissible_orders,
 )
 from .orthogonality import bj_vector_vector
-from .polytope import count_faces, enumerate_faces, minimal_face
+from .polytope import count_faces, enumerate_faces
 from .scalars import FieldTag
 from .spaces import (
     PolyhedralSpace,
@@ -36,7 +36,6 @@ from .spaces import (
     norm,
     point_smoothness,
     random_space,
-    support_set,
 )
 
 
@@ -176,8 +175,9 @@ def rank1_suite(seed: int, cases: int) -> SuiteResult:
 
 
 def interior_suite(seed: int, cases: int) -> SuiteResult:
-    """Point smoothness equals ambient dimension minus minimal-face dimension
-    at vertices, edge midpoints and random boundary points."""
+    """``point_smoothness`` at vertices, edge midpoints and random boundary
+    points: the support rank equals ambient dimension minus minimal-face
+    dimension, or the case becomes a certificate."""
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -196,13 +196,10 @@ def interior_suite(seed: int, cases: int) -> SuiteResult:
                 points.append(normalized(space, raw))
         for p in points:
             checked += 1
-            by_rank = support_set(space, p).smoothness_order
-            by_face = space.dim - minimal_face(space.ball, p).dim
-            if by_rank != by_face:
-                failures.append(
-                    f"case {case}: smoothness {by_rank} by support rank, "
-                    f"{by_face} by face at {p}; "
-                    f"{_describe(space)}")
+            try:
+                point_smoothness(space, p)
+            except InternalInconsistencyError as exc:
+                failures.append(f"case {case}: {exc}; {_describe(space)}")
     return SuiteResult("interior-law", checked, tuple(failures))
 
 

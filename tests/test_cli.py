@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import ksmooth.cli as cli
+import ksmooth.operators as operators
 from ksmooth.cli import main
 from ksmooth.files import (
     load_operator,
@@ -257,6 +259,31 @@ def test_construct_face_command(tmp_path, capsys):
     assert "order 4" in out
     emitted = load_operator(str(out_path))
     assert order_of_smoothness(emitted).index == 4
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_construct_face_unwritable_out_is_validation_error(tmp_path, capsys, where):
+    out_path = tmp_path if where == "directory" else tmp_path / "missing" / "op.json"
+    assert main(["op", "construct-face", "ell1:3", "e1;e2", "ellinf:2", "1,1",
+                 "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"validation error: cannot write operator file {out_path}: " in err
+    assert "Traceback" not in err
+
+
+def test_rank1_orders_computes_admissible_orders_once(capsys, monkeypatch):
+    calls = []
+    real = operators.rank1_admissible_orders
+
+    def counted(n, m):
+        calls.append((n, m))
+        return real(n, m)
+
+    monkeypatch.setattr(operators, "rank1_admissible_orders", counted)
+    monkeypatch.setattr(cli, "rank1_admissible_orders", counted)
+    code, out = run(capsys, "rank1", "orders", "3", "3")
+    assert code == 0 and "forbidden primes up to 9: 5, 7" in out
+    assert calls == [(3, 3)]
 
 
 def test_rank1_orders_command(capsys):

@@ -86,18 +86,17 @@ def test_rank_nullity_random():
 def test_solve_in_span():
     a = Matrix.from_columns([Vector([1, 0, 0], K), Vector([0, 1, 0], K)])
     b = Vector([INV_SQRT2, INV_SQRT2, QuadScalar(0)], K)
-    x = solve(a, b)
-    assert x == Vector([INV_SQRT2, INV_SQRT2], K)
+    assert solve(a, [b]) == [Vector([INV_SQRT2, INV_SQRT2], K)]
 
 
 def test_solve_identity():
     b = qv(3, Fraction(-1, 2), 7)
-    assert solve(Matrix.identity(3, Q), b) == b
+    assert solve(Matrix.identity(3, Q), [b]) == [b]
 
 
 def test_solve_no_solution():
     a = Matrix.from_columns([qv(1, 1)])
-    assert solve(a, qv(1, 0)) is None
+    assert solve(a, [qv(1, 0)]) is None
 
 
 def test_solve_checks_residual():
@@ -108,9 +107,9 @@ def test_solve_checks_residual():
         a = Matrix([[Fraction(rng.randint(-3, 3)) for _ in range(m)]
                     for _ in range(n)], Q)
         b = Vector([Fraction(rng.randint(-3, 3)) for _ in range(n)], Q)
-        x = solve(a, b)
+        x = solve(a, [b])
         if x is not None:
-            assert a.matvec(x) == b
+            assert a.matvec(x[0]) == b
     solved = 0
     for _ in range(30):
         n = rng.randint(1, 4)
@@ -120,14 +119,40 @@ def test_solve_checks_residual():
             b = a.matvec(Vector([rand_scalar(rng, K) for _ in range(a.cols)], K))
         else:
             b = Vector([rand_scalar(rng, K) for _ in range(n)], K)
-        x = solve(a, b)
+        x = solve(a, [b])
         if x is None:
             assert rank(a) < rank(Matrix.from_columns(
                 [a.column(j) for j in range(a.cols)] + [b]))
         else:
             solved += 1
-            assert a.matvec(x) == b
+            assert a.matvec(x[0]) == b
     assert solved >= 15
+
+
+def test_solve_all_right_hand_sides_equals_each_alone():
+    # one reduction of a augmented with every b gives what each b alone gives:
+    # the pivots are searched in a's columns only
+    rng = random.Random(19)
+    inconsistent = 0
+    for field in (Q, K):
+        for trial in range(30):
+            n, cols = rng.randint(1, 4), rng.randint(1, 4)
+            a = rand_matrix(rng, field, n, cols)
+            if trial % 2:  # rank at most 1
+                a = rand_matrix(rng, field, n, 1).matmul(rand_matrix(rng, field, 1, cols))
+            bs = [a.matvec(Vector([rand_scalar(rng, field) for _ in range(cols)], field))
+                  for _ in range(rng.randint(1, 4))]
+            assert solve(a, bs) == [x for b in bs for x in solve(a, [b])]
+            stray = Vector([rand_scalar(rng, field) for _ in range(n)], field)
+            mixed = bs[:1] + [stray] + bs[1:]
+            alone = [solve(a, [b]) for b in mixed]
+            if None in alone:
+                inconsistent += 1
+                assert solve(a, mixed) is None
+            else:
+                assert solve(a, mixed) == [x for [x] in alone]
+    assert solve(Matrix.identity(2, Q), []) == []
+    assert inconsistent >= 15
 
 
 def test_greedy_subset_basic():

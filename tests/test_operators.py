@@ -279,11 +279,11 @@ def test_ell1_isometric_to_ellinf_nm():
 
 def test_rank1_admissible_orders_examples():
     assert rank1_admissible_orders(3, 3) == [1, 2, 3, 4, 6, 9]
-    assert rank1_forbidden_primes(3, 3) == {5, 7}
+    assert rank1_forbidden_primes(rank1_admissible_orders(3, 3)) == {5, 7}
     assert rank1_admissible_orders(2, 2) == [1, 2, 4]
     assert 3 not in rank1_admissible_orders(2, 2)  # no rank-1 in an edge interior
     assert rank1_admissible_orders(1, 4) == [1, 2, 3, 4]
-    assert rank1_forbidden_primes(1, 4) == set()
+    assert rank1_forbidden_primes(rank1_admissible_orders(1, 4)) == set()
 
 
 def test_rank1_random_law():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ksmooth.errors import (
+    DimensionMismatchError,
     NotIndependentError,
     NotUnitNormError,
     SubspaceMembershipError,
@@ -144,6 +145,11 @@ def test_strong_auerbach_validation():
         is_strong_auerbach(ell1(2), [qv(1, 1), qv(1, 0)])
     with pytest.raises(NotIndependentError):
         is_strong_auerbach(ellinf(2), [qv(1, 1), qv(-1, -1)])
+    # fewer than dim vectors leave no proper subset to test: not vacuously true
+    for basis in ([], [qv(1, 0, 0)]):
+        with pytest.raises(DimensionMismatchError, match="has 3 vectors"):
+            is_strong_auerbach(ell1(3), basis)
+    assert is_strong_auerbach(ell1(1), [qv(1)])
 
 
 def test_agrees_with_breakpoint_oracle():

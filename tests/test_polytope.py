@@ -191,6 +191,27 @@ def test_construction_solves_no_lp(monkeypatch):
         assert len(space.ball.vertices) >= 2 * space.dim
 
 
+def test_ball_build_reduces_each_slab_once(monkeypatch):
+    # the parallelotope corners of a double description pass come from one
+    # reduction, and the incidence reads the cleared vertex rows with no rescan
+    calls = {"_tight": 0, "solve": 0, "dual_vertices": 0}
+
+    def counted(name):
+        real = getattr(polytope, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(polytope, name, counted(name))
+    for space in (ell1(3), ellinf(4), paper_example_space(), random_space(5, 3, 8)):
+        assert len(space.ball.vertex_active) == len(space.ball.vertices)
+    assert calls["_tight"] == 0
+    assert calls["solve"] == calls["dual_vertices"] == 8
+
+
 def test_subspace_walk_builds_no_polytope(monkeypatch):
     # canonicalize reads double description's tight sets and the section
     # walk maps them back to ball facets: neither rescans nor revalidates
@@ -342,7 +363,7 @@ def _brute_force_polar_vertices(points):
     found = set()
     for subset in itertools.combinations(points, d):
         if rank_of_vectors(list(subset)) == d:
-            f = solve(Matrix.from_rows(list(subset)), ones)
+            [f] = solve(Matrix.from_rows(list(subset)), [ones])
             if all(p.dot(f) <= field.one for p in points):
                 found.add(f.entries)
     return found

@@ -72,6 +72,20 @@ def test_cleared_rows_and_double_description_stay_in_polytope():
 
 
 
+def test_solve_is_called_once_per_matrix():
+    # solve takes every right-hand side of a matrix at once; a call inside a
+    # loop or comprehension would reduce the same matrix again
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = []
+    for name, tree in _trees():
+        for loop in ast.walk(tree):
+            if isinstance(loop, loops):
+                found += [f"{name}:{node.lineno}" for node in ast.walk(loop)
+                          if isinstance(node, ast.Call) and "solve" in (
+                              getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert found == [], found
+
+
 def test_oracle_reads_no_support_set():
     # the oracle ranks the attainment scan's (vertex, facet) pairs; naming a
     # support-set or index helper would let it share the index route's errors
