@@ -91,6 +91,10 @@ def load_space(spec: str, base_dir: Path | None = None) -> PolyhedralSpace:
     path = Path(spec)
     if base_dir is not None and not path.is_absolute():
         path = base_dir / path
+    if spec.startswith(("ell1:", "ellinf:")) and not path.exists():
+        raise ValidationError(
+            f"invalid builtin space spec {spec!r}: ell1:n and ellinf:n need "
+            "an integer n >= 1 with no leading zeros")
     return space_from_document(_read_json(path, "space"), default_name=path.stem)
 
 

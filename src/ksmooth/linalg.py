@@ -8,12 +8,15 @@ Q(sqrt 2)).  The hot scans over a ball run on such rows: a dot product is
 one field scalar is built at the end (``from_cleared``).  Which rows are
 tight at a point is decided in :mod:`ksmooth.polytope` alone.
 
-Rank uses fraction-free (Bareiss) elimination on rows cleared one by one, with
-full pivot search by a smallest-size heuristic; this bounds coefficient
-growth without affecting exactness.  Over the rationals it runs on Python
-``int``s and every Bareiss division is an exact ``//``; over Q(sqrt 2) it
-divides in the field.  Every rank query recomputes from scratch: matrices
-here are tiny.
+Rank uses fraction-free (Bareiss) elimination with full pivot search by
+a smallest-size heuristic; this bounds coefficient growth without
+affecting exactness.  The kernel ``_rank_of_lists`` runs on rows that are
+already cleared, and its callers clear: ``rank`` and ``rank_of_vectors``
+clear each row over its own scale, while :mod:`ksmooth.polytope` passes
+the rows it holds cleared.  Over the rationals it runs on Python ``int``s
+and every Bareiss division is an exact ``//``; over Q(sqrt 2) it divides
+in the field.  Every rank query recomputes from scratch: matrices here
+are tiny.
 
 Everything else runs on one Gauss-Jordan kernel: ``pivot_on`` is a single
 elimination step and ``_reduce`` brings rows to reduced row echelon form.
@@ -230,13 +233,16 @@ def from_cleared(value: Scalar | int, scale: int, field: FieldTag) -> Scalar:
     return QuadScalar(value.a / scale, value.b / scale)
 
 
-def _rank_of_lists(rows: Sequence[Sequence[Scalar]], field: FieldTag) -> int:
+def _rank_of_lists(rows: Sequence[Sequence[Scalar | int]], field: FieldTag) -> int:
+    """The rank of ``rows`` cleared of denominators (see
+    ``clear_denominators``; each row may have its own scale), 0 for none."""
     if not rows:
         return 0
-    # each row over its own scale: the rank is the same, the entries smaller
-    work = [list(clear_denominators([row], field)[0][0]) for row in rows]
+    work = [list(row) for row in rows]
     # integer Bareiss divisions are exact; over Q(sqrt 2) they stay field divisions
-    div = floordiv if field is FieldTag.RATIONAL else truediv
+    rational = field is FieldTag.RATIONAL
+    div = floordiv if rational else truediv
+    size_of = int.bit_length if rational else _scalar_size
     nr, nc = len(work), len(work[0])
     prev = 1
     rank = 0
@@ -246,7 +252,7 @@ def _rank_of_lists(rows: Sequence[Sequence[Scalar]], field: FieldTag) -> int:
             for j in range(step, nc):
                 x = work[i][j]
                 if x:
-                    size = _scalar_size(x)
+                    size = size_of(x)
                     if best is None or size < best[0]:
                         best = (size, i, j)
         if best is None:
@@ -271,15 +277,20 @@ def _rank_of_lists(rows: Sequence[Sequence[Scalar]], field: FieldTag) -> int:
     return rank
 
 
+def _rank_of_rows(rows: Sequence[Sequence[Scalar]], field: FieldTag) -> int:
+    # each row over its own scale: the rank is the same, the entries smaller
+    return _rank_of_lists([clear_denominators([row], field)[0][0] for row in rows], field)
+
+
 def rank(m: Matrix) -> int:
     """Exact rank by fraction-free elimination."""
-    return _rank_of_lists(m.row_data, m.field)
+    return _rank_of_rows(m.row_data, m.field)
 
 
 def rank_of_vectors(vs: Sequence[Vector]) -> int:
     if not vs:
         return 0
-    return _rank_of_lists([v.entries for v in vs], vs[0].field)
+    return _rank_of_rows([v.entries for v in vs], vs[0].field)
 
 
 def pivot_on(rows: list[list[Scalar]], r: int, c: int) -> None:

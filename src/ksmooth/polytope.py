@@ -7,16 +7,26 @@ on the polytope, one supporting each facet (``functionals``).  By polarity
 the facet functionals of a ball, read as points, are exactly the vertices
 of the polar dual, and ``dual_vertices`` computes one tuple from the other.
 
-``dual_vertices`` runs the incremental double description method: start
-from the parallelotope cut out by the first d independent +/- constraint
-pairs, its 2^d corners solved in one reduction, then clip with the
-remaining halfspaces in input order.  Vertex adjacency during clipping is
-decided combinatorially and exactly: two vertices are adjacent iff their
-common active constraints have rank d-1, which is valid for degenerate
-polytopes as well.  It returns each vertex with its tight set (the input
-points on which it is 1), found by no scan: a vertex created strictly
-inside an edge is tight exactly on the constraints tight at both ends and
-on the one inserted.
+``dual_vertices`` runs the incremental double description method
+(Fukuda & Prodon, 1996): start from the parallelotope cut out by the
+first d independent +/- constraint pairs, its 2^d corners solved in one
+reduction, then clip with the remaining halfspaces in input order.  It
+clips on integers.  The input points are cleared once to rows ``P`` over
+a scale ``s``, and each vertex ``v = N / h`` is held as its primitive
+homogeneous row ``(N, h)``: integer parts with no common factor and
+``h`` a positive integer.  The sign of ``p.v - 1`` is then the sign of
+``P.N - s h``, and the new vertex on an edge is an integer combination of
+its ends divided by a gcd.  Over Q(sqrt 2) an entry is a pair of integers
+``a + b r2`` and ``h`` is made rational by multiplying with its
+conjugate, so the primitive row is unique there too; it is the key that
+merges a vertex reached from two edges.  Field vectors are built only
+for the vertices returned.  Vertex adjacency during clipping is decided
+exactly: two vertices are adjacent iff their common active constraints
+have rank d-1 (ranked on the rows of ``P``), which is valid for
+degenerate polytopes as well.  It returns each vertex with its tight set
+(the input points on which it is 1), found by no scan: a vertex created
+strictly inside an edge is tight exactly on the constraints tight at
+both ends and on the one inserted.
 
 A ball is built by double description alone, with no LP: ``canonicalize``
 runs it on the input points and keeps those whose tight functionals
@@ -32,8 +42,9 @@ other module reads: the facet functionals as integer rows ``F`` over one
 positive scale ``D`` and the vertices as ``V`` over ``E`` (see
 ``linalg.clear_denominators``).  One kernel, ``_row_max``, finds the rows
 tight at a cleared point by integer dot products.  ``Polytope.__init__``
-runs it on the rows of ``V`` and ranks each vertex's tight facets, a check
-independent of double description's bookkeeping; ``_tight``, behind
+runs it on the rows of ``V`` and ranks each vertex's tight rows of ``F``,
+a check independent of double description's bookkeeping, and the face
+lattice ranks rows of ``F`` too; ``_tight``, behind
 ``facets_at`` and ``vertices_at``, clears a point once and returns the
 maximum as a field scalar; ``image_gauge_max``, the operators' attainment
 scan, also returns the target facets tight at each attaining image.
@@ -50,8 +61,10 @@ import itertools
 import os
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -66,6 +79,7 @@ from .errors import (
 from .linalg import (
     Matrix,
     Vector,
+    _rank_of_lists,
     clear_denominators,
     from_cleared,
     greedy_independent_subset,
@@ -73,7 +87,7 @@ from .linalg import (
     solve,
 )
 from .lp import lp_feasible
-from .scalars import Scalar, serialize
+from .scalars import FieldTag, QuadScalar, Scalar, serialize
 
 DEFAULT_MAX_DIM = 6
 DEFAULT_MAX_VERTICES = 64
@@ -174,13 +188,17 @@ def dual_vertices(points: Sequence[Vector]) -> tuple[list[Vector], list[frozense
 
     The input must be symmetric and span the ambient space (otherwise the
     polar is unbounded).  Insertion order is the input order, so the
-    output order is deterministic.
+    output order is deterministic.  Clipping runs on integers: the points
+    are cleared once to rows ``P`` over a scale ``s`` and each vertex
+    ``v = N / h`` is held as its primitive homogeneous row ``(N, h)``, so
+    the sign of ``p.v - 1`` is the sign of ``P.N - s h``.
     """
     if not points:
         raise NotFullDimensionalError("empty point set")
     field = points[0].field
     d = points[0].dim
     negation = _negation_index(points)
+    ops = _DD_OPS[field]
 
     init = greedy_independent_subset(points)
     if len(init) < d:
@@ -191,61 +209,153 @@ def dual_vertices(points: Sequence[Vector]) -> tuple[list[Vector], list[frozense
 
     # vertices of the initial parallelotope |p_i . f| <= 1, from one reduction
     corners = list(itertools.product((1, -1), repeat=d))
-    verts = solve(slab, [Vector([field.from_int(s) for s in signs], field)
-                         for signs in corners])
-    if verts is None:
+    solved = solve(slab, [Vector([field.from_int(s) for s in signs], field)
+                          for signs in corners])
+    if solved is None:
         raise InternalInconsistencyError(
             "independent constraints left a parallelotope corner unsolvable")
+    # a corner cleared over the lcm of its denominators is already primitive
+    verts = []
+    for v in solved:
+        [row], e = clear_denominators([v.entries], field)
+        verts.append(ops.entries(row, e))
     actives = [{init[j] if s == 1 else negation[init[j]] for j, s in enumerate(signs)}
                for signs in corners]
+    P, scale = clear_denominators((p.entries for p in points), field)
+    constraints = [ops.entries(row, -scale) for row in P]
 
     processed = set(init) | {negation[i] for i in init}
-    for idx, p in enumerate(points):
+    for idx, p in enumerate(constraints):
         if idx in processed:
             continue
         processed.add(idx)
-        values = [p.dot(v) - field.one for v in verts]
-        if not any(val > 0 for val in values):
-            for k, val in enumerate(values):
-                if val == 0:
+        values = ops.values(p, verts)
+        signs = [ops.sign(val) for val in values]
+        if 1 not in signs:
+            for k, sign in enumerate(signs):
+                if sign == 0:
                     actives[k].add(idx)
             continue
-        keep_verts: list[Vector] = []
+        keep_verts: list[tuple] = []
         keep_actives: list[set[int]] = []
-        for k, val in enumerate(values):
-            if val <= 0:
+        for k, sign in enumerate(signs):
+            if sign <= 0:
                 keep_verts.append(verts[k])
-                if val == 0:
+                if sign == 0:
                     actives[k].add(idx)
                 keep_actives.append(actives[k])
-        new_coords = {}
-        for k_out, val_out in enumerate(values):
-            if val_out <= 0:
+        new_verts = {}
+        for k_out, sign_out in enumerate(signs):
+            if sign_out <= 0:
                 continue
-            for k_in, val_in in enumerate(values):
-                if val_in >= 0:
+            for k_in, sign_in in enumerate(signs):
+                if sign_in >= 0:
                     continue
                 common = actives[k_out] & actives[k_in]
                 if len(common) < d - 1:
                     continue
-                if rank_of_vectors([points[j] for j in common]) != d - 1:
+                # an empty common set (d = 1) has rank 0 = d - 1 with no kernel call
+                if common and _rank_of_lists([P[j] for j in common], field) != d - 1:
                     continue
-                u, w = verts[k_out], verts[k_in]
-                t = (-val_in) / (val_out - val_in)
-                z = w + (u - w).scale(t)
+                z = ops.edge(values[k_out], verts[k_out], values[k_in], verts[k_in])
                 # z lies strictly inside the edge uw: a processed constraint
                 # is tight at z exactly when it is tight at both ends
-                new_coords.setdefault(z.entries, (z, common | {idx}))
-        for z, active in new_coords.values():
-            keep_verts.append(z)
-            keep_actives.append(active)
+                new_verts.setdefault(z, common | {idx})
+        keep_verts += new_verts
+        keep_actives += new_verts.values()
         verts, actives = keep_verts, keep_actives
 
     for act in actives:
-        if rank_of_vectors([points[j] for j in act]) != d:
+        if _rank_of_lists([P[j] for j in act], field) != d:
             raise InternalInconsistencyError(
                 "double description produced a non-vertex point")
-    return verts, [frozenset(act) for act in actives]
+    return ([Vector(ops.vertex(z), field) for z in verts],
+            [frozenset(act) for act in actives])
+
+
+def _primitive(parts: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The integer ``parts`` of a homogeneous row divided by the gcd of all
+    their entries; ``h``, the last entry of the first part, must be positive."""
+    if parts[0][-1] <= 0:
+        raise InternalInconsistencyError(
+            "double description made a vertex with h <= 0")
+    g = gcd(*itertools.chain.from_iterable(parts))
+    return tuple(tuple(x // g for x in part) for part in parts)
+
+
+def _rational_edge(a_u: int, u: tuple, a_w: int, w: tuple) -> tuple:
+    return _primitive([[a_u * y - a_w * x for x, y in zip(u, w)]])[0]
+
+
+def _quad_values(p: tuple, verts: list) -> list[tuple[int, int]]:
+    pa, pb = p
+    return [(sum(map(mul, pa, za)) + 2 * sum(map(mul, pb, zb)),
+             sum(map(mul, pa, zb)) + sum(map(mul, pb, za))) for za, zb in verts]
+
+
+def _quad_sign(x: tuple[int, int]) -> int:
+    a, b = x
+    if a >= 0 and b >= 0:
+        return int(a > 0 or b > 0)
+    if a <= 0 and b <= 0:
+        return -1
+    # a + b r2 with a, b of opposite signs: a*a == 2*b*b is impossible
+    return (1 if a > 0 else -1) if a * a > 2 * b * b else (1 if b > 0 else -1)
+
+
+def _quad_edge(a_u: tuple, u: tuple, a_w: tuple, w: tuple) -> tuple:
+    # a_u = x + y r2 and a_w = s + t r2 multiply the rows u and w
+    (x, y), (s, t) = a_u, a_w
+    (ua, ub), (wa, wb) = u, w
+    na = [x * p + 2 * y * q - s * m - 2 * t * n for p, q, m, n in zip(wa, wb, ua, ub)]
+    nb = [x * q + y * p - s * n - t * m for p, q, m, n in zip(wa, wb, ua, ub)]
+    ha, hb = na[-1], nb[-1]
+    if hb:
+        # times the conjugate of h, negated when h has negative norm, so
+        # that h becomes the positive integer |ha^2 - 2 hb^2|
+        if ha * ha < 2 * hb * hb:
+            ha, hb = -ha, -hb
+        na, nb = ([p * ha - 2 * q * hb for p, q in zip(na, nb)],
+                  [q * ha - p * hb for p, q in zip(na, nb)])
+    return _primitive([na, nb])
+
+
+@dataclass(frozen=True)
+class _FieldOps:
+    """What double description does differently over each field.
+
+    ``entries(row, h)`` turns a cleared row and its homogenizing integer
+    into the row held while clipping; ``vertex`` turns a held vertex back
+    into field entries; ``values(p, verts)`` gives ``p.z`` at every held
+    vertex ``z``, ``sign`` the sign of one value, and ``edge(a_u, u, a_w,
+    w)`` the primitive row ``a_u w - a_w u`` on the edge uw.
+    """
+
+    entries: Callable
+    vertex: Callable
+    values: Callable
+    sign: Callable
+    edge: Callable
+
+
+# Over Q a held row is a tuple of ints.  Over Q(sqrt 2) it is the pair of
+# int tuples (a, b) of its entries a_i + b_i r2, and h is kept rational.
+_DD_OPS = {
+    FieldTag.RATIONAL: _FieldOps(
+        entries=lambda row, h: (*row, h),
+        vertex=lambda z: [Fraction(n, z[-1]) for n in z[:-1]],
+        values=lambda p, verts: [sum(map(mul, p, z)) for z in verts],
+        sign=lambda x: (x > 0) - (x < 0),
+        edge=_rational_edge),
+    FieldTag.QUAD_SQRT2: _FieldOps(
+        entries=lambda row, h: (tuple(x.a.numerator for x in row) + (h,),
+                                tuple(x.b.numerator for x in row) + (0,)),
+        vertex=lambda z: [QuadScalar(Fraction(a, z[0][-1]), Fraction(b, z[0][-1]))
+                          for a, b in zip(z[0][:-1], z[1])],
+        values=_quad_values,
+        sign=_quad_sign,
+        edge=_quad_edge),
+}
 
 
 def _row_max(rows: Sequence[tuple], point: tuple) -> tuple:
@@ -300,10 +410,10 @@ class Polytope:
             incidence.append(frozenset(tight))
         object.__setattr__(self, "vertex_active", tuple(incidence))
         object.__setattr__(self, "_cache", {})
-        if rank_of_vectors(list(vertices)) < d:
+        if _rank_of_lists(V, field) < d:
             raise NotFullDimensionalError("vertex set does not span")
         for i, v in enumerate(vertices):
-            if rank_of_vectors([functionals[j] for j in incidence[i]]) != d:
+            if _rank_of_lists([F[j] for j in incidence[i]], field) != d:
                 raise NotFullDimensionalError(
                     f"vertex {v} has active functionals of deficient rank")
 
@@ -363,7 +473,7 @@ class Polytope:
         cache = self._cache
         if "lattice" not in cache:
             cache["lattice"] = {
-                a: self.dim - rank_of_vectors([self.functionals[j] for j in a])
+                a: self.dim - _rank_of_lists([self.F[j] for j in a], self.field)
                 for a in intersection_closure(self.vertex_active)}
         return cache["lattice"]
 

@@ -182,7 +182,8 @@ def test_bareiss_rank_matches_gauss_jordan(field):
                       for j in range(cols)])
         expected = len(_reduce([list(row) for row in m], cols))
         assert expected <= r
-        assert _rank_of_lists(m, field) == expected
+        # the kernel takes cleared rows: over one scale here, row by row in rank
+        assert _rank_of_lists(clear_denominators(m, field)[0], field) == expected
         assert rank(Matrix(m, field)) == expected
 
 
@@ -191,8 +192,14 @@ def test_bareiss_rank_on_large_entries():
     big = 10 ** 40 + 7
     m = [[Fraction(big, 3), Fraction(1, big)], [Fraction(2 * big, 3), Fraction(2, big)],
          [Fraction(1, 7), Fraction(big)]]
-    assert _rank_of_lists(m, Q) == len(_reduce([list(row) for row in m], 2)) == 2
-    assert _rank_of_lists(m[:2], Q) == 1
+    cleared, _ = clear_denominators(m, Q)
+    assert _rank_of_lists(cleared, Q) == len(_reduce([list(row) for row in m], 2)) == 2
+    assert _rank_of_lists(cleared[:2], Q) == 1
+    assert rank(Matrix(m, Q)) == 2
+
+
+def test_bareiss_rank_of_no_rows():
+    assert _rank_of_lists([], Q) == _rank_of_lists([], K) == 0
 
 
 def qv(*entries):

@@ -408,6 +408,23 @@ def test_overlong_integer_is_validation_error(tmp_path, capsys, argv, message):
     assert err.startswith("validation error: ") and message in err
 
 
+@pytest.mark.parametrize("spec", ["ellinf:0", "ell1:07", "ell1:-1", "ell1:"])
+def test_invalid_builtin_spec_names_the_builtin_rule(tmp_path, capsys, monkeypatch, spec):
+    # no file of that name exists: say what a builtin spec needs, not Errno 2
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "op.json").write_text(json.dumps(
+        {"domain": spec, "codomain": "ell1:2", "matrix": [["1", "0"], ["0", "1"]]}),
+        encoding="utf-8")
+    message = (f"validation error: invalid builtin space spec {spec!r}: ell1:n and "
+               "ellinf:n need an integer n >= 1 with no leading zeros\n")
+    for argv in (["space", "info", spec], ["op", "order", "op.json"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
+    # a space file of that name is still read as a file
+    (tmp_path / spec).write_text(json.dumps(space_to_document(ell1(2))), encoding="utf-8")
+    assert main(["space", "info", spec]) == 0
+
+
 def test_file_not_in_utf8_is_validation_error(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"name": "\u00e9"}'.encode("latin-1"))

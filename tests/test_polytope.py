@@ -409,14 +409,26 @@ def test_dual_vertices_matches_brute_force():
     # and never rescans it; a wrong tight set breaks adjacency on later
     # insertions and misleads canonicalize, so both the vertex set and
     # each returned tight set are compared with a brute-force scan
-    for dim in (2, 3):
-        for seed in range(6):
+    for dim, seeds in ((2, 6), (3, 6), (4, 2)):
+        for seed in range(seeds):
             _check_against_brute_force(_degenerate_cloud(random.Random(f"dd:{dim}:{seed}"), dim))
     K = FieldTag.QUAD_SQRT2
+    # d = 1: the two vertices of a clipped segment share no constraint
+    assert _check_against_brute_force([qv(1), qv(-1), qv(2), qv(-2)]) == [
+        (Fraction(1, 2),), (Fraction(-1, 2),)]
+    line = [Vector([x], K) for x in (1, -1, QuadScalar(1, 1), QuadScalar(-1, -1))]
+    assert _check_against_brute_force(line) == [(QuadScalar(-1, 1),), (QuadScalar(1, -1),)]
     half = Fraction(1, 2)
     points = list(paper_example_space().ball.vertices) + [
         Vector(e, K) for p in ([half, 0, half], [0, half, half], [half, half, 0])
         for e in (p, [-x for x in p])]
+    assert len(_check_against_brute_force(points)) == 16
+    # +-(1+r2)/2 e_i: new vertices on edges have an irrational h until the
+    # conjugate step, and their integer parts a common factor
+    c = QuadScalar(half, half)
+    points = list(paper_example_space().ball.vertices) + [
+        Vector([c if j == i else 0 for j in range(3)], K).scale(sign)
+        for i in range(3) for sign in (1, -1)]
     assert len(_check_against_brute_force(points)) == 16
 
 

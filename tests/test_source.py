@@ -102,3 +102,21 @@ def test_oracle_reads_no_support_set():
             if used in banned:
                 found.append(f"{body.name}:{node.lineno}:{used}")
     assert found == [], found
+
+
+def test_double_description_clips_on_integers():
+    # dual_vertices clips on cleared integer rows: no field dot product,
+    # scaling or `field.one` anywhere in it, and no Vector built while
+    # inserting, so the insertion step never falls back to field arithmetic
+    tree = ast.parse((SOURCE / "polytope.py").read_text(encoding="utf-8"))
+    [body] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "dual_vertices"]
+    found = [f"{node.lineno}:{node.attr}" for node in ast.walk(body)
+             if isinstance(node, ast.Attribute) and (
+                 node.attr in ("dot", "scale")
+                 or (node.attr == "one" and getattr(node.value, "id", None) == "field"))]
+    loops = [node for node in ast.walk(body) if isinstance(node, (ast.For, ast.While))]
+    assert loops
+    found += [f"{node.lineno}:Vector" for loop in loops for node in ast.walk(loop)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Vector"]
+    assert found == [], found
