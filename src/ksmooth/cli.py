@@ -67,6 +67,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
+    return int(text)
+
+
 def _vector_list(vs: Sequence[Vector]) -> list[str]:
     return [str(v) for v in vs]
 
@@ -361,7 +367,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("selftest")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--cases", type=int, default=200)
+    p.add_argument("--cases", type=_positive_int, default=200)
     p.set_defaults(func=_cmd_selftest)
     return parser
 

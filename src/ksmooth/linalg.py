@@ -1,9 +1,10 @@
 """Exact vectors, matrices, rank, solving and independent subsets.
 
 ``clear_denominators`` is the one clearing routine: it scales a list of
-rows by one common positive integer so that every entry is integral
-(``int`` over the rationals, a ``QuadScalar`` with integer parts over
-Q(sqrt 2)).  The hot scans over a ball run on such rows: a dot product is
+rows by one common positive integer and keeps only integers: a row of
+``int``s over the rationals, the pair ``(a, b)`` of ``int`` tuples of a
+row ``a + b r2`` over Q(sqrt 2).  The hot scans over a ball run on such
+rows: a dot product is
 ``sum(map(mul, a, b))``, values are compared with each other, and at most
 one field scalar is built at the end (``from_cleared``).  Which rows are
 tight at a point is decided in :mod:`ksmooth.polytope` alone.
@@ -12,11 +13,11 @@ Rank uses fraction-free (Bareiss) elimination with full pivot search by
 a smallest-size heuristic; this bounds coefficient growth without
 affecting exactness.  The kernel ``_rank_of_lists`` runs on rows that are
 already cleared, and its callers clear: ``rank`` and ``rank_of_vectors``
-clear each row over its own scale, while :mod:`ksmooth.polytope` passes
-the rows it holds cleared.  Over the rationals it runs on Python ``int``s
-and every Bareiss division is an exact ``//``; over Q(sqrt 2) it divides
-in the field.  Every rank query recomputes from scratch: matrices here
-are tiny.
+clear once, while :mod:`ksmooth.polytope` passes the rows it holds
+cleared.  It runs on ``int``s over both fields, so every Bareiss division
+is an exact ``//``: over Q(sqrt 2), whose d-space is Q^2d, it halves the
+rank of the rows ``(a | b)`` and ``(2b | a)`` (the row times r2).  Every
+rank query recomputes from scratch: matrices here are tiny.
 
 Everything else runs on one Gauss-Jordan kernel: ``pivot_on`` is a single
 elimination step and ``_reduce`` brings rows to reduced row echelon form.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import floordiv, mul, truediv
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatchError, FieldMismatchError
@@ -199,9 +200,7 @@ class Matrix:
         return f"Matrix({[list(r) for r in self.row_data]!r}, {self.field.name})"
 
 
-def _scalar_size(x: Scalar | int) -> int:
-    if isinstance(x, int):
-        return x.bit_length()
+def _scalar_size(x: Scalar) -> int:
     if isinstance(x, Fraction):
         return x.numerator.bit_length() + x.denominator.bit_length()
     return (x.a.numerator.bit_length() + x.a.denominator.bit_length()
@@ -212,8 +211,8 @@ def clear_denominators(rows: Iterable[Sequence[Scalar]],
                        field: FieldTag) -> tuple[list[tuple], int]:
     """Integral rows over one common positive scale: ``rows == cleared / scale``.
 
-    Over the rationals the cleared entries are ``int``s; over Q(sqrt 2)
-    they are ``QuadScalar``s whose two parts are integers.
+    Over the rationals a cleared row is a tuple of ``int``s; over Q(sqrt 2)
+    it is the pair ``(a, b)`` of ``int`` tuples of the row ``a + b r2``.
     """
     rows = list(rows)
     if field is FieldTag.RATIONAL:
@@ -221,28 +220,28 @@ def clear_denominators(rows: Iterable[Sequence[Scalar]],
         return [tuple(x.numerator * (scale // x.denominator) for x in row)
                 for row in rows], scale
     scale = lcm(*{d for row in rows for x in row for d in (x.a.denominator, x.b.denominator)})
-    if scale == 1:
-        return [tuple(row) for row in rows], 1
-    return [tuple(QuadScalar(x.a * scale, x.b * scale) for x in row) for row in rows], scale
+    return [(tuple(x.a.numerator * (scale // x.a.denominator) for x in row),
+             tuple(x.b.numerator * (scale // x.b.denominator) for x in row))
+            for row in rows], scale
 
 
-def from_cleared(value: Scalar | int, scale: int, field: FieldTag) -> Scalar:
-    """The field scalar ``value / scale`` for a cleared ``value``."""
+def from_cleared(value: int | tuple[int, int], scale: int, field: FieldTag) -> Scalar:
+    """The field scalar ``value / scale`` for a cleared value (a pair over Q(sqrt 2))."""
     if field is FieldTag.RATIONAL:
         return Fraction(value, scale)
-    return QuadScalar(value.a / scale, value.b / scale)
+    return QuadScalar(Fraction(value[0], scale), Fraction(value[1], scale))
 
 
-def _rank_of_lists(rows: Sequence[Sequence[Scalar | int]], field: FieldTag) -> int:
+def _rank_of_lists(rows: Sequence[Sequence], field: FieldTag) -> int:
     """The rank of ``rows`` cleared of denominators (see
     ``clear_denominators``; each row may have its own scale), 0 for none."""
-    if not rows:
+    if field is FieldTag.RATIONAL:
+        work = [list(row) for row in rows]
+    else:
+        # the Q(sqrt 2)-span of rows a + b r2 is the Q-span of (a | b), (2b | a)
+        work = [r for a, b in rows for r in ([*a, *b], [*(2 * y for y in b), *a])]
+    if not work:
         return 0
-    work = [list(row) for row in rows]
-    # integer Bareiss divisions are exact; over Q(sqrt 2) they stay field divisions
-    rational = field is FieldTag.RATIONAL
-    div = floordiv if rational else truediv
-    size_of = int.bit_length if rational else _scalar_size
     nr, nc = len(work), len(work[0])
     prev = 1
     rank = 0
@@ -252,7 +251,7 @@ def _rank_of_lists(rows: Sequence[Sequence[Scalar | int]], field: FieldTag) -> i
             for j in range(step, nc):
                 x = work[i][j]
                 if x:
-                    size = size_of(x)
+                    size = x.bit_length()
                     if best is None or size < best[0]:
                         best = (size, i, j)
         if best is None:
@@ -270,27 +269,24 @@ def _rank_of_lists(rows: Sequence[Sequence[Scalar | int]], field: FieldTag) -> i
             factor = row[step]
             for j in range(step + 1, nc):
                 value = pivot * row[j] - factor * pivot_row[j]
-                row[j] = div(value, prev) if step else value  # prev is 1 at step 0
+                # integer Bareiss divisions are exact; prev is 1 at step 0
+                row[j] = value // prev if step else value
             row[step] = 0
         prev = pivot
         rank += 1
-    return rank
-
-
-def _rank_of_rows(rows: Sequence[Sequence[Scalar]], field: FieldTag) -> int:
-    # each row over its own scale: the rank is the same, the entries smaller
-    return _rank_of_lists([clear_denominators([row], field)[0][0] for row in rows], field)
+    return rank if field is FieldTag.RATIONAL else rank // 2
 
 
 def rank(m: Matrix) -> int:
     """Exact rank by fraction-free elimination."""
-    return _rank_of_rows(m.row_data, m.field)
+    return _rank_of_lists(clear_denominators(m.row_data, m.field)[0], m.field)
 
 
 def rank_of_vectors(vs: Sequence[Vector]) -> int:
     if not vs:
         return 0
-    return _rank_of_rows([v.entries for v in vs], vs[0].field)
+    return _rank_of_lists(clear_denominators((v.entries for v in vs), vs[0].field)[0],
+                          vs[0].field)
 
 
 def pivot_on(rows: list[list[Scalar]], r: int, c: int) -> None:

@@ -11,16 +11,15 @@ of the polar dual, and ``dual_vertices`` computes one tuple from the other.
 (Fukuda & Prodon, 1996): start from the parallelotope cut out by the
 first d independent +/- constraint pairs, its 2^d corners solved in one
 reduction, then clip with the remaining halfspaces in input order.  It
-clips on integers.  The input points are cleared once to rows ``P`` over
-a scale ``s``, and each vertex ``v = N / h`` is held as its primitive
-homogeneous row ``(N, h)``: integer parts with no common factor and
-``h`` a positive integer.  The sign of ``p.v - 1`` is then the sign of
-``P.N - s h``, and the new vertex on an edge is an integer combination of
-its ends divided by a gcd.  Over Q(sqrt 2) an entry is a pair of integers
-``a + b r2`` and ``h`` is made rational by multiplying with its
-conjugate, so the primitive row is unique there too; it is the key that
-merges a vertex reached from two edges.  Field vectors are built only
-for the vertices returned.  Vertex adjacency during clipping is decided
+clips on integers: the points are cleared once to rows ``P`` over a scale
+``s``, each vertex ``v = N / h`` is held as its primitive homogeneous row
+``(N, h)`` (no common factor, ``h`` a positive integer), the sign of
+``p.v - 1`` is the sign of ``P.N - s h``, and the new vertex on an edge
+is an integer combination of its ends divided by a gcd.  Over Q(sqrt 2)
+``h`` is made rational by multiplying with its conjugate, so the
+primitive row is unique there too; it is the key that merges a vertex
+reached from two edges.  Field vectors are built only for the vertices
+returned.  Vertex adjacency during clipping is decided
 exactly: two vertices are adjacent iff their common active constraints
 have rank d-1 (ranked on the rows of ``P``), which is valid for
 degenerate polytopes as well.  It returns each vertex with its tight set
@@ -38,16 +37,16 @@ section of a ball by a subspace is never built as a ``Polytope``:
 ``faces_meeting`` reads the faces met from one pass's tight sets.
 
 A ``Polytope`` also holds both tuples cleared of denominators, which no
-other module reads: the facet functionals as integer rows ``F`` over one
-positive scale ``D`` and the vertices as ``V`` over ``E`` (see
-``linalg.clear_denominators``).  One kernel, ``_row_max``, finds the rows
-tight at a cleared point by integer dot products.  ``Polytope.__init__``
-runs it on the rows of ``V`` and ranks each vertex's tight rows of ``F``,
-a check independent of double description's bookkeeping, and the face
-lattice ranks rows of ``F`` too; ``_tight``, behind
-``facets_at`` and ``vertices_at``, clears a point once and returns the
-maximum as a field scalar; ``image_gauge_max``, the operators' attainment
-scan, also returns the target facets tight at each attaining image.
+other module reads: the facet functionals as rows ``F`` over one positive
+scale ``D`` and the vertices as ``V`` over ``E``, in the one integer
+format of ``linalg.clear_denominators``, and every reader goes through
+the field table ``_FIELD_OPS``.  The kernel ``_row_max`` finds the rows
+tight at a cleared point.  ``Polytope.__init__`` runs it at the rows of
+``V`` and ranks each vertex's tight rows of ``F``, a check independent of
+double description, and the face lattice ranks rows of ``F`` too;
+``_tight``, behind ``facets_at`` and ``vertices_at``, clears a point and
+returns the maximum as a field scalar; ``image_gauge_max``, the
+operators' attainment scan, runs it at each integer image ``An V_k``.
 
 Faces are keyed by their full active set (the maximal set of facets
 containing them); the dimension of the face with active set A is
@@ -61,6 +60,7 @@ import itertools
 import os
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -188,17 +188,15 @@ def dual_vertices(points: Sequence[Vector]) -> tuple[list[Vector], list[frozense
 
     The input must be symmetric and span the ambient space (otherwise the
     polar is unbounded).  Insertion order is the input order, so the
-    output order is deterministic.  Clipping runs on integers: the points
-    are cleared once to rows ``P`` over a scale ``s`` and each vertex
-    ``v = N / h`` is held as its primitive homogeneous row ``(N, h)``, so
-    the sign of ``p.v - 1`` is the sign of ``P.N - s h``.
+    output order is deterministic.  Clipping runs on cleared integer rows
+    (see the module docstring).
     """
     if not points:
         raise NotFullDimensionalError("empty point set")
     field = points[0].field
     d = points[0].dim
     negation = _negation_index(points)
-    ops = _DD_OPS[field]
+    ops = _FIELD_OPS[field]
 
     init = greedy_independent_subset(points)
     if len(init) < d:
@@ -295,12 +293,10 @@ def _quad_values(p: tuple, verts: list) -> list[tuple[int, int]]:
 
 def _quad_sign(x: tuple[int, int]) -> int:
     a, b = x
-    if a >= 0 and b >= 0:
-        return int(a > 0 or b > 0)
-    if a <= 0 and b <= 0:
-        return -1
-    # a + b r2 with a, b of opposite signs: a*a == 2*b*b is impossible
-    return (1 if a > 0 else -1) if a * a > 2 * b * b else (1 if b > 0 else -1)
+    # a + b r2 has the sign of the larger of a and b r2 in absolute value;
+    # r2 is irrational, so a*a == 2*b*b only when both are 0
+    s = a if a * a > 2 * b * b else b
+    return (s > 0) - (s < 0)
 
 
 def _quad_edge(a_u: tuple, u: tuple, a_w: tuple, w: tuple) -> tuple:
@@ -322,47 +318,54 @@ def _quad_edge(a_u: tuple, u: tuple, a_w: tuple, w: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class _FieldOps:
-    """What double description does differently over each field.
+    """What the readers of cleared rows do differently over each field.
 
-    ``entries(row, h)`` turns a cleared row and its homogenizing integer
-    into the row held while clipping; ``vertex`` turns a held vertex back
-    into field entries; ``values(p, verts)`` gives ``p.z`` at every held
-    vertex ``z``, ``sign`` the sign of one value, and ``edge(a_u, u, a_w,
-    w)`` the primitive row ``a_u w - a_w u`` on the edge uw.
+    ``entries(row, h)`` appends a homogenizing integer to a cleared row;
+    ``vertex`` turns a homogeneous row back into field entries;
+    ``values(p, rows)`` gives the value ``p.z`` at every row ``z``, and
+    ``row`` turns a list of values into a row; ``sign`` and ``max`` order
+    values; ``edge(a_u, u, a_w, w)`` is the primitive row ``a_u w - a_w u``.
     """
 
     entries: Callable
     vertex: Callable
     values: Callable
+    row: Callable
     sign: Callable
+    max: Callable
     edge: Callable
 
 
-# Over Q a held row is a tuple of ints.  Over Q(sqrt 2) it is the pair of
-# int tuples (a, b) of its entries a_i + b_i r2, and h is kept rational.
-_DD_OPS = {
+# Over Q a row is a tuple of ints, a value an int.  Over Q(sqrt 2) a row is
+# the pair of int tuples (a, b), a value the pair (a, b); h is kept rational.
+_FIELD_OPS = {
     FieldTag.RATIONAL: _FieldOps(
         entries=lambda row, h: (*row, h),
         vertex=lambda z: [Fraction(n, z[-1]) for n in z[:-1]],
-        values=lambda p, verts: [sum(map(mul, p, z)) for z in verts],
+        values=lambda p, rows: [sum(map(mul, p, z)) for z in rows],
+        row=tuple,
         sign=lambda x: (x > 0) - (x < 0),
+        max=max,
         edge=_rational_edge),
     FieldTag.QUAD_SQRT2: _FieldOps(
-        entries=lambda row, h: (tuple(x.a.numerator for x in row) + (h,),
-                                tuple(x.b.numerator for x in row) + (0,)),
+        entries=lambda row, h: ((*row[0], h), (*row[1], 0)),
         vertex=lambda z: [QuadScalar(Fraction(a, z[0][-1]), Fraction(b, z[0][-1]))
                           for a, b in zip(z[0][:-1], z[1])],
         values=_quad_values,
+        row=lambda values: tuple(zip(*values)),
         sign=_quad_sign,
+        max=lambda values: reduce(
+            lambda x, y: y if _quad_sign((y[0] - x[0], y[1] - x[1])) > 0 else x, values),
         edge=_quad_edge),
 }
 
 
-def _row_max(rows: Sequence[tuple], point: tuple) -> tuple:
+def _row_max(rows: Sequence[tuple], point: tuple, field: FieldTag) -> tuple:
     """The largest integer dot product of the cleared ``rows`` with the
     cleared ``point``, and the indices of the rows attaining it."""
-    values = [sum(map(mul, row, point)) for row in rows]
-    top = max(values)
+    ops = _FIELD_OPS[field]
+    values = ops.values(point, rows)
+    top = ops.max(values)
     return top, [j for j, value in enumerate(values) if value == top]
 
 
@@ -371,19 +374,13 @@ def _tight(rows: Sequence[tuple], scale: int, x: Vector) -> tuple[Scalar, list[i
     scalar, and the indices of the rows attaining it: ``x`` is cleared once
     and only the maximum of ``_row_max`` becomes a field scalar."""
     [cleared], e = clear_denominators([x.entries], x.field)
-    top, tight = _row_max(rows, cleared)
+    top, tight = _row_max(rows, cleared, x.field)
     return from_cleared(top, scale * e, x.field), tight
 
 
 class Polytope:
-    """Immutable vertices and facet functionals with eager vertex-facet incidence.
-
-    Both tuples are also held cleared of denominators: the facet
-    functionals as the integral rows ``F`` over one positive scale ``D``
-    (``functionals[j] == F[j] / D``) and the vertices as ``V`` over ``E``.
-    ``facets_at`` and ``vertices_at`` scan them, and the incidence
-    ``vertex_active`` is read from ``F`` at every row of ``V``.
-    """
+    """Immutable vertices and facet functionals with eager vertex-facet
+    incidence, also held cleared: ``functionals == F / D``, ``vertices == V / E``."""
 
     __slots__ = ("dim", "field", "vertices", "functionals", "F", "D", "V", "E",
                  "vertex_active", "_cache")
@@ -399,13 +396,15 @@ class Polytope:
                             ("functionals", functionals), ("F", tuple(F)), ("D", D),
                             ("V", tuple(V)), ("E", E)):
             object.__setattr__(self, name, value)
+        ops = _FIELD_OPS[field]
+        rows = [ops.entries(row, -D) for row in F]  # f_j(v_k) - 1 = (F_j.V_k - D E) / D E
         incidence = []
         for v, row in zip(vertices, V):
-            top, tight = _row_max(F, row)  # f_j(v) = F_j . V_k / (D E)
-            if top > D * E:
+            top, tight = _row_max(rows, ops.entries(row, E), field)
+            if ops.sign(top) > 0:
                 raise OriginNotInteriorError(
                     f"vertex {v} violates functional {functionals[tight[0]]}")
-            if top != D * E:
+            if ops.sign(top):
                 raise NotOnBoundaryError(f"vertex {v} is not on the boundary")
             incidence.append(frozenset(tight))
         object.__setattr__(self, "vertex_active", tuple(incidence))
@@ -434,17 +433,16 @@ class Polytope:
         ``v_k``, for the matrix ``A`` with the given rows, and each attaining
         ``k`` mapped to the ``target`` facets attaining it at ``A v_k``.
 
-        With ``A`` cleared to ``An`` over ``a``, ``G = target.F An`` is formed
-        once; the integers ``G_j . V_k`` give both the maximum, one quotient
-        by ``target.D * a * E``, and the tight facets, with no second scan.
+        With ``A`` cleared to ``An`` over ``a``, ``_row_max`` of ``target.F``
+        at each cleared image ``An V_k`` gives its largest value and tight
+        facets; the maximum over ``k`` is one quotient by ``target.D * a * E``.
         """
+        ops = _FIELD_OPS[self.field]
         an, scale = clear_denominators(rows, self.field)
-        g = [[sum(map(mul, f, column)) for column in zip(*an)] for f in target.F]
-        values = [[sum(map(mul, row, v)) for row in g] for v in self.V]
-        top = max(map(max, values))
+        scans = [_row_max(target.F, ops.row(ops.values(v, an)), self.field) for v in self.V]
+        top = ops.max([value for value, _ in scans])
         return (from_cleared(top, target.D * scale * self.E, self.field),
-                {k: [j for j, value in enumerate(row_values) if value == top]
-                 for k, row_values in enumerate(values) if top in row_values})
+                {k: tight for k, (value, tight) in enumerate(scans) if value == top})
 
     @classmethod
     def from_vertices(cls, points: Sequence[Vector]) -> "Polytope":

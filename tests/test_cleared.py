@@ -1,9 +1,9 @@
 """The integer-cleared scans against the Fraction formulas they replace.
 
 Every scan over a ball (norm, support set, minimal face, attainment) and
-the rational Bareiss rank runs on rows cleared of denominators.  The
-reference route here is the plain field arithmetic of ``Vector.dot`` and
-the Gauss-Jordan kernel."""
+the Bareiss rank runs on rows cleared of denominators, which hold only
+``int``s over both fields.  The reference route here is the plain field
+arithmetic of ``Vector.dot`` and the Gauss-Jordan kernel."""
 
 import random
 from fractions import Fraction
@@ -76,6 +76,15 @@ def probe_points(rng, space):
     return [p for p in points if not p.is_zero()]
 
 
+def cleared_values(crow, field):
+    """The entries of a cleared row: ``int``s over Q, ``(a, b)`` pairs over Q(sqrt 2)."""
+    if field is Q:
+        return list(crow)
+    a, b = crow
+    assert len(a) == len(b)
+    return list(zip(a, b))
+
+
 @pytest.mark.parametrize("field", [Q, K], ids=["rational", "quadratic"])
 def test_clear_denominators_round_trip(field):
     rng = random.Random(2)
@@ -85,20 +94,19 @@ def test_clear_denominators_round_trip(field):
         cleared, scale = clear_denominators(rows, field)
         assert scale >= 1
         for row, crow in zip(rows, cleared):
-            assert [from_cleared(c, scale, field) for c in crow] == row
-            if field is Q:
-                assert all(type(c) is int for c in crow)
-            else:
-                assert all(c.a.denominator == 1 and c.b.denominator == 1 for c in crow)
+            values = cleared_values(crow, field)
+            assert [from_cleared(c, scale, field) for c in values] == row
+            ints = values if field is Q else [x for pair in values for x in pair]
+            assert all(type(x) is int for x in ints)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=IDS)
 def test_ball_holds_its_cleared_rows(space):
     ball, field = space.ball, space.field
-    assert [[from_cleared(e, ball.D, field) for e in row] for row in ball.F] == \
-        [list(f.entries) for f in ball.functionals]
-    assert [[from_cleared(e, ball.E, field) for e in row] for row in ball.V] == \
-        [list(v.entries) for v in ball.vertices]
+    assert [[from_cleared(e, ball.D, field) for e in cleared_values(row, field)]
+            for row in ball.F] == [list(f.entries) for f in ball.functionals]
+    assert [[from_cleared(e, ball.E, field) for e in cleared_values(row, field)]
+            for row in ball.V] == [list(v.entries) for v in ball.vertices]
     reference = tuple(frozenset(j for j, f in enumerate(ball.functionals)
                                 if f.dot(v) == field.one) for v in ball.vertices)
     assert ball.vertex_active == reference
@@ -177,7 +185,11 @@ def test_bareiss_rank_matches_gauss_jordan(field):
         gens = [[rand_scalar(rng, field) for _ in range(cols)] for _ in range(r)]
         m = []
         for _ in range(rows):
-            coeffs = [field.from_int(rng.randint(-2, 2)) for _ in range(r)]
+            # coefficients from the field itself: over Q(sqrt 2) a row may be
+            # r2 times another, which the rational rank of (a | b) misses
+            coeffs = [field.from_int(rng.randint(-2, 2)) if field is Q
+                      else QuadScalar(rng.randint(-2, 2), rng.randint(-1, 1))
+                      for _ in range(r)]
             m.append([sum((c * g[j] for c, g in zip(coeffs, gens)), field.zero)
                       for j in range(cols)])
         expected = len(_reduce([list(row) for row in m], cols))
@@ -185,6 +197,16 @@ def test_bareiss_rank_matches_gauss_jordan(field):
         # the kernel takes cleared rows: over one scale here, row by row in rank
         assert _rank_of_lists(clear_denominators(m, field)[0], field) == expected
         assert rank(Matrix(m, field)) == expected
+
+
+def test_bareiss_rank_of_rows_r2_apart():
+    # (r2, 2) = r2 (1, r2): rank 1 over Q(sqrt 2), though the rows (a | b)
+    # alone, (1, 0 | 0, 1) and (0, 2 | 1, 0), are rationally independent
+    r2 = QuadScalar(0, 1)
+    m = [[QuadScalar(1), r2], [r2, QuadScalar(2)]]
+    assert _rank_of_lists(clear_denominators(m, K)[0], K) == 1
+    assert rank(Matrix(m, K)) == 1
+    assert rank(Matrix([[QuadScalar(1), r2], [r2, QuadScalar(1)]], K)) == 2
 
 
 def test_bareiss_rank_on_large_entries():
@@ -238,3 +260,28 @@ def test_polytope_rejects_vertex_inside():
         Polytope((qv(1, 0), qv(Fraction(1, 2), 0)), CROSS_FUNCTIONALS)
     with pytest.raises(NotOnBoundaryError):
         Polytope((kv(QuadScalar(0, Fraction(1, 2)), 0),), (kv(1, 0), kv(-1, 0)))
+
+
+# 2 - r2/2 > 1 > 3/2 - r2/2, and both differences from 1 have parts of
+# opposite signs, so the Z[sqrt 2] order decides them by a*a against 2*b*b
+ABOVE = QuadScalar(2, Fraction(-1, 2))
+BELOW = QuadScalar(Fraction(3, 2), Fraction(-1, 2))
+K_CROSS = (kv(1, 0), kv(-1, 0), kv(0, 1), kv(0, -1))
+
+
+def test_quadratic_polytope_rejects_by_mixed_sign_values():
+    with pytest.raises(OriginNotInteriorError, match=r"violates functional \(1,0\)"):
+        Polytope((kv(ABOVE, 0), kv(-ABOVE, 0), kv(0, 1), kv(0, -1)), K_CROSS)
+    with pytest.raises(NotOnBoundaryError, match=r"is not on the boundary"):
+        Polytope((kv(BELOW, 0), kv(-BELOW, 0), kv(0, 1), kv(0, -1)), K_CROSS)
+
+
+def test_norm_between_mixed_sign_facet_values():
+    space = ellinf(2, K)
+    one = space.field.one
+    for x, top in ((kv(1, ABOVE), ABOVE), (kv(ABOVE, 1), ABOVE),
+                   (kv(1, BELOW), one), (kv(BELOW, 1), one), (kv(-ABOVE, -1), ABOVE)):
+        assert norm(space, x) == top == reference_norm(space, x)
+        value, tight = space.ball.facets_at(x)
+        assert value == top
+        assert tight == [j for j, f in enumerate(space.ball.functionals) if f.dot(x) == top]

@@ -497,6 +497,15 @@ def test_bundled_sample_operators(capsys):
     assert "extreme contraction: yes" in out
 
 
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_selftest_rejects_cases_below_one(capsys, cases):
+    # no case count below 1 runs: zero or negative checks must not read PASS
+    assert main(["selftest", "--cases", cases]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: argument --cases:")
+
+
 def test_selftest_smoke(capsys):
     code = main(["selftest", "--seed", "7", "--cases", "4"])
     out = capsys.readouterr().out

@@ -120,3 +120,35 @@ def test_double_description_clips_on_integers():
     found += [f"{node.lineno}:Vector" for loop in loops for node in ast.walk(loop)
               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Vector"]
     assert found == [], found
+
+
+def _function(tree, name, owner=None):
+    scope = tree.body
+    if owner:
+        [cls] = [node for node in scope if isinstance(node, ast.ClassDef) and node.name == owner]
+        scope = cls.body
+    [body] = [node for node in scope if isinstance(node, ast.FunctionDef) and node.name == name]
+    return body
+
+
+def test_cleared_kernels_stay_on_integers():
+    # the rank kernel and the tight-row scans read only cleared integer rows:
+    # no field scalar, field division or field-entry size inside them, and
+    # the Q(sqrt 2) rank runs the same loop once, not by calling itself
+    # (`bench/spans.py` wraps `_rank_of_lists`, so a recursive call counts twice)
+    linalg = ast.parse((SOURCE / "linalg.py").read_text(encoding="utf-8"))
+    polytope = ast.parse((SOURCE / "polytope.py").read_text(encoding="utf-8"))
+    bodies = [_function(linalg, "_rank_of_lists"), _function(polytope, "_row_max"),
+              _function(polytope, "image_gauge_max", owner="Polytope")]
+    banned = {"QuadScalar", "truediv", "_scalar_size"}
+    found = []
+    for body in bodies:
+        for node in ast.walk(body):
+            used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if used in banned:
+                found.append(f"{body.name}:{node.lineno}:{used}")
+    found += [f"_rank_of_lists:{node.lineno}:recursion" for node in ast.walk(bodies[0])
+              if isinstance(node, ast.Call)
+              and "_rank_of_lists" in (getattr(node.func, "id", None),
+                                       getattr(node.func, "attr", None))]
+    assert found == [], found
