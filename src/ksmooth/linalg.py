@@ -1,30 +1,19 @@
 """Exact vectors, matrices, rank, solving and independent subsets.
 
-``clear_denominators`` is the one clearing routine: it scales a list of
-rows by one common positive integer and keeps only integers: a row of
-``int``s over the rationals, the pair ``(a, b)`` of ``int`` tuples of a
-row ``a + b r2`` over Q(sqrt 2).  The hot scans over a ball run on such
-rows: a dot product is
-``sum(map(mul, a, b))``, values are compared with each other, and at most
-one field scalar is built at the end (``from_cleared``).  Which rows are
-tight at a point is decided in :mod:`ksmooth.polytope` alone.
+``clear_denominators`` scales rows by one common positive integer and
+keeps only integers: a row of ``int``s over the rationals, the pair
+``(a, b)`` of ``int`` tuples of a row ``a + b r2`` over Q(sqrt 2).  The hot
+scans over a ball run on such rows, where a dot product is
+``sum(map(mul, a, b))``, and build at most one field scalar at the end
+(``from_cleared``); which rows are tight is decided in :mod:`ksmooth.polytope`.
 
-Rank uses fraction-free (Bareiss) elimination with full pivot search by
-a smallest-size heuristic; this bounds coefficient growth without
-affecting exactness.  The kernel ``_rank_of_lists`` runs on rows that are
-already cleared, and its callers clear: ``rank`` and ``rank_of_vectors``
-clear once, while :mod:`ksmooth.polytope` passes the rows it holds
-cleared.  It runs on ``int``s over both fields, so every Bareiss division
-is an exact ``//``: over Q(sqrt 2), whose d-space is Q^2d, it halves the
-rank of the rows ``(a | b)`` and ``(2b | a)`` (the row times r2).  Every
-rank query recomputes from scratch: matrices here are tiny.
-
-Everything else runs on one Gauss-Jordan kernel: ``pivot_on`` is a single
-elimination step and ``_reduce`` brings rows to reduced row echelon form.
-``solve``, ``nullspace``, ``greedy_independent_subset`` and the simplex
-pivots of :mod:`ksmooth.lp` all go through it; ``solve`` reduces a matrix
-once for all its right-hand sides.  Rank stays on Bareiss, which is
-faster on the shapes used here.
+Rank, ``solve``, ``nullspace`` and ``greedy_independent_subset`` run on
+one fraction-free kernel on ``int`` rows, ``_eliminate``, fed by
+``_reduced``; ``_rank_of_lists`` is the rank front on cleared rows.  A
+solution entry is one ``Fraction`` over the kernel's ``det``, built at the
+end; as the reduced row echelon form is unique, every result is the one
+Gauss-Jordan in field arithmetic gives.  Matrices here are tiny: every
+query recomputes from scratch.
 """
 
 from __future__ import annotations
@@ -200,11 +189,17 @@ class Matrix:
         return f"Matrix({[list(r) for r in self.row_data]!r}, {self.field.name})"
 
 
-def _scalar_size(x: Scalar) -> int:
-    if isinstance(x, Fraction):
-        return x.numerator.bit_length() + x.denominator.bit_length()
-    return (x.a.numerator.bit_length() + x.a.denominator.bit_length()
-            + x.b.numerator.bit_length() + x.b.denominator.bit_length())
+def _denominators(row: Sequence[Scalar], field: FieldTag) -> list[int]:
+    if field is FieldTag.RATIONAL:
+        return [x.denominator for x in row]
+    return [d for x in row for d in (x.a.denominator, x.b.denominator)]
+
+
+def _scaled(row: Sequence[Scalar], scale: int, field: FieldTag) -> tuple:
+    if field is FieldTag.RATIONAL:
+        return tuple(x.numerator * (scale // x.denominator) for x in row)
+    return (tuple(x.a.numerator * (scale // x.a.denominator) for x in row),
+            tuple(x.b.numerator * (scale // x.b.denominator) for x in row))
 
 
 def clear_denominators(rows: Iterable[Sequence[Scalar]],
@@ -215,14 +210,13 @@ def clear_denominators(rows: Iterable[Sequence[Scalar]],
     it is the pair ``(a, b)`` of ``int`` tuples of the row ``a + b r2``.
     """
     rows = list(rows)
-    if field is FieldTag.RATIONAL:
-        scale = lcm(*{x.denominator for row in rows for x in row})
-        return [tuple(x.numerator * (scale // x.denominator) for x in row)
-                for row in rows], scale
-    scale = lcm(*{d for row in rows for x in row for d in (x.a.denominator, x.b.denominator)})
-    return [(tuple(x.a.numerator * (scale // x.a.denominator) for x in row),
-             tuple(x.b.numerator * (scale // x.b.denominator) for x in row))
-            for row in rows], scale
+    scale = lcm(*{d for row in rows for d in _denominators(row, field)})
+    return [_scaled(row, scale, field) for row in rows], scale
+
+
+def _cleared_rows(rows: Iterable[Sequence[Scalar]], field: FieldTag) -> list[tuple]:
+    """Each row cleared on its own scale, which changes no span and no solution."""
+    return [_scaled(row, lcm(*_denominators(row, field)), field) for row in rows]
 
 
 def from_cleared(value: int | tuple[int, int], scale: int, field: FieldTag) -> Scalar:
@@ -232,97 +226,92 @@ def from_cleared(value: int | tuple[int, int], scale: int, field: FieldTag) -> S
     return QuadScalar(Fraction(value[0], scale), Fraction(value[1], scale))
 
 
-def _rank_of_lists(rows: Sequence[Sequence], field: FieldTag) -> int:
-    """The rank of ``rows`` cleared of denominators (see
-    ``clear_denominators``; each row may have its own scale), 0 for none."""
-    if field is FieldTag.RATIONAL:
-        work = [list(row) for row in rows]
-    else:
-        # the Q(sqrt 2)-span of rows a + b r2 is the Q-span of (a | b), (2b | a)
-        work = [r for a, b in rows for r in ([*a, *b], [*(2 * y for y in b), *a])]
-    if not work:
-        return 0
-    nr, nc = len(work), len(work[0])
+def _eliminate(rows: list[Sequence[int]], ncols: int, full: bool) -> tuple[list[int], int]:
+    """Fraction-free elimination of ``int`` rows; returns the pivot columns
+    and the last pivot ``det``.  Pivots go column by column through the
+    first ``ncols`` columns, each on the unused row whose entry there has the
+    smallest nonzero bit length; pivot ``k`` ends in row ``k``.  A step maps
+    a row ``x`` to ``(p * x - f * y) // prev``, with ``y`` the pivot row,
+    ``p`` its pivot, ``f`` the entry of ``x`` under it and ``prev`` the pivot
+    before; the division is exact (Bareiss, 1968).  Forward-only this leaves
+    an echelon form; ``full`` also clears above each pivot, which leaves
+    ``det`` times the reduced row echelon form (Nakos, Turner & Williams,
+    1997).  Rows are swapped and replaced in ``rows``, never changed.
+    """
+    pivot_cols: list[int] = []
+    nr = len(rows)
     prev = 1
-    rank = 0
-    for step in range(min(nr, nc)):
-        best = None
-        for i in range(step, nr):
-            for j in range(step, nc):
-                x = work[i][j]
-                if x:
-                    size = x.bit_length()
-                    if best is None or size < best[0]:
-                        best = (size, i, j)
-        if best is None:
+    for c in range(ncols):
+        r = len(pivot_cols)
+        if r == nr:
             break
-        _, pi, pj = best
-        if pi != step:
-            work[step], work[pi] = work[pi], work[step]
-        if pj != step:
-            for row in work:
-                row[step], row[pj] = row[pj], row[step]
-        pivot_row = work[step]
-        pivot = pivot_row[step]
-        for i in range(step + 1, nr):
-            row = work[i]
-            factor = row[step]
-            for j in range(step + 1, nc):
-                value = pivot * row[j] - factor * pivot_row[j]
-                # integer Bareiss divisions are exact; prev is 1 at step 0
-                row[j] = value // prev if step else value
-            row[step] = 0
-        prev = pivot
-        rank += 1
-    return rank if field is FieldTag.RATIONAL else rank // 2
+        best, size = -1, 0
+        for i in range(r, nr):
+            x = rows[i][c]
+            if x and (best < 0 or x.bit_length() < size):
+                best, size = i, x.bit_length()
+        if best < 0:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        for i in range(0 if full else r + 1, nr):
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
+            elif i != r and p != prev:
+                rows[i] = [p * x // prev for x in rows[i]]
+        prev = p
+        pivot_cols.append(c)
+    return pivot_cols, prev
+
+
+def _reduced(rows: Sequence[tuple], field: FieldTag, width: int,
+             full: bool) -> tuple[list[list[int]], list[int], int]:
+    """``_eliminate`` on cleared rows whose first ``width`` entries multiply
+    the unknowns, the rest being right-hand sides; returns the reduced rows,
+    the pivot unknowns and ``det``.  Over Q(sqrt 2) a row ``a + b r2`` times
+    ``x1 + x2 r2`` is two rational rows on interleaved unknown columns
+    ``(x1_j, x2_j)``, ``(a_j, 2 b_j)`` then ``a``'s right-hand sides and
+    ``(b_j, a_j)`` then ``b``'s; pivot columns come in pairs, as a span is
+    closed under r2.
+    """
+    if field is FieldTag.RATIONAL:
+        work = list(rows)
+        return (work, *_eliminate(work, width, full))
+    work = []
+    for a, b in rows:
+        pairs = list(zip(a[:width], b[:width]))
+        work.append([y for p, q in pairs for y in (p, 2 * q)] + list(a[width:]))
+        work.append([y for p, q in pairs for y in (q, p)] + list(b[width:]))
+    pivot_cols, det = _eliminate(work, 2 * width, full)
+    return work, [c // 2 for c in pivot_cols[::2]], det
+
+
+def _entry(rows: list[list[int]], k: int, col: int, field: FieldTag) -> int | tuple[int, int]:
+    """The cleared value in ``int`` column ``col`` of ``_reduced``'s pivot unknown ``k``."""
+    if field is FieldTag.RATIONAL:
+        return rows[k][col]
+    return rows[2 * k][col], rows[2 * k + 1][col]
+
+
+def _rank_of_lists(rows: Sequence[Sequence], field: FieldTag) -> int:
+    """The rank of cleared ``rows``, each over any scale; 0 for none."""
+    if not rows:
+        return 0
+    return len(_reduced(rows, field, len(rows[0] if field is FieldTag.RATIONAL else rows[0][0]),
+                        False)[1])
 
 
 def rank(m: Matrix) -> int:
     """Exact rank by fraction-free elimination."""
-    return _rank_of_lists(clear_denominators(m.row_data, m.field)[0], m.field)
+    return _rank_of_lists(_cleared_rows(m.row_data, m.field), m.field)
 
 
 def rank_of_vectors(vs: Sequence[Vector]) -> int:
     if not vs:
         return 0
-    return _rank_of_lists(clear_denominators((v.entries for v in vs), vs[0].field)[0],
-                          vs[0].field)
-
-
-def pivot_on(rows: list[list[Scalar]], r: int, c: int) -> None:
-    """One Gauss-Jordan step in place: scale row ``r`` to a unit pivot in
-    column ``c``, then clear column ``c`` from every other row, skipping
-    the columns where row ``r`` is zero."""
-    pivot = rows[r][c]
-    rows[r] = [x / pivot for x in rows[r]]
-    for i in range(len(rows)):
-        if i != r and rows[i][c]:
-            factor = rows[i][c]
-            rows[i] = [x - factor * y if y else x for x, y in zip(rows[i], rows[r])]
-
-
-def _reduce(rows: list[list[Scalar]], ncols: int) -> list[int]:
-    """Bring ``rows`` to reduced row echelon form in place, pivoting only in
-    the first ``ncols`` columns; returns the pivot columns in order.
-
-    In each column the pivot is the nonzero entry of smallest size among
-    the rows not yet used, the first such row on ties.
-    """
-    pivot_cols: list[int] = []
-    nr = len(rows)
-    for c in range(ncols):
-        r = len(pivot_cols)
-        if r == nr:
-            break
-        sizes = [(_scalar_size(rows[i][c]), i) for i in range(r, nr) if rows[i][c]]
-        if not sizes:
-            continue
-        pi = min(sizes)[1]
-        if pi != r:
-            rows[r], rows[pi] = rows[pi], rows[r]
-        pivot_on(rows, r, c)
-        pivot_cols.append(c)
-    return pivot_cols
+    return _rank_of_lists(_cleared_rows((v.entries for v in vs), vs[0].field), vs[0].field)
 
 
 def solve(a: Matrix, bs: Sequence[Vector]) -> Optional[list[Vector]]:
@@ -332,36 +321,37 @@ def solve(a: Matrix, bs: Sequence[Vector]) -> Optional[list[Vector]]:
     solution is the one its ``b`` alone gives: unique when ``a`` has full
     column rank, otherwise with free variables fixed at zero.
     """
+    field = a.field
     for b in bs:
-        if b.field is not a.field:
+        if b.field is not field:
             raise FieldMismatchError("matrix and vector fields differ")
         if b.dim != a.rows:
             raise DimensionMismatchError(f"solve: {a.rows} rows vs rhs dim {b.dim}")
-    n = a.cols
-    aug = [list(row) + [b[i] for b in bs] for i, row in enumerate(a.row_data)]
-    pivot_cols = _reduce(aug, n)
-    if any(any(row[n:]) for row in aug[len(pivot_cols):]):
+    aug = [row + tuple(b[i] for b in bs) for i, row in enumerate(a.row_data)]
+    rows, unknowns, det = _reduced(_cleared_rows(aug, field), field, a.cols, True)
+    width = len(rows[0]) - len(bs)
+    if any(any(row[width:]) for row in rows if not any(row[:width])):
         return None
-    solutions = [[a.field.zero] * n for _ in bs]
-    for k, c in enumerate(pivot_cols):
-        for solution, value in zip(solutions, aug[k][n:]):
-            solution[c] = value
-    return [Vector(solution, a.field) for solution in solutions]
+    solutions = [[field.zero] * a.cols for _ in bs]
+    for k, j in enumerate(unknowns):
+        for t, solution in enumerate(solutions):
+            solution[j] = from_cleared(_entry(rows, k, width + t, field), det, field)
+    return [Vector(solution, field) for solution in solutions]
 
 
 def nullspace(a: Matrix) -> list[Vector]:
     """Deterministic basis of the kernel of ``a`` (one vector per free column)."""
     field = a.field
-    rows = [list(row) for row in a.row_data]
-    pivot_cols = _reduce(rows, a.cols)
+    rows, unknowns, det = _reduced(_cleared_rows(a.row_data, field), field, a.cols, True)
+    step = len(rows[0]) // a.cols
     basis = []
-    for fc in range(a.cols):
-        if fc in pivot_cols:
+    for free in range(a.cols):
+        if free in unknowns:
             continue
         entries = [field.zero] * a.cols
-        entries[fc] = field.one
-        for k, pc in enumerate(pivot_cols):
-            entries[pc] = -rows[k][fc]
+        entries[free] = field.one
+        for k, j in enumerate(unknowns):
+            entries[j] = -from_cleared(_entry(rows, k, step * free, field), det, field)
         basis.append(Vector(entries, field))
     return basis
 
@@ -375,7 +365,8 @@ def greedy_independent_subset(vs: Sequence[Vector]) -> list[int]:
     """
     if not vs:
         return []
-    return _reduce([[v[i] for v in vs] for i in range(vs[0].dim)], len(vs))
+    columns = _cleared_rows(([v[i] for v in vs] for i in range(vs[0].dim)), vs[0].field)
+    return _reduced(columns, vs[0].field, len(vs), False)[1]
 
 
 def kron_coeff_vector(alpha: Vector, beta: Vector) -> Vector:

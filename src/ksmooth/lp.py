@@ -6,10 +6,10 @@ tableau simplex: one artificial column per row starts basic, and the sum
 of the artificials is minimized with Bland's anti-cycling rule, so
 termination is guaranteed and every pivot is exact.  A zero minimum
 leaves any remaining basic artificials at value 0, so the basic original
-columns already give a solution.  Each pivot is one step of the
-Gauss-Jordan kernel of :mod:`ksmooth.linalg`.  All feasibility regions in
-this package are tiny (a few dozen variables), so no effort is spent on
-sparsity or factorization.
+columns already give a solution.  A pivot (``_pivot``) is one
+Gauss-Jordan step in field arithmetic, the only elimination in the
+package off the integer kernel of :mod:`ksmooth.linalg`.  The regions
+are tiny (a few dozen variables): no sparsity, no factorization.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, InternalInconsistencyError
-from .linalg import pivot_on
 from .scalars import FieldTag, Scalar
 
 
@@ -35,7 +34,12 @@ class LPResult:
 
 
 def _pivot(tableau: list[list[Scalar]], basis: list[int], row: int, col: int) -> None:
-    pivot_on(tableau, row, col)
+    """Make ``col`` basic in ``row``: one Gauss-Jordan step in place."""
+    pivot = tableau[row][col]
+    tableau[row] = pivot_row = [x / pivot for x in tableau[row]]
+    for i, other in enumerate(tableau):
+        if (factor := other[col]) and i != row:
+            tableau[i] = [x - factor * y if y else x for x, y in zip(other, pivot_row)]
     basis[row] = col
 
 

@@ -1,55 +1,42 @@
 """Exact symmetric polytopes given by vertices and facet functionals.
 
 A unit ball here is a full-dimensional polytope, symmetric about the
-origin, with the origin in its interior.  It is held as two tuples: its
-extreme points (``vertices``) and the functionals ``f`` with ``f(x) <= 1``
-on the polytope, one supporting each facet (``functionals``).  By polarity
-the facet functionals of a ball, read as points, are exactly the vertices
-of the polar dual, and ``dual_vertices`` computes one tuple from the other.
-
-``dual_vertices`` runs the incremental double description method
-(Fukuda & Prodon, 1996): start from the parallelotope cut out by the
-first d independent +/- constraint pairs, its 2^d corners solved in one
-reduction, then clip with the remaining halfspaces in input order.  It
-clips on integers: the points are cleared once to rows ``P`` over a scale
-``s``, each vertex ``v = N / h`` is held as its primitive homogeneous row
-``(N, h)`` (no common factor, ``h`` a positive integer), the sign of
-``p.v - 1`` is the sign of ``P.N - s h``, and the new vertex on an edge
-is an integer combination of its ends divided by a gcd.  Over Q(sqrt 2)
-``h`` is made rational by multiplying with its conjugate, so the
-primitive row is unique there too; it is the key that merges a vertex
-reached from two edges.  Field vectors are built only for the vertices
-returned.  Vertex adjacency during clipping is decided
-exactly: two vertices are adjacent iff their common active constraints
-have rank d-1 (ranked on the rows of ``P``), which is valid for
-degenerate polytopes as well.  It returns each vertex with its tight set
-(the input points on which it is 1), found by no scan: a vertex created
-strictly inside an edge is tight exactly on the constraints tight at
-both ends and on the one inserted.
+origin, with the origin in its interior.  It is held as its extreme points
+(``vertices``) and the functionals ``f`` with ``f(x) <= 1`` on it, one per
+facet (``functionals``).  By polarity the facet functionals, read as
+points, are the vertices of the polar, and ``dual_vertices`` computes one
+tuple from the other by incremental double description (Fukuda & Prodon,
+1996) on integers: the points are cleared once to rows ``P`` over a scale
+``s``, one fraction-free reduction of ``P`` picks the first d independent
+points and gives the 2^d corners of their parallelotope, and the other
+halfspaces clip it in input order.  A vertex ``v = N / h`` is held as its
+primitive homogeneous row ``(N, h)`` (``h`` a positive integer; over
+Q(sqrt 2) made rational with its conjugate), the key that merges a vertex
+reached from two edges; the sign of ``p.v - 1`` is that of ``P.N - s h``,
+and a new vertex is an integer combination of its edge's ends divided by
+a gcd.  Two vertices are adjacent iff their common active constraints
+have rank d-1 on the rows of ``P``, exact for degenerate polytopes too.
+Tight sets need no scan: a vertex made strictly inside an edge is tight
+exactly where both ends are and on the constraint inserted.
 
 A ball is built by double description alone, with no LP: ``canonicalize``
-runs it on the input points and keeps those whose tight functionals
-(the tight sets, transposed) have rank d, and ``Polytope.from_vertices``
-runs it again on the extreme points in first-seen order, which fixes the
-facet order every report shows.  ``in_convex_hull`` (one LP per point) is
-the reference route the tests compare ``canonicalize`` against.  The
-section of a ball by a subspace is never built as a ``Polytope``:
-``faces_meeting`` reads the faces met from one pass's tight sets.
+keeps the input points whose tight functionals have rank d, and
+``Polytope.from_vertices`` runs it again on the extreme points in
+first-seen order, which fixes the facet order of every report.
+``in_convex_hull`` (one LP per point) is the tests' reference route for
+``canonicalize``.  ``faces_meeting`` reads the faces a subspace meets from
+one pass's tight sets, without building the section as a ``Polytope``.
 
-A ``Polytope`` also holds both tuples cleared of denominators, which no
-other module reads: the facet functionals as rows ``F`` over one positive
-scale ``D`` and the vertices as ``V`` over ``E``, in the one integer
-format of ``linalg.clear_denominators``, and every reader goes through
-the field table ``_FIELD_OPS``.  The kernel ``_row_max`` finds the rows
-tight at a cleared point.  ``Polytope.__init__`` runs it at the rows of
-``V`` and ranks each vertex's tight rows of ``F``, a check independent of
-double description, and the face lattice ranks rows of ``F`` too;
-``_tight``, behind ``facets_at`` and ``vertices_at``, clears a point and
-returns the maximum as a field scalar; ``image_gauge_max``, the
-operators' attainment scan, runs it at each integer image ``An V_k``.
+A ``Polytope`` also holds both tuples cleared, which no other module
+reads: ``F`` over one positive scale ``D`` and ``V`` over ``E``, read
+through the field table ``_FIELD_OPS``.  ``_row_max`` finds the rows tight
+at a cleared point: at the rows of ``V`` for the incidence check of
+``Polytope.__init__``, at one cleared point for ``facets_at``,
+``vertices_at`` and ``unit_facets``, and at each integer image ``An V_k``
+for ``image_gauge_max``, the operators' attainment scan.
 
 Faces are keyed by their full active set (the maximal set of facets
-containing them); the dimension of the face with active set A is
+containing them); the face with active set A has dimension
 ``d - rank{f_j : j in A}``, and ``minimal_face`` reads it from the other
 side, as the rank of the vertices on the face minus one.
 """
@@ -63,7 +50,7 @@ from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import mul, neg
 from typing import Callable, Sequence
 
 from .errors import (
@@ -79,12 +66,12 @@ from .errors import (
 from .linalg import (
     Matrix,
     Vector,
+    _entry,
     _rank_of_lists,
+    _reduced,
     clear_denominators,
     from_cleared,
-    greedy_independent_subset,
     rank_of_vectors,
-    solve,
 )
 from .lp import lp_feasible
 from .scalars import FieldTag, QuadScalar, Scalar, serialize
@@ -129,13 +116,14 @@ class FaceDescriptor:
     dim: int
 
 
-def _negation_index(points: Sequence[Vector]) -> list[int]:
-    """For each point, the index of its negation; NotSymmetricError if absent."""
-    position = {p.entries: i for i, p in enumerate(points)}
+def _negation_index(points: Sequence[Vector], rows: Sequence) -> list[int]:
+    """For each point, the index of its negation; NotSymmetricError if absent.
+    Points are keyed by their ``rows``, cleared over one common scale."""
+    keys = rows if points[0].field is FieldTag.RATIONAL else [a + b for a, b in rows]
+    position = {key: i for i, key in enumerate(keys)}
     pairs = []
-    for p in points:
-        neg = tuple(-x for x in p.entries)
-        j = position.get(neg)
+    for p, key in zip(points, keys):
+        j = position.get(tuple(map(neg, key)))
         if j is None:
             raise NotSymmetricError(f"point set not closed under negation: {p}")
         pairs.append(j)
@@ -178,7 +166,7 @@ def canonicalize(points: Sequence[Vector]) -> tuple[Vector, ...]:
             at[hull[i].entries].append(f)
     extremes = tuple(p for p in unique
                      if len(at[p.entries]) >= p.dim and rank_of_vectors(at[p.entries]) == p.dim)
-    _negation_index(extremes)
+    _negation_index(extremes, clear_denominators((p.entries for p in extremes), hull[0].field)[0])
     return extremes
 
 
@@ -195,31 +183,32 @@ def dual_vertices(points: Sequence[Vector]) -> tuple[list[Vector], list[frozense
         raise NotFullDimensionalError("empty point set")
     field = points[0].field
     d = points[0].dim
-    negation = _negation_index(points)
     ops = _FIELD_OPS[field]
+    P, scale = clear_denominators((p.entries for p in points), field)
+    negation = _negation_index(points, P)
 
-    init = greedy_independent_subset(points)
+    # reduce the columns P^T with d unit right-hand sides: the pivots are the
+    # first d independent points, the rows of P_init, and the right-hand
+    # side rows become det times the inverse of P_init, transposed
+    unit = [(0,) * t + (1,) + (0,) * (d - 1 - t) for t in range(d)]
+    if field is FieldTag.RATIONAL:
+        columns = list(zip(*P, *unit))
+    else:
+        columns = list(zip(zip(*[a for a, _ in P], *unit),
+                           zip(*[b for _, b in P], *[(0,) * d] * d)))
+    rows, init, det = _reduced(columns, field, len(points), True)
+    width = len(rows[0]) - d
     if len(init) < d:
         raise NotFullDimensionalError(
             f"points span only {len(init)} of {d} dimensions")
-    init = init[:d]
-    slab = Matrix.from_rows([points[i] for i in init])
 
-    # vertices of the initial parallelotope |p_i . f| <= 1, from one reduction
+    # the corner of the initial parallelotope |p_i . f| <= 1 with signs s
+    # solves P_init x = scale s, so it is read straight off the reduced rows
+    inverse = [[_entry(rows, k, width + t, field) for k in range(d)] for t in range(d)]
     corners = list(itertools.product((1, -1), repeat=d))
-    solved = solve(slab, [Vector([field.from_int(s) for s in signs], field)
-                          for signs in corners])
-    if solved is None:
-        raise InternalInconsistencyError(
-            "independent constraints left a parallelotope corner unsolvable")
-    # a corner cleared over the lcm of its denominators is already primitive
-    verts = []
-    for v in solved:
-        [row], e = clear_denominators([v.entries], field)
-        verts.append(ops.entries(row, e))
+    verts = [_corner(inverse, signs, scale, det, field) for signs in corners]
     actives = [{init[j] if s == 1 else negation[init[j]] for j, s in enumerate(signs)}
                for signs in corners]
-    P, scale = clear_denominators((p.entries for p in points), field)
     constraints = [ops.entries(row, -scale) for row in P]
 
     processed = set(init) | {negation[i] for i in init}
@@ -279,6 +268,16 @@ def _primitive(parts: list[list[int]]) -> tuple[tuple[int, ...], ...]:
             "double description made a vertex with h <= 0")
     g = gcd(*itertools.chain.from_iterable(parts))
     return tuple(tuple(x // g for x in part) for part in parts)
+
+
+def _corner(inverse: list, signs: tuple, scale: int, det: int, field: FieldTag) -> tuple:
+    """The primitive homogeneous row ``(scale inverse signs, det)``, negated
+    when ``det < 0``; ``inverse`` holds cleared values (pairs over Q(sqrt 2))."""
+    c = scale if det > 0 else -scale
+    if field is FieldTag.RATIONAL:
+        return _primitive([[c * sum(map(mul, signs, row)) for row in inverse] + [abs(det)]])[0]
+    return _primitive([[c * sum(s * y[i] for s, y in zip(signs, row)) for row in inverse]
+                       + [abs(det) * (1 - i)] for i in (0, 1)])
 
 
 def _rational_edge(a_u: int, u: tuple, a_w: int, w: tuple) -> tuple:
@@ -369,13 +368,12 @@ def _row_max(rows: Sequence[tuple], point: tuple, field: FieldTag) -> tuple:
     return top, [j for j, value in enumerate(values) if value == top]
 
 
-def _tight(rows: Sequence[tuple], scale: int, x: Vector) -> tuple[Scalar, list[int]]:
-    """The largest value of the rows ``rows / scale`` at ``x``, as a field
-    scalar, and the indices of the rows attaining it: ``x`` is cleared once
-    and only the maximum of ``_row_max`` becomes a field scalar."""
+def _tight(rows: Sequence[tuple], scale: int, x: Vector) -> tuple[object, int, list[int]]:
+    """The largest value of the rows ``rows / scale`` at ``x``, cleared over the
+    positive integer returned, and the rows attaining it; no scalar is built."""
     [cleared], e = clear_denominators([x.entries], x.field)
     top, tight = _row_max(rows, cleared, x.field)
-    return from_cleared(top, scale * e, x.field), tight
+    return top, scale * e, tight
 
 
 class Polytope:
@@ -421,11 +419,18 @@ class Polytope:
 
     def facets_at(self, x: Vector) -> tuple[Scalar, list[int]]:
         """``max_j f_j(x)`` (the gauge of ``x``) and the facets attaining it."""
-        return _tight(self.F, self.D, x)
+        top, scale, tight = _tight(self.F, self.D, x)
+        return from_cleared(top, scale, self.field), tight
 
     def vertices_at(self, f: Vector) -> tuple[Scalar, list[int]]:
         """``max_i f(v_i)`` (the dual gauge of ``f``) and the vertices attaining it."""
-        return _tight(self.V, self.E, f)
+        top, scale, tight = _tight(self.V, self.E, f)
+        return from_cleared(top, scale, self.field), tight
+
+    def unit_facets(self, x: Vector) -> list[int] | None:
+        """The facets attaining the gauge of ``x`` if it is 1, else ``None``; on integers."""
+        top, scale, tight = _tight(self.F, self.D, x)
+        return tight if top == (scale if self.field is FieldTag.RATIONAL else (scale, 0)) else None
 
     def image_gauge_max(self, target: "Polytope", rows: Sequence[Sequence[Scalar]],
                         ) -> tuple[Scalar, dict[int, list[int]]]:
@@ -539,9 +544,9 @@ def minimal_face(p: Polytope, x: Vector) -> FaceDescriptor:
     """The face whose relative interior contains the boundary point ``x``."""
     if x.field is not p.field or x.dim != p.dim:
         raise DimensionMismatchError("point does not live in the polytope's space")
-    top, tight = p.facets_at(x)
-    if top != p.field.one:
-        raise NotOnBoundaryError(f"max functional value is {serialize(top)}, not 1")
+    tight = p.unit_facets(x)
+    if tight is None:
+        raise NotOnBoundaryError(f"max functional value is {serialize(p.facets_at(x)[0])}, not 1")
     active = frozenset(tight)
     # from the vertex side: a k-face misses the origin, so its vertices span k + 1
     on_face = [v for v, act in zip(p.vertices, p.vertex_active) if active <= act]

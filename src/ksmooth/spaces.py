@@ -4,8 +4,8 @@ A ``PolyhedralSpace`` holds only its unit ball, a symmetric polytope.
 By polarity the extreme points of the dual ball are exactly the facet
 functionals of the ball, so the support set ``J(x)`` of a unit vector is
 represented by its extreme points: the facet functionals active at ``x``.
-``norm`` and ``support_set`` both read them from one scan of the ball,
-``Polytope.facets_at``.
+``norm`` reads them from one scan of the ball, ``Polytope.facets_at``;
+``support_set`` from ``Polytope.unit_facets``, which checks ``|x| = 1``.
 
 The smoothness order of a unit vector is the rank of its active
 functionals; it always equals the ambient dimension minus the dimension
@@ -89,8 +89,8 @@ def normalized(space: PolyhedralSpace, x: Vector) -> Vector:
 def support_set(space: PolyhedralSpace, x: Vector) -> SupportSet:
     """Extreme support functionals of the unit vector x and their rank."""
     _check_point(space, x)
-    top, tight = space.ball.facets_at(x)
-    if top != space.field.one:
+    tight = space.ball.unit_facets(x)
+    if tight is None:
         raise NotUnitNormError(f"norm of {x} is not 1")
     active = [space.ball.functionals[j] for j in tight]
     return SupportSet(x, tuple(active), rank_of_vectors(active))

@@ -1,9 +1,11 @@
 """The integer-cleared scans against the Fraction formulas they replace.
 
 Every scan over a ball (norm, support set, minimal face, attainment) and
-the Bareiss rank runs on rows cleared of denominators, which hold only
-``int``s over both fields.  The reference route here is the plain field
-arithmetic of ``Vector.dot`` and the Gauss-Jordan kernel."""
+the fraction-free elimination behind rank, solve, nullspace and greedy
+subsets runs on rows cleared of denominators, which hold only ``int``s
+over both fields.  The reference route here is the plain field
+arithmetic of ``Vector.dot`` and of ``reference_reduce``, a Gauss-Jordan
+elimination on field scalars that shares no code with the package."""
 
 import random
 from fractions import Fraction
@@ -15,10 +17,12 @@ from ksmooth.linalg import (
     Matrix,
     Vector,
     _rank_of_lists,
-    _reduce,
     clear_denominators,
     from_cleared,
+    greedy_independent_subset,
+    nullspace,
     rank,
+    solve,
 )
 from ksmooth.operators import LinearOperator, operator_norm_and_attainment, sign_canonical
 from ksmooth.polytope import Polytope, minimal_face
@@ -35,6 +39,27 @@ from ksmooth.spaces import (
 
 Q = FieldTag.RATIONAL
 K = FieldTag.QUAD_SQRT2
+
+
+def reference_reduce(rows, ncols):
+    """Bring the field-scalar ``rows`` to reduced row echelon form in place,
+    pivoting in the first ``ncols`` columns on the first nonzero entry;
+    returns the pivot columns."""
+    pivot_cols = []
+    for c in range(ncols):
+        r = len(pivot_cols)
+        pi = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pi is None:
+            continue
+        rows[r], rows[pi] = rows[pi], rows[r]
+        pivot = rows[r][c]
+        rows[r] = [x / pivot for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+    return pivot_cols
 
 
 def rand_scalar(rng, field, top=4):
@@ -192,7 +217,7 @@ def test_bareiss_rank_matches_gauss_jordan(field):
                       for _ in range(r)]
             m.append([sum((c * g[j] for c, g in zip(coeffs, gens)), field.zero)
                       for j in range(cols)])
-        expected = len(_reduce([list(row) for row in m], cols))
+        expected = len(reference_reduce([list(row) for row in m], cols))
         assert expected <= r
         # the kernel takes cleared rows: over one scale here, row by row in rank
         assert _rank_of_lists(clear_denominators(m, field)[0], field) == expected
@@ -215,13 +240,129 @@ def test_bareiss_rank_on_large_entries():
     m = [[Fraction(big, 3), Fraction(1, big)], [Fraction(2 * big, 3), Fraction(2, big)],
          [Fraction(1, 7), Fraction(big)]]
     cleared, _ = clear_denominators(m, Q)
-    assert _rank_of_lists(cleared, Q) == len(_reduce([list(row) for row in m], 2)) == 2
+    assert _rank_of_lists(cleared, Q) == len(reference_reduce([list(r) for r in m], 2)) == 2
     assert _rank_of_lists(cleared[:2], Q) == 1
     assert rank(Matrix(m, Q)) == 2
 
 
 def test_bareiss_rank_of_no_rows():
     assert _rank_of_lists([], Q) == _rank_of_lists([], K) == 0
+
+
+def reference_solve(m, bs, field):
+    """Solutions of ``m x = b`` with free unknowns at zero, or None, by ``reference_reduce``."""
+    n = len(m[0])
+    aug = [list(row) + [b[i] for b in bs] for i, row in enumerate(m)]
+    pivot_cols = reference_reduce(aug, n)
+    if any(any(row[n:]) for row in aug[len(pivot_cols):]):
+        return None
+    solutions = [[field.zero] * n for _ in bs]
+    for k, c in enumerate(pivot_cols):
+        for solution, value in zip(solutions, aug[k][n:]):
+            solution[c] = value
+    return [Vector(solution, field) for solution in solutions]
+
+
+def reference_nullspace(m, field):
+    """One kernel vector per free column, read off ``reference_reduce``."""
+    rows = [list(row) for row in m]
+    pivot_cols = reference_reduce(rows, len(m[0]))
+    basis = []
+    for free in (c for c in range(len(m[0])) if c not in pivot_cols):
+        entries = [field.zero] * len(m[0])
+        entries[free] = field.one
+        for k, c in enumerate(pivot_cols):
+            entries[c] = -rows[k][free]
+        basis.append(Vector(entries, field))
+    return basis
+
+
+def big_scalar(rng, field):
+    """A scalar whose numerators and denominators have 40 to 46 digits."""
+    def part():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(10 ** 40, 10 ** 46),
+                        rng.randint(10 ** 40, 10 ** 46))
+    return part() if field is Q else QuadScalar(part(), part())
+
+
+def kernel_case(rng, field, kind):
+    """A seeded matrix of the given kind, as a list of rows."""
+    rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+    draw = big_scalar if kind == "big" else rand_scalar
+    if kind == "deficient":
+        r = rng.randint(0, min(rows, cols) - 1)
+        gens = [[draw(rng, field) for _ in range(cols)] for _ in range(r)]
+        coeffs = [[rand_scalar(rng, field) for _ in range(r)] for _ in range(rows)]
+        return [[sum((c * g[j] for c, g in zip(cs, gens)), field.zero) for j in range(cols)]
+                for cs in coeffs]
+    m = [[draw(rng, field) for _ in range(cols)] for _ in range(rows)]
+    if kind == "r2-columns" and cols > 1:
+        # column j2 is r2 times column j1: dependent over Q(sqrt 2) only
+        j1, j2 = rng.sample(range(cols), 2)
+        for row in m:
+            row[j2] = QuadScalar(0, 1) * row[j1]
+    return m
+
+
+# r2 multiples exist over Q(sqrt 2) only
+CASES = [(field, kind) for field in (Q, K) for kind in ("deficient", "full", "big", "r2-columns")
+         if field is K or kind != "r2-columns"]
+CASE_IDS = [f"{'rational' if field is Q else 'quadratic'}-{kind}" for field, kind in CASES]
+
+
+@pytest.mark.parametrize("field,kind", CASES, ids=CASE_IDS)
+def test_solve_matches_gauss_jordan(field, kind):
+    rng = random.Random(f"solve:{kind}:{field.name}")
+    inconsistent = 0
+    for _ in range(40):
+        m = kernel_case(rng, field, kind)
+        a = Matrix(m, field)
+        # several right-hand sides: images a x (always consistent) and random ones
+        bs = []
+        for _ in range(rng.randint(1, 3)):
+            x = Vector([rand_scalar(rng, field) for _ in range(a.cols)], field)
+            bs.append(a.matvec(x) if rng.random() < 0.6
+                      else Vector([rand_scalar(rng, field) for _ in range(a.rows)], field))
+        expected = reference_solve(m, bs, field)
+        inconsistent += expected is None
+        assert solve(a, bs) == expected
+        for b in bs:
+            assert solve(a, [b]) == reference_solve(m, [b], field)
+    if kind == "deficient":
+        assert inconsistent > 0
+
+
+@pytest.mark.parametrize("field,kind", CASES, ids=CASE_IDS)
+def test_nullspace_and_greedy_subset_match_gauss_jordan(field, kind):
+    rng = random.Random(f"kernel:{kind}:{field.name}")
+    deficient = 0
+    for _ in range(40):
+        m = kernel_case(rng, field, kind)
+        kernel = nullspace(Matrix(m, field))
+        assert kernel == reference_nullspace(m, field)
+        deficient += bool(kernel)
+        # the columns of m as vectors, with zero vectors mixed in
+        vs = [Vector([row[j] for row in m], field) for j in range(len(m[0]))]
+        for _ in range(rng.randint(0, 2)):
+            vs.insert(rng.randint(0, len(vs)), Vector.zero(len(m), field))
+        expected = reference_reduce([[v[i] for v in vs] for i in range(len(m))], len(vs))
+        assert greedy_independent_subset(vs) == expected
+    if kind in ("deficient", "r2-columns"):
+        assert deficient > 0
+
+
+def test_kernel_on_r2_multiple_columns():
+    # (r2, 2) is r2 times (1, r2): one independent vector, the kernel vector
+    # (-r2, 1), and a right-hand side off their span makes the system None
+    r2, zero = QuadScalar(0, 1), QuadScalar(0)
+    vs = [kv(1, r2), kv(r2, 2)]
+    assert greedy_independent_subset(vs) == [0]
+    assert greedy_independent_subset([kv(0, 0)] + vs + [kv(1, 0)]) == [1, 3]
+    a = Matrix.from_columns(vs)
+    assert nullspace(a) == [kv(-r2, 1)]
+    assert solve(a, [kv(r2, 2), kv(2, 2 * r2)]) == [Vector([r2, zero], K), kv(2, 0)]
+    assert solve(a, [kv(1, 0)]) is None
+    assert solve(a, [kv(r2, 2), kv(1, 0)]) is None
 
 
 def qv(*entries):

@@ -12,7 +12,7 @@ from ksmooth.errors import (
     NotSymmetricError,
 )
 from ksmooth.files import load_space
-from ksmooth.linalg import Matrix, Vector, rank_of_vectors, solve
+from ksmooth.linalg import Matrix, Vector, clear_denominators, rank_of_vectors, solve
 import ksmooth.lp as lp
 from ksmooth.orthogonality import Subspace, bj_subspace_subspace, bj_subspace_vector
 import ksmooth.polytope as polytope
@@ -127,7 +127,8 @@ def _matches_hull_lp_route(points):
     """Compare ``canonicalize`` with the LP route; True if the extremes are symmetric."""
     expected = _hull_lp_extremes(points)
     try:
-        polytope._negation_index(expected)
+        polytope._negation_index(expected, clear_denominators(
+            (p.entries for p in expected), expected[0].field)[0])
     except NotSymmetricError:
         with pytest.raises(NotSymmetricError):
             canonicalize(points)
@@ -192,9 +193,10 @@ def test_construction_solves_no_lp(monkeypatch):
 
 
 def test_ball_build_reduces_each_slab_once(monkeypatch):
-    # the parallelotope corners of a double description pass come from one
-    # reduction, and the incidence reads the cleared vertex rows with no rescan
-    calls = {"_tight": 0, "solve": 0, "dual_vertices": 0}
+    # the first independent points and the parallelotope corners of a double
+    # description pass come from one integer reduction, and the incidence
+    # reads the cleared vertex rows with no rescan
+    calls = {"_tight": 0, "_reduced": 0, "dual_vertices": 0}
 
     def counted(name):
         real = getattr(polytope, name)
@@ -209,7 +211,7 @@ def test_ball_build_reduces_each_slab_once(monkeypatch):
     for space in (ell1(3), ellinf(4), paper_example_space(), random_space(5, 3, 8)):
         assert len(space.ball.vertex_active) == len(space.ball.vertices)
     assert calls["_tight"] == 0
-    assert calls["solve"] == calls["dual_vertices"] == 8
+    assert calls["_reduced"] == calls["dual_vertices"] == 8
 
 
 def test_subspace_walk_builds_no_polytope(monkeypatch):

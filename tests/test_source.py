@@ -132,15 +132,18 @@ def _function(tree, name, owner=None):
 
 
 def test_cleared_kernels_stay_on_integers():
-    # the rank kernel and the tight-row scans read only cleared integer rows:
-    # no field scalar, field division or field-entry size inside them, and
-    # the Q(sqrt 2) rank runs the same loop once, not by calling itself
+    # the elimination kernel, its clearing helpers, the rank front and the
+    # tight-row scans read only cleared integer rows: no field scalar, field
+    # division, field-entry size or field pivot inside them, and the Q(sqrt 2)
+    # rank runs the same loop once, not by calling itself
     # (`bench/spans.py` wraps `_rank_of_lists`, so a recursive call counts twice)
     linalg = ast.parse((SOURCE / "linalg.py").read_text(encoding="utf-8"))
     polytope = ast.parse((SOURCE / "polytope.py").read_text(encoding="utf-8"))
     bodies = [_function(linalg, "_rank_of_lists"), _function(polytope, "_row_max"),
               _function(polytope, "image_gauge_max", owner="Polytope")]
-    banned = {"QuadScalar", "truediv", "_scalar_size"}
+    bodies += [_function(linalg, name) for name in
+               ("_eliminate", "_reduced", "_entry", "_cleared_rows", "_scaled", "_denominators")]
+    banned = {"QuadScalar", "Fraction", "truediv", "_scalar_size", "pivot_on"}
     found = []
     for body in bodies:
         for node in ast.walk(body):
@@ -152,3 +155,21 @@ def test_cleared_kernels_stay_on_integers():
               and "_rank_of_lists" in (getattr(node.func, "id", None),
                                        getattr(node.func, "attr", None))]
     assert found == [], found
+
+
+def test_one_elimination_kernel():
+    # rank, solve, nullspace and greedy subsets share the fraction-free
+    # kernel of linalg; the simplex pivot of lp, which imports nothing from
+    # linalg, is the only elimination left in field arithmetic
+    linalg = ast.parse((SOURCE / "linalg.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(linalg) if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_reduce", "_scalar_size", "pivot_on"}, defined
+    # a name, a definition, an attribute or an imported alias
+    found = [f"{name}:{node.lineno}" for name, tree in _trees() for node in ast.walk(tree)
+             if "pivot_on" in (getattr(node, "id", None), getattr(node, "name", None),
+                               getattr(node, "attr", None))]
+    assert found == [], found
+    lp = ast.parse((SOURCE / "lp.py").read_text(encoding="utf-8"))
+    _function(lp, "_pivot")
+    assert "linalg" not in {node.module for node in ast.walk(lp)
+                            if isinstance(node, ast.ImportFrom)}
