@@ -27,6 +27,7 @@ goes to stderr so it never perturbs the comparable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -313,6 +314,7 @@ def _cmd_selftest(args, argv) -> int:
     return 0 if ok else 3
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ksmooth", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -369,6 +369,27 @@ def greedy_independent_subset(vs: Sequence[Vector]) -> list[int]:
     return _reduced(columns, vs[0].field, len(vs), False)[1]
 
 
+def outer_product_rank(pairs: Sequence[tuple[Vector, Vector]]) -> int:
+    """The rank of ``kron_coeff_vector(x, y)`` over the ``(x, y)`` in
+    ``pairs``, formed on integers: each ``x`` and ``y`` is cleared on its own
+    scale, which multiplies its product by a positive integer."""
+    if not pairs:
+        return 0
+    field = pairs[0][0].field
+    if any(v.field is not field for pair in pairs for v in pair):
+        raise FieldMismatchError("mixed fields in coefficient product")
+    xs = _cleared_rows((x.entries for x, _ in pairs), field)
+    ys = _cleared_rows((y.entries for _, y in pairs), field)
+    if field is FieldTag.RATIONAL:
+        rows = [tuple(a * b for a in x for b in y) for x, y in zip(xs, ys)]
+    else:
+        # (p + q r2)(u + w r2) = (p u + 2 q w) + (p w + q u) r2
+        rows = [(tuple(p * u + 2 * q * w for p, q in zip(*x) for u, w in zip(*y)),
+                 tuple(p * w + q * u for p, q in zip(*x) for u, w in zip(*y)))
+                for x, y in zip(xs, ys)]
+    return _rank_of_lists(rows, field)
+
+
 def kron_coeff_vector(alpha: Vector, beta: Vector) -> Vector:
     """Coefficient tuple of all products ``alpha[i]*beta[j]``, i-major.
 

@@ -50,6 +50,7 @@ from .linalg import (
     greedy_independent_subset,
     kron_coeff_vector,
     nullspace,
+    outer_product_rank,
     rank,
     rank_of_vectors,
     solve,
@@ -272,9 +273,9 @@ def index_of_smoothness(t: LinearOperator, r: Sequence[Vector],
 
 def _pair_rank(att: AttainmentSet) -> int:
     """Rank of the flattened ``x (x) y*`` over the scan's (vertex, facet) pairs."""
-    return rank_of_vectors([kron_coeff_vector(x, y_star)
-                            for x, facets in zip(att.attaining_vertices, att.image_facets)
-                            for y_star in facets])
+    return outer_product_rank([(x, y_star)
+                               for x, facets in zip(att.attaining_vertices, att.image_facets)
+                               for y_star in facets])
 
 
 def oracle_order_of_smoothness(t: LinearOperator) -> int:

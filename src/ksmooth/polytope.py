@@ -20,9 +20,13 @@ Tight sets need no scan: a vertex made strictly inside an edge is tight
 exactly where both ends are and on the constraint inserted.
 
 A ball is built by double description alone, with no LP: ``canonicalize``
-keeps the input points whose tight functionals have rank d, and
-``Polytope.from_vertices`` runs it again on the extreme points in
-first-seen order, which fixes the facet order of every report.
+keys the input points by their cleared rows and keeps a boundary point
+when no other point is tight on every facet tight at it (a containment
+test on one pass's tight sets, with no rank; the proof is in its
+docstring), and ``Polytope.from_vertices`` runs double description again
+on the extreme points in first-seen order, which fixes the facet order of
+every report.  ``Polytope.__init__`` checks the rank of each vertex's
+tight facets, a second route independent of the containment test.
 ``in_convex_hull`` (one LP per point) is the tests' reference route for
 ``canonicalize``.  ``faces_meeting`` reads the faces a subspace meets from
 one pass's tight sets, without building the section as a ``Polytope``.
@@ -47,7 +51,7 @@ import itertools
 import os
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import cmp_to_key, reduce
 from fractions import Fraction
 from math import gcd
 from operator import mul, neg
@@ -119,11 +123,11 @@ class FaceDescriptor:
 def _negation_index(points: Sequence[Vector], rows: Sequence) -> list[int]:
     """For each point, the index of its negation; NotSymmetricError if absent.
     Points are keyed by their ``rows``, cleared over one common scale."""
-    keys = rows if points[0].field is FieldTag.RATIONAL else [a + b for a, b in rows]
-    position = {key: i for i, key in enumerate(keys)}
+    negate = _FIELD_OPS[points[0].field].negate
+    position = {row: i for i, row in enumerate(rows)}
     pairs = []
-    for p, key in zip(points, keys):
-        j = position.get(tuple(map(neg, key)))
+    for p, row in zip(points, rows):
+        j = position.get(negate(row))
         if j is None:
             raise NotSymmetricError(f"point set not closed under negation: {p}")
         pairs.append(j)
@@ -146,28 +150,57 @@ def in_convex_hull(point: Vector, generators: Sequence[Vector]) -> bool:
 def canonicalize(points: Sequence[Vector]) -> tuple[Vector, ...]:
     """Reduce a point set to its extreme points, in first-seen order.
 
-    One double description pass decides extremality: it runs on the
-    distinct points closed under negation, far points first (largest
-    absolute coordinate, stable), and a point is extreme exactly when the
-    functionals tight at it have rank d.  The kept points must be closed
-    under negation (asymmetry is an error, not repaired), and a point set
-    that does not span raises ``NotFullDimensionalError``.
+    The points are cleared once over one common scale and keyed by their
+    integer rows; the negation of a distinct point is built only when no
+    input point has its row.  One double description pass runs on these
+    points, far points first (largest absolute coordinate, stable; a
+    negation takes its point's key), and its tight sets, transposed, give
+    ``T(i)``, the facets of the hull tight at point ``i``.  Point ``i`` is
+    extreme iff ``T(i)`` is nonempty and no other point ``j`` has
+    ``T(j) >= T(i)``, that is, iff ``i`` alone is tight on all of ``T(i)``.
+    The test is exact on degenerate input: an interior point has no tight
+    facet; a boundary point that is not extreme lies in the relative
+    interior of a face of dimension at least 1, whose vertices are input
+    points tight wherever it is; and an extreme point ``v`` is the only
+    point of the face cut out by ``T(v)``.  No rank is taken here, so the
+    rank check of ``Polytope.__init__`` on every kept vertex is an
+    independent second route.
+
+    The kept points must be closed under negation (asymmetry is an error,
+    not repaired), and a point set that does not span raises
+    ``NotFullDimensionalError``.
     """
-    distinct = {p.entries: p for p in points}
+    if not points:
+        raise NotFullDimensionalError("empty point set")
+    ops = _FIELD_OPS[points[0].field]
+    distinct: dict[tuple, Vector] = {}
+    for p, row in zip(points, clear_denominators((p.entries for p in points),
+                                                 points[0].field)[0]):
+        distinct.setdefault(row, p)
     unique = list(distinct.values())
-    for p in unique:
-        distinct.setdefault((-p).entries, -p)
+    far = [ops.far(row) for row in distinct]
+    lonely = []  # the points whose negation is built here
+    for row, p, key in zip(list(distinct), unique, list(far)):
+        negated = ops.negate(row)
+        if negated not in distinct:
+            distinct[negated] = -p
+            far.append(key)
+            lonely.append(p)
+    candidates = list(distinct.values())
     # far points first: fewer intermediate vertices (Avis, Bremner & Seidel 1997)
-    hull = sorted(distinct.values(), key=lambda p: max(map(abs, p.entries)), reverse=True)
-    functionals, tight = dual_vertices(hull)
-    at = {p.entries: [] for p in hull}  # the tight sets, transposed
-    for f, members in zip(functionals, tight):
-        for i in members:
-            at[hull[i].entries].append(f)
-    extremes = tuple(p for p in unique
-                     if len(at[p.entries]) >= p.dim and rank_of_vectors(at[p.entries]) == p.dim)
-    _negation_index(extremes, clear_denominators((p.entries for p in extremes), hull[0].field)[0])
-    return extremes
+    order = sorted(range(len(candidates)), key=far.__getitem__, reverse=True)
+    _, tight = dual_vertices([candidates[i] for i in order])
+    at: list[list[frozenset[int]]] = [[] for _ in order]  # the tight sets, transposed
+    for members in tight:
+        for h in members:
+            at[h].append(members)
+    extreme = [False] * len(candidates)
+    for h, i in enumerate(order):
+        extreme[i] = bool(at[h]) and frozenset.intersection(*at[h]) == {h}
+    for p, keep in zip(lonely, extreme[len(unique):]):
+        if keep:
+            raise NotSymmetricError(f"point set not closed under negation: {p}")
+    return tuple(p for p, keep in zip(unique, extreme) if keep)
 
 
 def dual_vertices(points: Sequence[Vector]) -> tuple[list[Vector], list[frozenset[int]]]:
@@ -298,6 +331,9 @@ def _quad_sign(x: tuple[int, int]) -> int:
     return (s > 0) - (s < 0)
 
 
+_quad_order = cmp_to_key(lambda x, y: _quad_sign((x[0] - y[0], x[1] - y[1])))
+
+
 def _quad_edge(a_u: tuple, u: tuple, a_w: tuple, w: tuple) -> tuple:
     # a_u = x + y r2 and a_w = s + t r2 multiply the rows u and w
     (x, y), (s, t) = a_u, a_w
@@ -320,6 +356,8 @@ class _FieldOps:
     """What the readers of cleared rows do differently over each field.
 
     ``entries(row, h)`` appends a homogenizing integer to a cleared row;
+    ``negate`` negates a cleared row, and ``far(row)`` is a sort key
+    ordering rows by their largest absolute entry;
     ``vertex`` turns a homogeneous row back into field entries;
     ``values(p, rows)`` gives the value ``p.z`` at every row ``z``, and
     ``row`` turns a list of values into a row; ``sign`` and ``max`` order
@@ -327,6 +365,8 @@ class _FieldOps:
     """
 
     entries: Callable
+    negate: Callable
+    far: Callable
     vertex: Callable
     values: Callable
     row: Callable
@@ -340,6 +380,8 @@ class _FieldOps:
 _FIELD_OPS = {
     FieldTag.RATIONAL: _FieldOps(
         entries=lambda row, h: (*row, h),
+        negate=lambda row: tuple(map(neg, row)),
+        far=lambda row: max(map(abs, row)),
         vertex=lambda z: [Fraction(n, z[-1]) for n in z[:-1]],
         values=lambda p, rows: [sum(map(mul, p, z)) for z in rows],
         row=tuple,
@@ -348,6 +390,9 @@ _FIELD_OPS = {
         edge=_rational_edge),
     FieldTag.QUAD_SQRT2: _FieldOps(
         entries=lambda row, h: ((*row[0], h), (*row[1], 0)),
+        negate=lambda row: (tuple(map(neg, row[0])), tuple(map(neg, row[1]))),
+        far=lambda row: max(_quad_order(x if _quad_sign(x) >= 0 else (-x[0], -x[1]))
+                            for x in zip(*row)),
         vertex=lambda z: [QuadScalar(Fraction(a, z[0][-1]), Fraction(b, z[0][-1]))
                           for a, b in zip(z[0][:-1], z[1])],
         values=_quad_values,

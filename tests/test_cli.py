@@ -339,6 +339,30 @@ def test_validation_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_parser_built_once_answers_like_a_fresh_one(capsys):
+    # main reuses one parser per process; after any earlier call, usage
+    # errors, validation errors and reports read as from a fresh parser
+    argvs = [["op", "order", "bogus-flag", "--nope"],
+             ["space", "info", "no-such-file.json"],
+             ["op", "order", str(SAMPLES / "rank1-ell1-ellinf.json")],
+             ["op", "order", str(SAMPLES / "rank1-ell1-ellinf.json"), "--json"]]
+
+    def call(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        err = [line for line in captured.err.splitlines() if not line.startswith("elapsed:")]
+        return code, captured.out, err
+
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert [code for code, _, _ in fresh] == [1, 2, 0, 0]
+    for _ in range(2):
+        assert [call(argv) for argv in argvs] == fresh
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_malformed_guard_variable_is_validation_error(capsys, monkeypatch):
     monkeypatch.setenv("KSMOOTH_MAX_DIM", "abc")
     assert main(["space", "info", "ell1:3"]) == 2

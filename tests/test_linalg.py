@@ -10,6 +10,7 @@ from ksmooth.linalg import (
     greedy_independent_subset,
     kron_coeff_vector,
     nullspace,
+    outer_product_rank,
     rank,
     rank_of_vectors,
     solve,
@@ -265,6 +266,27 @@ def test_outer_flatten_independence():
     fs = [qv(1, 0), qv(0, 1), qv(1, -1)][:2]
     products = [kron_coeff_vector(x, f) for x in xs for f in fs]
     assert rank_of_vectors(products) == 4
+
+
+def test_outer_product_rank_matches_field_products():
+    # the integer products of separately cleared x and y* have the rank of
+    # the field products, zero and 40-digit entries included
+    rng = random.Random(41)
+    for field in (Q, K):
+        for trial in range(24):
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            xs = low_rank_set(rng, field, n, 4, rng.randint(1, n))
+            ys = low_rank_set(rng, field, m, 4, rng.randint(1, m))
+            if trial % 2:
+                big = Fraction(rng.randrange(10 ** 39, 10 ** 40), rng.randrange(10 ** 39, 10 ** 40))
+                xs[0] = xs[0].scale(big)
+                ys[1] = Vector([e + field.coerce(big) for e in ys[1].entries], field)
+            pairs = [(rng.choice(xs), rng.choice(ys)) for _ in range(rng.randint(1, 8))]
+            expected = rank_of_vectors([kron_coeff_vector(x, y) for x, y in pairs])
+            assert outer_product_rank(pairs) == expected
+    assert outer_product_rank([]) == 0
+    with pytest.raises(FieldMismatchError):
+        outer_product_rank([(qv(1, 0), Vector([1], K))])
 
 
 def test_vector_field_mismatch():

@@ -1,9 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ksmooth.errors import (
     GuardExceededError,
@@ -29,6 +32,7 @@ from ksmooth.operators import paper_example_operator
 from ksmooth.spaces import ell1, ellinf, paper_example_space, random_space
 
 Q = FieldTag.RATIONAL
+K = FieldTag.QUAD_SQRT2
 
 
 def qv(*entries):
@@ -116,6 +120,29 @@ def _cloud(rng, dim):
     return [s for p in half for s in (p, -p)]
 
 
+def _quad_cloud(rng, dim):
+    """A symmetric Q(sqrt 2) cloud: axis points scaled by ``a + b r2`` and
+    random points with both parts random."""
+    def scalar():
+        return QuadScalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                          Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+    half = [Vector.basis(i, dim, K).scale(QuadScalar(Fraction(rng.randint(2, 5), 2),
+                                                     Fraction(rng.randint(0, 2), 2)))
+            for i in range(dim)]
+    for _ in range(dim + 2):
+        p = Vector([scalar() for _ in range(dim)], K)
+        if not p.is_zero():
+            half.append(p)
+    return [s for p in half for s in (p, -p)]
+
+
+def _face_centres(ball, dim):
+    """The centre of every face of ``ball`` of dimension ``dim``: for ``dim``
+    at least 1, boundary points that are not extreme."""
+    return [reduce(add, members).scale(Fraction(1, len(members)))
+            for members in map(ball.face_vertices, enumerate_faces(ball, dim))]
+
+
 def _hull_lp_extremes(points):
     """The LP reference route: each distinct point outside the hull of the others."""
     unique = list({p.entries: p for p in points}.values())
@@ -163,13 +190,13 @@ def test_canonicalize_matches_hull_lp_route():
         rng.shuffle(points)
         assert _matches_hull_lp_route(points)
     # an edge midpoint of the 4-dimensional cross-polytope is tight on four
-    # facets, which have rank 3: extremality needs the rank, not the count
+    # facets, as many as the dimension, but of rank 3: it is not extreme, as
+    # both ends of its edge are tight on all four
     corners = cross(4)
     assert _matches_hull_lp_route(corners + [
         (p + q).scale(Fraction(1, 2)) for p, q in itertools.combinations(corners, 2)
         if not (p + q).is_zero()])
 
-    K = FieldTag.QUAD_SQRT2
     half = Fraction(1, 2)
     ball = list(paper_example_space().ball.vertices)
     inner = [Vector([half, half, 0], K), Vector([-half, -half, 0], K),  # inside the ball
@@ -177,6 +204,43 @@ def test_canonicalize_matches_hull_lp_route():
              Vector([0, 0, half], K)]  # no negation, inside
     assert _matches_hull_lp_route(inner[:1] + ball + inner[1:])
     assert not _matches_hull_lp_route(ball + [Vector([0, 0, 2], K)])
+
+    # seeded Q(sqrt 2) clouds with edge midpoints, facet centres and repeats,
+    # the second of each dimension with one extreme point whose negation is missing
+    symmetric = []
+    for dim in (2, 3):
+        for seed in range(2):
+            rng = random.Random(f"quad:{dim}:{seed}")
+            cloud = _quad_cloud(rng, dim)
+            ball = Polytope.from_vertices(cloud)
+            points = cloud + rng.sample(cloud, 3) + [
+                p for k in (1, dim - 1) for p in rng.sample(_face_centres(ball, k), 2)]
+            if seed:
+                points.append(max(cloud, key=lambda p: max(map(abs, p.entries))).scale(2))
+            rng.shuffle(points)
+            symmetric.append(_matches_hull_lp_route(points))
+    assert symmetric == [True, False, True, False]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from([Q, K]), st.integers(2, 3), st.integers(0, 2 ** 32),
+       st.lists(st.sampled_from(["interior", "boundary", "repeat"]), min_size=1, max_size=6))
+def test_non_extreme_points_leave_the_ball_unchanged(field, dim, seed, kinds):
+    # appended points that are interior, on the boundary but not extreme, or
+    # repeats change neither the vertices nor the functionals nor their order
+    rng = random.Random(seed)
+    cloud = _cloud(rng, dim) if field is Q else _quad_cloud(rng, dim)
+    ball = Polytope.from_vertices(cloud)
+    boundary = _face_centres(ball, 1) + _face_centres(ball, dim - 1)
+    extra = []
+    for kind in kinds:
+        if kind == "interior":
+            extra.append(rng.choice(cloud).scale(Fraction(rng.randint(0, 5), 6)))
+        else:
+            extra.append(rng.choice(boundary if kind == "boundary" else cloud))
+    grown = Polytope.from_vertices(cloud + extra)
+    assert grown.vertices == ball.vertices
+    assert grown.functionals == ball.functionals
 
 
 def test_construction_solves_no_lp(monkeypatch):

@@ -173,3 +173,16 @@ def test_one_elimination_kernel():
     _function(lp, "_pivot")
     assert "linalg" not in {node.module for node in ast.walk(lp)
                             if isinstance(node, ast.ImportFrom)}
+
+
+def test_canonicalize_takes_no_rank():
+    # canonicalize decides extremality from double description's tight sets
+    # alone; the rank of each kept vertex's tight functionals is checked once,
+    # in Polytope.__init__, the independent second route
+    tree = ast.parse((SOURCE / "polytope.py").read_text(encoding="utf-8"))
+    banned = {"rank", "rank_of_vectors", "_rank_of_lists"}
+    found = [f"{node.lineno}:{used}" for node in ast.walk(_function(tree, "canonicalize"))
+             if (used := getattr(node, "id", None) or getattr(node, "attr", None)) in banned]
+    assert found == [], found
+    assert "_rank_of_lists" in {getattr(node.func, "id", None) for node in ast.walk(
+        _function(tree, "__init__", owner="Polytope")) if isinstance(node, ast.Call)}
