@@ -44,7 +44,6 @@ from .polytope import (
     Polytope,
     canonicalize,
     count_faces,
-    dual_vertices,
     enumerate_faces,
     minimal_face,
 )

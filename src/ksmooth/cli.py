@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from typing import Optional, Sequence
@@ -64,6 +65,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # -e1, -1,0, -r2,1 and -(...) are values; argparse takes only -<digits>
+        self._negative_number_matcher = re.compile(r"-(\d|e\d|r2|\()")
+
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
 

@@ -383,6 +383,8 @@ def construct_face_operator(x_space: PolyhedralSpace, face: FaceDescriptor,
     and a q-smooth image point.
     """
     field = x_space.field
+    if field is not y_space.field:
+        raise FieldMismatchError("domain and codomain over different fields")
     if not face.active_set:
         raise NotProperFaceError("face descriptor does not name a proper face")
     active = sorted(face.active_set)

@@ -6,30 +6,33 @@ origin, with the origin in its interior.  It is held as its extreme points
 facet (``functionals``).  By polarity the facet functionals, read as
 points, are the vertices of the polar, and ``dual_vertices`` computes one
 tuple from the other by incremental double description (Fukuda & Prodon,
-1996) on integers: the points are cleared once to rows ``P`` over a scale
-``s``, one fraction-free reduction of ``P`` picks the first d independent
-points and gives the 2^d corners of their parallelotope, and the other
-halfspaces clip it in input order.  A vertex ``v = N / h`` is held as its
-primitive homogeneous row ``(N, h)`` (``h`` a positive integer; over
-Q(sqrt 2) made rational with its conjugate), the key that merges a vertex
-reached from two edges; the sign of ``p.v - 1`` is that of ``P.N - s h``,
-and a new vertex is an integer combination of its edge's ends divided by
-a gcd.  Two vertices are adjacent iff their common active constraints
-have rank d-1 on the rows of ``P``, exact for degenerate polytopes too.
-Tight sets need no scan: a vertex made strictly inside an edge is tight
-exactly where both ends are and on the constraint inserted.
+1996) on integers: it takes the points as rows ``P`` cleared over a scale
+``s``, as its callers hold them, and returns rows, so it clears nothing
+and builds no field scalar.  One fraction-free reduction of ``P`` picks
+the first d independent points and gives the 2^d corners of their
+parallelotope, and the other halfspaces clip it in input order.  A vertex
+``v = N / h`` is held as its primitive homogeneous row ``(N, h)`` (``h`` a
+positive integer; over Q(sqrt 2) made rational with its conjugate), the
+key that merges a vertex reached from two edges; the sign of ``p.v - 1``
+is that of ``P.N - s h``, and a new vertex is an integer combination of
+its edge's ends divided by a gcd.  Two vertices are adjacent iff their
+common active constraints have rank d-1 on the rows of ``P``, exact for
+degenerate polytopes too.  Tight sets need no scan: a vertex made strictly
+inside an edge is tight exactly where both ends are and on the constraint
+inserted.
 
 A ball is built by double description alone, with no LP: ``canonicalize``
-keys the input points by their cleared rows and keeps a boundary point
-when no other point is tight on every facet tight at it (a containment
-test on one pass's tight sets, with no rank; the proof is in its
-docstring), and ``Polytope.from_vertices`` runs double description again
-on the extreme points in first-seen order, which fixes the facet order of
-every report.  ``Polytope.__init__`` checks the rank of each vertex's
-tight facets, a second route independent of the containment test.
-``in_convex_hull`` (one LP per point) is the tests' reference route for
-``canonicalize``.  ``faces_meeting`` reads the faces a subspace meets from
-one pass's tight sets, without building the section as a ``Polytope``.
+keeps a boundary point of one pass on the cleared input rows when no
+other point is tight on every facet tight at it (a containment test on
+the pass's tight sets, with no rank; the proof is in its docstring), and
+``Polytope.from_vertices`` runs double description again on the extreme
+points in first-seen order, which fixes the facet order of every report.
+``Polytope.__init__`` checks the rank of each vertex's tight facets, a
+second route independent of the containment test.  ``in_convex_hull``
+(one LP per point) is the tests' reference route for ``canonicalize``.
+``faces_meeting`` restricts the rows ``F`` to a subspace on integers and
+reads the faces it meets from one pass's tight sets, without building the
+section as a ``Polytope``.
 
 A ``Polytope`` also holds both tuples cleared, which no other module
 reads: ``F`` over one positive scale ``D`` and ``V`` over ``E``, read
@@ -75,7 +78,6 @@ from .linalg import (
     _reduced,
     clear_denominators,
     from_cleared,
-    rank_of_vectors,
 )
 from .lp import lp_feasible
 from .scalars import FieldTag, QuadScalar, Scalar, serialize
@@ -120,17 +122,15 @@ class FaceDescriptor:
     dim: int
 
 
-def _negation_index(points: Sequence[Vector], rows: Sequence) -> list[int]:
-    """For each point, the index of its negation; NotSymmetricError if absent.
-    Points are keyed by their ``rows``, cleared over one common scale."""
-    negate = _FIELD_OPS[points[0].field].negate
+def _negation_index(rows: Sequence, scale: int, field: FieldTag) -> list[int]:
+    """For each row cleared over ``scale``, the index of its negation;
+    NotSymmetricError, naming the point of the first unpaired row, if absent."""
+    ops = _FIELD_OPS[field]
     position = {row: i for i, row in enumerate(rows)}
-    pairs = []
-    for p, row in zip(points, rows):
-        j = position.get(negate(row))
-        if j is None:
-            raise NotSymmetricError(f"point set not closed under negation: {p}")
-        pairs.append(j)
+    pairs = [position.get(ops.negate(row)) for row in rows]
+    if None in pairs:
+        point = Vector(ops.vertex(ops.entries(rows[pairs.index(None)], scale)), field)
+        raise NotSymmetricError(f"point set not closed under negation: {point}")
     return pairs
 
 
@@ -151,10 +151,10 @@ def canonicalize(points: Sequence[Vector]) -> tuple[Vector, ...]:
     """Reduce a point set to its extreme points, in first-seen order.
 
     The points are cleared once over one common scale and keyed by their
-    integer rows; the negation of a distinct point is built only when no
-    input point has its row.  One double description pass runs on these
-    points, far points first (largest absolute coordinate, stable; a
-    negation takes its point's key), and its tight sets, transposed, give
+    integer rows; the negated row of a distinct point is added only when no
+    input point has it.  One double description pass runs on these rows,
+    far points first (largest absolute coordinate, stable; a negation
+    takes its point's key), and its tight sets, transposed, give
     ``T(i)``, the facets of the hull tight at point ``i``.  Point ``i`` is
     extreme iff ``T(i)`` is nonempty and no other point ``j`` has
     ``T(j) >= T(i)``, that is, iff ``i`` alone is tight on all of ``T(i)``.
@@ -172,53 +172,48 @@ def canonicalize(points: Sequence[Vector]) -> tuple[Vector, ...]:
     """
     if not points:
         raise NotFullDimensionalError("empty point set")
-    ops = _FIELD_OPS[points[0].field]
+    field = points[0].field
+    ops = _FIELD_OPS[field]
+    cleared, scale = clear_denominators((p.entries for p in points), field)
     distinct: dict[tuple, Vector] = {}
-    for p, row in zip(points, clear_denominators((p.entries for p in points),
-                                                 points[0].field)[0]):
+    for p, row in zip(points, cleared):
         distinct.setdefault(row, p)
     unique = list(distinct.values())
-    far = [ops.far(row) for row in distinct]
-    lonely = []  # the points whose negation is built here
-    for row, p, key in zip(list(distinct), unique, list(far)):
-        negated = ops.negate(row)
-        if negated not in distinct:
-            distinct[negated] = -p
-            far.append(key)
-            lonely.append(p)
-    candidates = list(distinct.values())
+    rows = list(distinct)
+    lonely = [i for i, row in enumerate(rows) if ops.negate(row) not in distinct]
+    rows += [ops.negate(rows[i]) for i in lonely]
     # far points first: fewer intermediate vertices (Avis, Bremner & Seidel 1997)
-    order = sorted(range(len(candidates)), key=far.__getitem__, reverse=True)
-    _, tight = dual_vertices([candidates[i] for i in order])
+    order = sorted(range(len(rows)), key=lambda i: ops.far(rows[i]), reverse=True)
+    _, tight = dual_vertices([rows[i] for i in order], scale, field)
     at: list[list[frozenset[int]]] = [[] for _ in order]  # the tight sets, transposed
     for members in tight:
         for h in members:
             at[h].append(members)
-    extreme = [False] * len(candidates)
+    extreme = [False] * len(rows)
     for h, i in enumerate(order):
         extreme[i] = bool(at[h]) and frozenset.intersection(*at[h]) == {h}
-    for p, keep in zip(lonely, extreme[len(unique):]):
+    for i, keep in zip(lonely, extreme[len(unique):]):
         if keep:
-            raise NotSymmetricError(f"point set not closed under negation: {p}")
+            raise NotSymmetricError(f"point set not closed under negation: {unique[i]}")
     return tuple(p for p, keep in zip(unique, extreme) if keep)
 
 
-def dual_vertices(points: Sequence[Vector]) -> tuple[list[Vector], list[frozenset[int]]]:
+def dual_vertices(P: Sequence, scale: int,
+                  field: FieldTag) -> tuple[list[tuple], list[frozenset[int]]]:
     """Vertices of ``{f : p.f <= 1 for each p}`` by double description,
     each with its tight set: the indices of the points ``p`` with ``p.f == 1``.
 
-    The input must be symmetric and span the ambient space (otherwise the
-    polar is unbounded).  Insertion order is the input order, so the
-    output order is deterministic.  Clipping runs on cleared integer rows
-    (see the module docstring).
+    The points ``P_i / scale`` come as ``clear_denominators`` rows, and each
+    vertex leaves as its primitive homogeneous row ``(N, h)``, which
+    ``_FIELD_OPS[field].vertex`` reads back.  The input must be symmetric
+    and span the ambient space (otherwise the polar is unbounded), and the
+    output order follows the input order.
     """
-    if not points:
+    if not P:
         raise NotFullDimensionalError("empty point set")
-    field = points[0].field
-    d = points[0].dim
+    d = len(P[0] if field is FieldTag.RATIONAL else P[0][0])
     ops = _FIELD_OPS[field]
-    P, scale = clear_denominators((p.entries for p in points), field)
-    negation = _negation_index(points, P)
+    negation = _negation_index(P, scale, field)
 
     # reduce the columns P^T with d unit right-hand sides: the pivots are the
     # first d independent points, the rows of P_init, and the right-hand
@@ -229,7 +224,7 @@ def dual_vertices(points: Sequence[Vector]) -> tuple[list[Vector], list[frozense
     else:
         columns = list(zip(zip(*[a for a, _ in P], *unit),
                            zip(*[b for _, b in P], *[(0,) * d] * d)))
-    rows, init, det = _reduced(columns, field, len(points), True)
+    rows, init, det = _reduced(columns, field, len(P), True)
     width = len(rows[0]) - d
     if len(init) < d:
         raise NotFullDimensionalError(
@@ -244,26 +239,17 @@ def dual_vertices(points: Sequence[Vector]) -> tuple[list[Vector], list[frozense
                for signs in corners]
     constraints = [ops.entries(row, -scale) for row in P]
 
-    processed = set(init) | {negation[i] for i in init}
+    inserted = set(init) | {negation[i] for i in init}
     for idx, p in enumerate(constraints):
-        if idx in processed:
+        if idx in inserted:
             continue
-        processed.add(idx)
         values = ops.values(p, verts)
         signs = [ops.sign(val) for val in values]
-        if 1 not in signs:
-            for k, sign in enumerate(signs):
-                if sign == 0:
-                    actives[k].add(idx)
-            continue
-        keep_verts: list[tuple] = []
-        keep_actives: list[set[int]] = []
         for k, sign in enumerate(signs):
-            if sign <= 0:
-                keep_verts.append(verts[k])
-                if sign == 0:
-                    actives[k].add(idx)
-                keep_actives.append(actives[k])
+            if sign == 0:
+                actives[k].add(idx)
+        if 1 not in signs:
+            continue
         new_verts = {}
         for k_out, sign_out in enumerate(signs):
             if sign_out <= 0:
@@ -278,19 +264,18 @@ def dual_vertices(points: Sequence[Vector]) -> tuple[list[Vector], list[frozense
                 if common and _rank_of_lists([P[j] for j in common], field) != d - 1:
                     continue
                 z = ops.edge(values[k_out], verts[k_out], values[k_in], verts[k_in])
-                # z lies strictly inside the edge uw: a processed constraint
+                # z lies strictly inside the edge uw: an inserted constraint
                 # is tight at z exactly when it is tight at both ends
                 new_verts.setdefault(z, common | {idx})
-        keep_verts += new_verts
-        keep_actives += new_verts.values()
-        verts, actives = keep_verts, keep_actives
+        keep = [k for k, sign in enumerate(signs) if sign <= 0]
+        verts = [verts[k] for k in keep] + list(new_verts)
+        actives = [actives[k] for k in keep] + list(new_verts.values())
 
     for act in actives:
         if _rank_of_lists([P[j] for j in act], field) != d:
             raise InternalInconsistencyError(
                 "double description produced a non-vertex point")
-    return ([Vector(ops.vertex(z), field) for z in verts],
-            [frozenset(act) for act in actives])
+    return verts, [frozenset(act) for act in actives]
 
 
 def _primitive(parts: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -499,8 +484,10 @@ class Polytope:
         if points:
             check_guard(points[0].dim, 0)  # before canonicalize's double description
         vertices = canonicalize(points)
+        field = vertices[0].field
         check_guard(vertices[0].dim, len(vertices))
-        return cls(vertices, tuple(dual_vertices(vertices)[0]))
+        rows, _ = dual_vertices(*clear_denominators((v.entries for v in vertices), field), field)
+        return cls(vertices, tuple(Vector(_FIELD_OPS[field].vertex(z), field) for z in rows))
 
     def polar(self) -> "Polytope":
         """The polar dual: facet functionals become vertices and vice versa."""
@@ -552,8 +539,10 @@ def faces_meeting(p: Polytope, basis: Sequence[Vector]):
 
     In the coordinates of the basis, the section of ``p`` by the span is
     the polytope cut out by the restricted facet functionals
-    ``g_j = (f_j(b_1), ..., f_j(b_r))``; double description over the
-    distinct nonzero ones gives its vertices and the ``g`` tight at each.
+    ``g_j = (f_j(b_1), ..., f_j(b_r))``, formed on integers as ``F_j``
+    dotted with the basis cleared over ``s`` (``g_j`` times ``D s``); double
+    description over the distinct nonzero ones gives its vertices and the
+    ``g`` tight at each.
     Its faces are exactly the sections of the faces of ``p`` whose relative
     interior the span meets (Fukuda & Prodon, 1996), and the section face
     with active set A has as vertices the section vertices tight on all of
@@ -562,13 +551,16 @@ def faces_meeting(p: Polytope, basis: Sequence[Vector]):
     section vertices lies in its relative interior.
     """
     field = p.field
+    ops = _FIELD_OPS[field]
     lattice = p._face_lattice()
+    cleared, s = clear_denominators((b.entries for b in basis), field)
     facets_of: dict[tuple, list[int]] = {}
-    for j, f in enumerate(p.functionals):
-        g = tuple(f.dot(b) for b in basis)
-        if any(g):
-            facets_of.setdefault(g, []).append(j)
-    section, tight = dual_vertices([Vector(g, field) for g in facets_of])
+    for j, f in enumerate(p.F):
+        values = ops.values(f, cleared)
+        if any(map(ops.sign, values)):
+            facets_of.setdefault(ops.row(values), []).append(j)
+    rows, tight = dual_vertices(list(facets_of), p.D * s, field)
+    section = [Vector(ops.vertex(z), field) for z in rows]
     groups = list(facets_of.values())
     active = [frozenset(j for k in members for j in groups[k]) for members in tight]
     faces = []
@@ -594,8 +586,8 @@ def minimal_face(p: Polytope, x: Vector) -> FaceDescriptor:
         raise NotOnBoundaryError(f"max functional value is {serialize(p.facets_at(x)[0])}, not 1")
     active = frozenset(tight)
     # from the vertex side: a k-face misses the origin, so its vertices span k + 1
-    on_face = [v for v, act in zip(p.vertices, p.vertex_active) if active <= act]
-    return FaceDescriptor(active, rank_of_vectors(on_face) - 1)
+    on_face = [row for row, act in zip(p.V, p.vertex_active) if active <= act]
+    return FaceDescriptor(active, _rank_of_lists(on_face, p.field) - 1)
 
 
 def enumerate_faces(p: Polytope, dim: int) -> list[FaceDescriptor]:

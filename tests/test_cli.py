@@ -159,8 +159,11 @@ def test_huge_guard_variable_is_cheap(capsys, monkeypatch):
     (["point", "smooth", "ell1:2", "1,1"], "norm of (1,1) is not 1"),
     (["point", "smooth", "paper-example", "1,1,1"], "norm of (1,1,1) is not 1"),
     (["op", "construct-face", "paper-example", "e3", "ell1:2", "e1"],
-     "cannot coerce the quad-sqrt2 scalar 0 into the rational field"),
-], ids=["ell1:2-1,1", "paper-example-1,1,1", "construct-face-cross-field"])
+     "domain and codomain over different fields"),
+    (["op", "construct-face", "ellinf:2", "e1", "paper-example", "e3"],
+     "domain and codomain over different fields"),
+], ids=["ell1:2-1,1", "paper-example-1,1,1", "construct-face-cross-field",
+        "construct-face-cross-field-reversed"])
 def test_validation_message_prints_literals(capsys, argv, message):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -259,6 +262,41 @@ def test_construct_face_command(tmp_path, capsys):
     assert "order 4" in out
     emitted = load_operator(str(out_path))
     assert order_of_smoothness(emitted).index == 4
+
+
+@pytest.mark.parametrize("argv, same", [
+    (["point", "smooth", "ell1:2", "-e1"], "(-1,0)"),
+    (["point", "smooth", "ell1:2", "-1,0"], "(-1,0)"),
+    (["point", "smooth", "ell1:2", "-1/2,1/2"], "(-1/2,1/2)"),
+    (["ortho", "check", "ell1:2", "e1", "-e2"], "(0,-1)"),
+], ids=["-e1", "-1,0", "-1/2,1/2", "-e2"])
+def test_vectors_starting_with_minus_are_values(capsys, argv, same):
+    # argparse alone reads "-e1" or "-1,0" as an unknown option
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv[:-1], same) == (0, out)
+
+
+def test_dash_tokens_that_are_not_values_stay_options(capsys):
+    code, out = run(capsys, "point", "smooth", "ell1:2", "-1,0", "--json")
+    assert code == 0
+    assert json.loads(out)["command"] == ["point", "smooth", "ell1:2", "-1,0", "--json"]
+    for token in ("-x", "-e"):
+        assert main(["point", "smooth", "ell1:2", token]) == 1
+        assert "usage error" in capsys.readouterr().err
+    # a value in the wrong field is the literal parser's to reject, not argparse's
+    assert main(["point", "smooth", "ell1:2", "-r2,0"]) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
+def test_construct_face_takes_negative_face_and_target(tmp_path, capsys):
+    out_path = tmp_path / "F.json"
+    code, out = run(capsys, "op", "construct-face", "ell1:2", "-e1", "ellinf:2", "-e2",
+                    "--out", str(out_path))
+    assert code == 0
+    assert "order 1" in out
+    emitted = load_operator(str(out_path))
+    assert order_of_smoothness(emitted).index == 1
 
 
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])

@@ -110,8 +110,8 @@ COMMANDS = [
     ["rank1", "orders", "2", "3"],
 ]
 TOKENS = ["ell1:2", "ellinf:2", "ell1:1", "paper-example", "e1", "-e2", "e3", "1,0",
-          "(1,0)", "1/2,1/2", "r2,0", "1/0,1", LONG + ",0", "e" + LONG, "ell1:" + LONG,
-          "", "--json", "no-such-file.json", "info", "smooth", "check"]
+          "-1,0", "-1/2,1/2", "(1,0)", "1/2,1/2", "r2,0", "1/0,1", LONG + ",0", "e" + LONG,
+          "ell1:" + LONG, "", "--json", "no-such-file.json", "info", "smooth", "check"]
 CHARS = "-,/()e*r+:012 "
 
 

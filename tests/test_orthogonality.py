@@ -237,6 +237,13 @@ def _section_cases():
     space = paper_example_space()
     for i in range(3):
         yield space, Subspace.span(space, [Vector.basis(i, 3, K)])
+    # bases with r2 and denominators, so the integer restriction runs over a
+    # scale other than the ball's: an equatorial line, on which each facet
+    # (a, b, 1) restricts to the same row as its mirror (a, b, -1), and a plane
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    yield space, Subspace.span(space, [Vector([half, QuadScalar(0, third), 0], K)])
+    yield space, Subspace.span(space, [Vector([1, QuadScalar(0, half), third], K),
+                                       Vector([0, QuadScalar(half, 1), -third], K)])
 
 
 def test_section_walk_matches_lp_route():

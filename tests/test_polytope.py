@@ -23,7 +23,6 @@ from ksmooth.polytope import (
     Polytope,
     canonicalize,
     count_faces,
-    dual_vertices,
     enumerate_faces,
     minimal_face,
 )
@@ -56,6 +55,14 @@ def cube(n):
     for bits in range(2 ** n):
         out.append(qv(*[1 if bits & (1 << i) else -1 for i in range(n)]))
     return out
+
+
+def dual_vertices(points):
+    """``polytope.dual_vertices`` on the cleared points, its rows read back as vectors."""
+    field = points[0].field
+    rows, tight = polytope.dual_vertices(
+        *clear_denominators((p.entries for p in points), field), field)
+    return [Vector(polytope._FIELD_OPS[field].vertex(z), field) for z in rows], tight
 
 
 def test_square_to_cross_functionals():
@@ -154,8 +161,8 @@ def _matches_hull_lp_route(points):
     """Compare ``canonicalize`` with the LP route; True if the extremes are symmetric."""
     expected = _hull_lp_extremes(points)
     try:
-        polytope._negation_index(expected, clear_denominators(
-            (p.entries for p in expected), expected[0].field)[0])
+        polytope._negation_index(*clear_denominators(
+            (p.entries for p in expected), expected[0].field), expected[0].field)
     except NotSymmetricError:
         with pytest.raises(NotSymmetricError):
             canonicalize(points)
@@ -499,8 +506,15 @@ def test_dual_vertices_matches_brute_force():
 
 
 def test_dual_vertices_requires_symmetry():
-    with pytest.raises(NotSymmetricError):
+    # the unpaired point is named in the literal grammar, read back from its
+    # row over the common scale
+    with pytest.raises(NotSymmetricError, match=r"negation: \(1,0\)$"):
         dual_vertices([qv(1, 0), qv(0, 1)])
+    with pytest.raises(NotSymmetricError, match=r"negation: \(1/2,0\)$"):
+        dual_vertices([qv(Fraction(1, 2), 0), qv(0, Fraction(1, 3)), qv(0, Fraction(-1, 3))])
+    with pytest.raises(NotSymmetricError, match=r"negation: \(1/2\+1/2\*r2,0\)$"):
+        dual_vertices([Vector([QuadScalar(Fraction(1, 2), Fraction(1, 2)), 0], K),
+                       Vector([0, 1], K), Vector([0, -1], K)])
 
 
 def test_boundary_grid_face_dims_match_rank():

@@ -52,12 +52,12 @@ def test_core_names_no_float():
 def test_cleared_rows_and_double_description_stay_in_polytope():
     # only polytope.py (and linalg.py, which defines the clearing) knows the
     # cleared rows F/D/V/E or runs double description and the face lattice;
-    # __init__.py only re-exports
+    # the package does not re-export dual_vertices, whose rows are internal
     names = {"clear_denominators", "from_cleared",
              "dual_vertices", "intersection_closure", "_face_lattice"}
     rows = {"F", "D", "V", "E"}
     found = []
-    for name, tree in _trees(skip=("polytope.py", "linalg.py", "__init__.py")):
+    for name, tree in _trees(skip=("polytope.py", "linalg.py")):
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 used = {a.name for a in node.names} & names
@@ -105,20 +105,21 @@ def test_oracle_reads_no_support_set():
 
 
 def test_double_description_clips_on_integers():
-    # dual_vertices clips on cleared integer rows: no field dot product,
-    # scaling or `field.one` anywhere in it, and no Vector built while
-    # inserting, so the insertion step never falls back to field arithmetic
+    # dual_vertices takes and returns cleared integer rows: no field dot
+    # product, scaling or `field.one`, no clearing and no Vector anywhere in
+    # it, so it never falls back to field arithmetic; faces_meeting restricts
+    # the ball's cleared rows to the subspace with no field dot product
     tree = ast.parse((SOURCE / "polytope.py").read_text(encoding="utf-8"))
-    [body] = [node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name == "dual_vertices"]
-    found = [f"{node.lineno}:{node.attr}" for node in ast.walk(body)
+    dd, section = (_function(tree, name) for name in ("dual_vertices", "faces_meeting"))
+    found = [f"{node.lineno}:{node.attr}" for node in ast.walk(dd)
              if isinstance(node, ast.Attribute) and (
                  node.attr in ("dot", "scale")
                  or (node.attr == "one" and getattr(node.value, "id", None) == "field"))]
-    loops = [node for node in ast.walk(body) if isinstance(node, (ast.For, ast.While))]
-    assert loops
-    found += [f"{node.lineno}:Vector" for loop in loops for node in ast.walk(loop)
-              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Vector"]
+    found += [f"{node.lineno}:{node.func.id}" for node in ast.walk(dd)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                  "Vector", "clear_denominators")]
+    found += [f"faces_meeting:{node.lineno}:dot" for node in ast.walk(section)
+              if isinstance(node, ast.Attribute) and node.attr == "dot"]
     assert found == [], found
 
 
