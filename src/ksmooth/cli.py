@@ -43,9 +43,10 @@ from .files import (
     operator_to_document,
     parse_vector,
 )
-from .linalg import Vector, rank_of_vectors
+from .linalg import Vector
 from .operators import (
     PAPER_EXAMPLE_REFERENCE_ORDER,
+    LinearOperator,
     _index_computation,
     construct_face_operator,
     operator_norm_and_attainment,
@@ -105,14 +106,10 @@ def _parse_face(space, text: str) -> FaceDescriptor:
               for part in text.split(";") if part.strip()]
     if not points:
         raise ValidationError("empty face specification")
-    active = None
-    for p in points:
-        face = minimal_face(space.ball, p)
-        active = face.active_set if active is None else active & face.active_set
+    active = frozenset.intersection(*(minimal_face(space.ball, p).active_set for p in points))
     if not active:
         raise ValidationError("listed points share no facet; not a proper face")
-    dim = space.dim - rank_of_vectors([space.ball.functionals[j] for j in sorted(active)])
-    return FaceDescriptor(frozenset(active), dim)
+    return space.ball.face(active)
 
 
 def _cmd_space_info(args, argv) -> int:
@@ -190,8 +187,9 @@ def _cmd_op_order(args, argv) -> int:
     warnings = []
     att = operator_norm_and_attainment(t)
     original_norm = att.operator_norm
-    if original_norm != t.domain.field.one:
-        t = t.normalized()
+    one = t.domain.field.one
+    if original_norm != one:
+        t = LinearOperator(t.domain, t.codomain, t.matrix.scale(one / original_norm))
         warnings.append(f"operator normalized by its norm {serialize(original_norm)}")
     report = order_of_smoothness(t)
     results = _order_results(t, report)

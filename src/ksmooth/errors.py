@@ -85,7 +85,3 @@ class InternalInconsistencyError(KsmoothError):
 
 class SpanViolationError(InternalInconsistencyError):
     """A vector that must lie in a collected span fell outside it."""
-
-
-class CompletionFailureError(InternalInconsistencyError):
-    """Completing a partial basis failed; impossible by dimension count."""

@@ -36,7 +36,6 @@ from .errors import (
     EmptyExtremeIntersectionError,
     FieldMismatchError,
     InternalInconsistencyError,
-    CompletionFailureError,
     NotIndependentError,
     NotProperFaceError,
     NotUnitNormError,
@@ -49,7 +48,6 @@ from .linalg import (
     Vector,
     greedy_independent_subset,
     kron_coeff_vector,
-    nullspace,
     outer_product_rank,
     rank,
     rank_of_vectors,
@@ -373,64 +371,39 @@ def rank1_forbidden_primes(admissible: Sequence[int]) -> set[int]:
 
 def construct_face_operator(x_space: PolyhedralSpace, face: FaceDescriptor,
                             y_space: PolyhedralSpace, u: Vector) -> LinearOperator:
-    """An operator attaining its norm exactly on ``+/-face``, mapping it to ``u``.
+    """The rank-one ``x -> f(x) u``, which attains its norm exactly on
+    ``+/-face`` and maps the face to ``u``.
 
-    The averaged active facet functional ``f`` equals 1 exactly on the
-    face; independent face vertices are completed to a basis with kernel
-    vectors of ``f``, the face vertices map to ``u`` and the completion to
-    zero.  The construction is verified by re-running attainment and the
-    order computation: the order is p*q for p independent face vertices
-    and a q-smooth image point.
+    ``f`` is the mean of the face's facet functionals.  Each of them is at
+    most 1 on the ball, so ``|f| <= 1`` there, with ``f = 1`` exactly where
+    all of them are 1, on the face (its active set is full), and ``f = -1``
+    exactly on ``-face``.  With ``||u|| = 1`` the operator therefore has norm
+    1 and attains it exactly on ``+/-face``.  It is also the unique operator
+    sending ``p = dim face + 1`` independent face vertices to ``u`` and the
+    kernel of ``f`` to zero.  The construction is verified by re-running
+    attainment and the order computation: the order is p*q for a q-smooth
+    image point.
     """
     field = x_space.field
     if field is not y_space.field:
         raise FieldMismatchError("domain and codomain over different fields")
-    if not face.active_set:
-        raise NotProperFaceError("face descriptor does not name a proper face")
-    active = sorted(face.active_set)
-    try:
-        functionals = [x_space.ball.functionals[j] for j in active]
-    except IndexError:
-        raise NotProperFaceError("face active set indexes unknown facets") from None
-    if x_space.dim - rank_of_vectors(functionals) != face.dim:
+    if x_space.ball.face(face.active_set) != face:
         raise NotProperFaceError("face dimension does not match its active set")
     if norm(y_space, u) != y_space.field.one:
         raise NotUnitNormError(f"target point {u} is not unit norm")
 
     face_vertices = x_space.ball.face_vertices(face)
-    if not face_vertices:
-        raise NotProperFaceError("face has no vertices")
-
     total = Vector.zero(x_space.dim, field)
-    for f in functionals:
-        total = total + f
-    avg = total.scale(field.one / field.from_int(len(functionals)))
+    for j in sorted(face.active_set):
+        total = total + x_space.ball.functionals[j]
+    avg = total.scale(field.one / field.from_int(len(face.active_set)))
     for v in face_vertices:
         if avg.dot(v) != field.one:
             raise InternalInconsistencyError(
                 "averaged face functional is not 1 on a face vertex")
-
-    keep = greedy_independent_subset(face_vertices)
-    base = [face_vertices[i] for i in keep]
-    p = len(base)
-    if p != face.dim + 1:
-        raise InternalInconsistencyError(
-            f"face of dimension {face.dim} spans rank {p}, expected {face.dim + 1}")
-
-    kernel = nullspace(Matrix([list(avg.entries)], field))
-    candidates = base + kernel
-    chosen = [candidates[i] for i in greedy_independent_subset(candidates)]
-    if len(chosen) != x_space.dim:
-        raise CompletionFailureError(
-            f"basis completion found only {len(chosen)} of {x_space.dim} vectors")
-
-    basis_matrix = Matrix.from_columns(chosen).transpose()
-    image_columns = [u] * p + [Vector.zero(y_space.dim, field)] * (x_space.dim - p)
-    image_matrix = Matrix.from_columns(image_columns)
-    rows = solve(basis_matrix, [image_matrix.row(i) for i in range(y_space.dim)])
-    if rows is None:
-        raise CompletionFailureError("completed basis is singular")
-    operator = LinearOperator(x_space, y_space, Matrix.from_rows(rows))
+    p = face.dim + 1
+    operator = LinearOperator(x_space, y_space,
+                              Matrix([[a * b for b in avg] for a in u], field))
 
     att = operator_norm_and_attainment(operator)
     expected = {sign_canonical(v).entries for v in face_vertices}

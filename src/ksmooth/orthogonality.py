@@ -14,8 +14,8 @@ relative interior meets the subspace contributes a single check.
 the ball by the subspace, with a point of each.
 
 Every positive verdict carries one witness functional per contributing
-face, stored as convex-combination coefficients over the extreme
-functionals used, and re-verified exactly before being returned.
+face, built from its convex-combination coefficients over the extreme
+functionals used and verified exactly before being returned.
 """
 
 from __future__ import annotations
@@ -89,22 +89,28 @@ class BJVerdict:
         return self.holds
 
 
-def _verify_witness(space: PolyhedralSpace, witness: Witness,
-                    vanish_on: Sequence[Vector]) -> Witness:
+def _verify_witness(space: PolyhedralSpace, point: Vector, extremes: Sequence[Vector],
+                    coefficients: Sequence[Scalar], vanish_on: Sequence[Vector]) -> Witness:
+    """The witness ``sum c_i extremes_i`` over the nonzero ``coefficients``,
+    checked exactly: it supports ``point``, has norm one and vanishes on
+    ``vanish_on``, and the coefficients are convex weights."""
     one, zero = space.field.one, space.field.zero
-    f = witness.functional
-    if f.dot(witness.point) != one:
+    f = Vector.zero(space.dim, space.field)
+    for c, g in zip(coefficients, extremes):
+        if c:
+            f = f + g.scale(c)
+    if f.dot(point) != one:
         raise InternalInconsistencyError("witness functional does not support its point")
     if space.ball.vertices_at(f)[0] != one:
         raise InternalInconsistencyError("witness functional is not norm one")
     for y in vanish_on:
         if f.dot(y) != zero:
             raise InternalInconsistencyError("witness functional fails to vanish")
-    if any(c < zero for c in witness.coefficients):
+    if any(c < zero for c in coefficients):
         raise InternalInconsistencyError("witness coefficients not convex")
-    if sum(witness.coefficients, zero) != one:
+    if sum(coefficients, zero) != one:
         raise InternalInconsistencyError("witness coefficients do not sum to one")
-    return witness
+    return Witness(point, f, tuple(extremes), tuple(coefficients))
 
 
 def _bracket_witness(space: PolyhedralSpace, point: Vector,
@@ -115,25 +121,20 @@ def _bracket_witness(space: PolyhedralSpace, point: Vector,
     """
     zero, one = space.field.zero, space.field.one
     values = [f.dot(y) for f in extremes]
-    for f, val in zip(extremes, values):
+    coeffs = [zero] * len(extremes)
+    for i, val in enumerate(values):
         if val == zero:
-            coeffs = tuple(one if g is f else zero for g in extremes)
-            return _verify_witness(
-                space, Witness(point, f, tuple(extremes), coeffs), [y])
+            coeffs[i] = one
+            return _verify_witness(space, point, extremes, coeffs, [y])
     pos = next(((i, v) for i, v in enumerate(values) if v > zero), None)
     neg = next(((i, v) for i, v in enumerate(values) if v < zero), None)
     if pos is None or neg is None:
         return None
     (ip, vp), (iq, vn) = pos, neg
     gap = vp - vn
-    lam_pos = -vn / gap
-    lam_neg = vp / gap
-    coeffs = [zero] * len(extremes)
-    coeffs[ip] = lam_pos
-    coeffs[iq] = lam_neg
-    functional = extremes[ip].scale(lam_pos) + extremes[iq].scale(lam_neg)
-    return _verify_witness(
-        space, Witness(point, functional, tuple(extremes), tuple(coeffs)), [y])
+    coeffs[ip] = -vn / gap
+    coeffs[iq] = vp / gap
+    return _verify_witness(space, point, extremes, coeffs, [y])
 
 
 def bj_vector_vector(space: PolyhedralSpace, x: Vector, y: Vector) -> BJVerdict:
@@ -158,9 +159,7 @@ def _annihilating_witness(space: PolyhedralSpace, point: Vector,
     coefficients = lp_feasible(rows, rhs, field)
     if coefficients is None:
         return None
-    functional = Matrix.from_columns(list(extremes)).matvec(Vector(coefficients, field))
-    return _verify_witness(
-        space, Witness(point, functional, tuple(extremes), coefficients), targets)
+    return _verify_witness(space, point, extremes, coefficients, targets)
 
 
 def bj_vector_subspace(space: PolyhedralSpace, x: Vector, w: Subspace) -> BJVerdict:

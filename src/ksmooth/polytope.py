@@ -44,8 +44,9 @@ for ``image_gauge_max``, the operators' attainment scan.
 
 Faces are keyed by their full active set (the maximal set of facets
 containing them); the face with active set A has dimension
-``d - rank{f_j : j in A}``, and ``minimal_face`` reads it from the other
-side, as the rank of the vertices on the face minus one.
+``d - rank{f_j : j in A}``, which ``Polytope.face`` reads from the cached
+face lattice, and ``minimal_face`` reads it from the other side, as the
+rank of the vertices on the face minus one.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from functools import cmp_to_key, reduce
 from fractions import Fraction
 from math import gcd
 from operator import mul, neg
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -66,6 +67,7 @@ from .errors import (
     InternalInconsistencyError,
     NotFullDimensionalError,
     NotOnBoundaryError,
+    NotProperFaceError,
     NotSymmetricError,
     OriginNotInteriorError,
     ValidationError,
@@ -447,18 +449,27 @@ class Polytope:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polytope is immutable")
 
+    def _check_point(self, x: Vector) -> None:
+        """DimensionMismatchError unless ``x`` has this polytope's field and
+        dimension: the cleared-row scans would silently truncate it."""
+        if x.field is not self.field or x.dim != self.dim:
+            raise DimensionMismatchError("point does not live in the polytope's space")
+
     def facets_at(self, x: Vector) -> tuple[Scalar, list[int]]:
         """``max_j f_j(x)`` (the gauge of ``x``) and the facets attaining it."""
+        self._check_point(x)
         top, scale, tight = _tight(self.F, self.D, x)
         return from_cleared(top, scale, self.field), tight
 
     def vertices_at(self, f: Vector) -> tuple[Scalar, list[int]]:
         """``max_i f(v_i)`` (the dual gauge of ``f``) and the vertices attaining it."""
+        self._check_point(f)
         top, scale, tight = _tight(self.V, self.E, f)
         return from_cleared(top, scale, self.field), tight
 
     def unit_facets(self, x: Vector) -> list[int] | None:
         """The facets attaining the gauge of ``x`` if it is 1, else ``None``; on integers."""
+        self._check_point(x)
         top, scale, tight = _tight(self.F, self.D, x)
         return tight if top == (scale if self.field is FieldTag.RATIONAL else (scale, 0)) else None
 
@@ -512,6 +523,21 @@ class Polytope:
                 for a in intersection_closure(self.vertex_active)}
         return cache["lattice"]
 
+    def face(self, active: Iterable[int]) -> FaceDescriptor:
+        """The proper face whose full active set is ``active``, its dimension
+        read from the cached face lattice.
+
+        NotProperFaceError when ``active`` is empty, names an unknown facet,
+        or is not the maximal set of facets containing the face it cuts out
+        (two facets of one vertex, say).
+        """
+        active = frozenset(active)
+        dim = self._face_lattice().get(active)
+        if dim is None:
+            raise NotProperFaceError(
+                f"facets {sorted(active)} are not the active set of a proper face")
+        return FaceDescriptor(active, dim)
+
 
 def intersection_closure(generators: Sequence[frozenset[int]]) -> list[frozenset[int]]:
     """Every nonempty intersection of one or more ``generators``, each once.
@@ -552,6 +578,8 @@ def faces_meeting(p: Polytope, basis: Sequence[Vector]):
     """
     field = p.field
     ops = _FIELD_OPS[field]
+    for b in basis:
+        p._check_point(b)
     lattice = p._face_lattice()
     cleared, s = clear_denominators((b.entries for b in basis), field)
     facets_of: dict[tuple, list[int]] = {}
@@ -579,8 +607,6 @@ def faces_meeting(p: Polytope, basis: Sequence[Vector]):
 
 def minimal_face(p: Polytope, x: Vector) -> FaceDescriptor:
     """The face whose relative interior contains the boundary point ``x``."""
-    if x.field is not p.field or x.dim != p.dim:
-        raise DimensionMismatchError("point does not live in the polytope's space")
     tight = p.unit_facets(x)
     if tight is None:
         raise NotOnBoundaryError(f"max functional value is {serialize(p.facets_at(x)[0])}, not 1")

@@ -210,6 +210,32 @@ def test_op_order_normalizes_with_note(tmp_path, capsys):
     assert "index of smoothness: 4" in out
 
 
+def test_op_order_rescales_by_the_norm_it_holds(tmp_path, capsys, monkeypatch):
+    # the first scan's norm rescales the operator: one scan for the norm and
+    # one inside the order computation, the report that of t.normalized()
+    op_doc = {"domain": "ell1:2", "codomain": "ellinf:2",
+              "matrix": [["2", "2"], ["2", "1"]]}
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(op_doc), encoding="utf-8")
+    t = load_operator(str(path)).normalized()
+    expected = cli._order_results(t, order_of_smoothness(t))
+    scans = []
+    real = operators.operator_norm_and_attainment
+
+    def counted(op):
+        scans.append(op)
+        return real(op)
+
+    monkeypatch.setattr(operators, "operator_norm_and_attainment", counted)
+    monkeypatch.setattr(cli, "operator_norm_and_attainment", counted)
+    code, out = run(capsys, "op", "order", str(path), "--json")
+    assert code == 0
+    assert len(scans) == 2
+    results = json.loads(out)["results"]
+    assert results.pop("original_norm") == "2"
+    assert results == expected
+
+
 def test_op_index_with_set_file(tmp_path, capsys):
     op_doc = {"domain": "ell1:2", "codomain": "ellinf:2",
               "matrix": [["1", "1"], ["1", "1"]]}

@@ -7,11 +7,12 @@ import pytest
 from ksmooth.errors import (
     EmptyExtremeIntersectionError,
     InternalInconsistencyError,
+    NotProperFaceError,
     NotUnitNormError,
     ZeroOperatorError,
 )
 import ksmooth.operators as operators
-from ksmooth.linalg import Matrix, Vector, rank_of_vectors
+from ksmooth.linalg import Matrix, Vector, nullspace, rank_of_vectors
 from ksmooth.operators import (
     LinearOperator,
     _index_computation,
@@ -25,7 +26,7 @@ from ksmooth.operators import (
     rank1_forbidden_primes,
     sign_canonical,
 )
-from ksmooth.polytope import enumerate_faces, minimal_face
+from ksmooth.polytope import FaceDescriptor, enumerate_faces, minimal_face
 from ksmooth.scalars import FieldTag, INV_SQRT2, QuadScalar
 from ksmooth.selftest import _random_rank1_operator, _random_unit_operator
 from ksmooth.spaces import (
@@ -330,6 +331,48 @@ def test_construct_face_operator_rejects_bad_input():
     edge = minimal_face(x_space.ball, qv(Fraction(1, 2), Fraction(1, 2), 0))
     with pytest.raises(NotUnitNormError, match=r"^target point \(2,0\) is not unit norm$"):
         construct_face_operator(x_space, edge, y_space, qv(2, 0))
+
+
+@pytest.mark.parametrize("active, dim", [
+    ({0, 3}, 1),   # two facets of one vertex of ell1:3: rank 2, but no edge
+    (set(), 2),    # no facet
+    ({99}, 2),     # an unknown facet
+    ({0}, 1),      # a facet given the wrong dimension
+], ids=["two-facets-of-a-vertex", "empty", "unknown-index", "wrong-dim"])
+def test_construct_face_operator_rejects_non_faces(active, dim):
+    with pytest.raises(NotProperFaceError):
+        construct_face_operator(ell1(3), FaceDescriptor(frozenset(active), dim),
+                                ellinf(2), qv(1, 1))
+
+
+def _mean_facet_functional(space, face):
+    functionals = [space.ball.functionals[j] for j in face.active_set]
+    total = functionals[0]
+    for f in functionals[1:]:
+        total = total + f
+    return total.scale(space.field.one / space.field.from_int(len(functionals)))
+
+
+@pytest.mark.parametrize("x_space, y_space, targets", [
+    (ell1(3), ellinf(2), [qv(1, 1), qv(1, -1), qv(1, Fraction(1, 2)), qv(1, 0)]),
+    (ellinf(3), ellinf(2), [qv(1, 1), qv(-1, 1), qv(Fraction(-1, 3), 1), qv(0, 1)]),
+    (paper_example_space(), ellinf(3, K),
+     [kv(1, 1, 1), kv(1, -1, 1), kv(1, 0, 0), kv(INV_SQRT2, 1, 0)]),
+], ids=["ell1:3", "ellinf:3", "paper-example"])
+def test_construct_face_operator_solves_the_completion_equations(x_space, y_space, targets):
+    # T b = u on every face vertex and T k = 0 on the kernel of the mean facet
+    # functional: the equations that determine T uniquely
+    zero = Vector.zero(y_space.dim, y_space.field)
+    for k in range(x_space.dim):
+        for face in enumerate_faces(x_space.ball, k):
+            kernel = nullspace(Matrix([list(_mean_facet_functional(x_space, face))],
+                                      x_space.field))
+            assert len(kernel) == x_space.dim - 1
+            for u in targets:
+                t = construct_face_operator(x_space, face, y_space, u)
+                assert t.rank() == 1
+                assert all(t.apply(b) == u for b in x_space.ball.face_vertices(face))
+                assert all(t.apply(v) == zero for v in kernel)
 
 
 def test_min_bound_from_remark():

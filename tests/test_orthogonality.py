@@ -109,17 +109,42 @@ def test_subspace_subspace():
         li2, Subspace.span(li2, [qv(1, 0)]), Subspace.span(li2, [qv(1, 1)]))
 
 
+def _kv(*entries):
+    return Vector([QuadScalar(e) for e in entries], K)
+
+
 def test_witnesses_verified_exactly():
-    l13 = ell1(3)
-    verdict = bj_subspace_vector(l13, Subspace.span(l13, [qv(1, 0, 0), qv(0, 1, 0)]),
-                                 qv(0, 0, 1))
-    assert verdict.witnesses
-    for w in verdict.witnesses:
-        assert w.functional.dot(w.point) == 1
-        assert w.functional.dot(qv(0, 0, 1)) == 0
-        assert max(w.functional.dot(v) for v in l13.ball.vertices) == 1
-        assert sum(w.coefficients) == 1
-        assert all(c >= 0 for c in w.coefficients)
+    l13, pe = ell1(3), paper_example_space()
+    e1, e2, e3 = basis_vectors(3)
+    k1, k2, k3 = _kv(1, 0, 0), _kv(0, 1, 0), _kv(0, 0, 1)
+    cases = [  # bracket witnesses, then LP witnesses, over both fields
+        (l13, bj_subspace_vector(l13, Subspace.span(l13, [e1, e2]), e3), [e3]),
+        (pe, bj_vector_vector(pe, k3, k1), [k1]),
+        (pe, bj_subspace_vector(pe, Subspace.span(pe, [k3]), k1), [k1]),
+        (l13, bj_subspace_subspace(l13, Subspace.span(l13, [e1, e2]),
+                                   Subspace.span(l13, [e3])), [e3]),
+        (l13, bj_vector_subspace(l13, qv(1, 0, 0), Subspace.span(l13, [e2, e3])), [e2, e3]),
+        (pe, bj_vector_subspace(pe, k3, Subspace.span(pe, [k1, k2])), [k1, k2]),
+    ]
+    for space, verdict, vanish_on in cases:
+        assert verdict.witnesses
+        one, zero = space.field.one, space.field.zero
+        for w in verdict.witnesses:
+            combination = Vector.zero(space.dim, space.field)
+            for c, f in zip(w.coefficients, w.extremes, strict=True):
+                combination = combination + f.scale(c)
+            assert w.functional == combination
+            assert w.functional.dot(w.point) == one
+            assert all(w.functional.dot(y) == zero for y in vanish_on)
+            assert max(w.functional.dot(v) for v in space.ball.vertices) == one
+            assert sum(w.coefficients, zero) == one
+            assert all(c >= zero for c in w.coefficients)
+
+
+def test_subspace_of_another_space_is_rejected():
+    # the section walk once truncated the basis to the ball's dimension
+    with pytest.raises(DimensionMismatchError):
+        bj_subspace_vector(ell1(2), Subspace(ell1(3), (qv(1, 1, 0),)), qv(1, 0))
 
 
 def test_best_coapproximation():

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksmooth.errors import (
+    DimensionMismatchError,
     GuardExceededError,
     NotFullDimensionalError,
     NotOnBoundaryError,
+    NotProperFaceError,
     NotSymmetricError,
 )
 from ksmooth.files import load_space
@@ -20,10 +22,12 @@ import ksmooth.lp as lp
 from ksmooth.orthogonality import Subspace, bj_subspace_subspace, bj_subspace_vector
 import ksmooth.polytope as polytope
 from ksmooth.polytope import (
+    FaceDescriptor,
     Polytope,
     canonicalize,
     count_faces,
     enumerate_faces,
+    faces_meeting,
     minimal_face,
 )
 from ksmooth.scalars import FieldTag, INV_SQRT2, QuadScalar
@@ -402,6 +406,37 @@ def test_faces_unique_and_dimensionally_consistent():
         for f in faces:
             functionals = [p.functionals[j] for j in f.active_set]
             assert p.dim - rank_of_vectors(functionals) == k
+
+
+def test_face_reads_the_lattice():
+    for p in (ell1(3).ball, ellinf(3).ball, paper_example_space().ball):
+        for k in range(p.dim):
+            for face in enumerate_faces(p, k):
+                assert p.face(face.active_set) == face
+    p = ell1(3).ball
+    # facets 0 and 3 meet only in the vertex e1, whose active set has four facets
+    assert p.face(frozenset({0, 1, 2, 3})) == FaceDescriptor(frozenset({0, 1, 2, 3}), 0)
+    for active in ({0, 3}, set(), {8}, {0, 7}):
+        with pytest.raises(NotProperFaceError):
+            p.face(frozenset(active))
+
+
+@pytest.mark.parametrize("point", [qv(1, 0, 5), qv(1,),
+                                   Vector([QuadScalar(1), QuadScalar(0)], K)],
+                         ids=["too-long", "too-short", "other-field"])
+@pytest.mark.parametrize("scan", [
+    lambda p, x: p.facets_at(x),
+    lambda p, x: p.vertices_at(x),
+    lambda p, x: p.unit_facets(x),
+    lambda p, x: minimal_face(p, x),
+    lambda p, x: list(faces_meeting(p, [x])),
+    lambda p, x: list(faces_meeting(p, [qv(1, 0), x])),
+], ids=["facets_at", "vertices_at", "unit_facets", "minimal_face", "faces_meeting",
+        "faces_meeting-second"])
+def test_cleared_row_scans_reject_foreign_points(scan, point):
+    # zip would truncate a longer point and pair a shorter one with a prefix
+    with pytest.raises(DimensionMismatchError):
+        scan(ell1(2).ball, point)
 
 
 def test_euler_characteristic_random():

@@ -187,3 +187,14 @@ def test_canonicalize_takes_no_rank():
     assert found == [], found
     assert "_rank_of_lists" in {getattr(node.func, "id", None) for node in ast.walk(
         _function(tree, "__init__", owner="Polytope")) if isinstance(node, ast.Call)}
+
+
+def test_face_operator_is_a_closed_form():
+    # the face operator is the rank-one u (x) f of the mean facet functional,
+    # written down directly: no kernel basis, completion or linear solve
+    tree = ast.parse((SOURCE / "operators.py").read_text(encoding="utf-8"))
+    found = [f"{node.lineno}:{used}"
+             for node in ast.walk(_function(tree, "construct_face_operator"))
+             if (used := getattr(node, "id", None) or getattr(node, "attr", None))
+             in ("solve", "nullspace")]
+    assert found == [], found
