@@ -20,6 +20,7 @@ from .operators import (
     LinearOperator,
     SmoothnessReport,
     construct_face_operator,
+    face_operator_and_order,
     index_of_smoothness,
     operator_norm_and_attainment,
     oracle_order_of_smoothness,

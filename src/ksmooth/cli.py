@@ -48,7 +48,7 @@ from .operators import (
     PAPER_EXAMPLE_REFERENCE_ORDER,
     LinearOperator,
     _index_computation,
-    construct_face_operator,
+    face_operator_and_order,
     operator_norm_and_attainment,
     order_of_smoothness,
     rank1_admissible_orders,
@@ -246,8 +246,7 @@ def _cmd_op_construct_face(args, argv) -> int:
     y_space = load_space(args.space_y)
     face = _parse_face(x_space, args.face)
     u = parse_vector(args.u, y_space.field, y_space.dim)
-    t = construct_face_operator(x_space, face, y_space, u)
-    report = order_of_smoothness(t)
+    t, report = face_operator_and_order(x_space, face, y_space, u)
     doc = operator_to_document(t, args.space_x, args.space_y)
     if args.out:
         try:

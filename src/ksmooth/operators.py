@@ -371,8 +371,15 @@ def rank1_forbidden_primes(admissible: Sequence[int]) -> set[int]:
 
 def construct_face_operator(x_space: PolyhedralSpace, face: FaceDescriptor,
                             y_space: PolyhedralSpace, u: Vector) -> LinearOperator:
+    """The operator of ``face_operator_and_order``."""
+    return face_operator_and_order(x_space, face, y_space, u)[0]
+
+
+def face_operator_and_order(x_space: PolyhedralSpace, face: FaceDescriptor,
+                            y_space: PolyhedralSpace, u: Vector,
+                            ) -> tuple[LinearOperator, SmoothnessReport]:
     """The rank-one ``x -> f(x) u``, which attains its norm exactly on
-    ``+/-face`` and maps the face to ``u``.
+    ``+/-face`` and maps the face to ``u``, with its verified order report.
 
     ``f`` is the mean of the face's facet functionals.  Each of them is at
     most 1 on the ball, so ``|f| <= 1`` there, with ``f = 1`` exactly where
@@ -382,7 +389,7 @@ def construct_face_operator(x_space: PolyhedralSpace, face: FaceDescriptor,
     sending ``p = dim face + 1`` independent face vertices to ``u`` and the
     kernel of ``f`` to zero.  The construction is verified by re-running
     attainment and the order computation: the order is p*q for a q-smooth
-    image point.
+    image point, and that report is returned with the operator.
     """
     field = x_space.field
     if field is not y_space.field:
@@ -421,4 +428,4 @@ def construct_face_operator(x_space: PolyhedralSpace, face: FaceDescriptor,
     if report.index != p * q:
         raise InternalInconsistencyError(
             f"constructed operator has order {report.index}, expected {p * q}")
-    return operator
+    return operator, report

@@ -5,7 +5,9 @@ for every scalar ``t``; equivalently some norm-one functional supports
 ``x`` and vanishes on ``y``.  Over a polyhedral ball the support set
 ``J(x)`` is the convex hull of the facet functionals active at ``x``, so
 every test below reduces to exact linear algebra or an exact feasibility
-LP over those extreme functionals.
+LP over those extreme functionals, named by their facet indices: the ball
+(``Polytope.values_at``, ``witness_lp`` and ``witness``) evaluates them
+on its cleared integer rows, and the LP pivots on integers too.
 
 Subspace-level tests iterate the proper faces of the ball: the support
 set is constant on the relative interior of a face, so each face whose
@@ -15,7 +17,8 @@ the ball by the subspace, with a point of each.
 
 Every positive verdict carries one witness functional per contributing
 face, built from its convex-combination coefficients over the extreme
-functionals used and verified exactly before being returned.
+functionals used and verified exactly, on integers and without the LP,
+before being returned.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .linalg import Matrix, Vector, rank_of_vectors, solve
 from .lp import lp_feasible
 from .polytope import FaceDescriptor, faces_meeting
 from .scalars import Scalar
-from .spaces import PolyhedralSpace, norm, support_set
+from .spaces import PolyhedralSpace, norm, support_facets
 
 
 @dataclass(frozen=True)
@@ -89,43 +92,31 @@ class BJVerdict:
         return self.holds
 
 
-def _verify_witness(space: PolyhedralSpace, point: Vector, extremes: Sequence[Vector],
+def _verify_witness(space: PolyhedralSpace, point: Vector, facets: Sequence[int],
                     coefficients: Sequence[Scalar], vanish_on: Sequence[Vector]) -> Witness:
-    """The witness ``sum c_i extremes_i`` over the nonzero ``coefficients``,
-    checked exactly: it supports ``point``, has norm one and vanishes on
-    ``vanish_on``, and the coefficients are convex weights."""
-    one, zero = space.field.one, space.field.zero
-    f = Vector.zero(space.dim, space.field)
-    for c, g in zip(coefficients, extremes):
-        if c:
-            f = f + g.scale(c)
-    if f.dot(point) != one:
-        raise InternalInconsistencyError("witness functional does not support its point")
-    if space.ball.vertices_at(f)[0] != one:
-        raise InternalInconsistencyError("witness functional is not norm one")
-    for y in vanish_on:
-        if f.dot(y) != zero:
-            raise InternalInconsistencyError("witness functional fails to vanish")
-    if any(c < zero for c in coefficients):
-        raise InternalInconsistencyError("witness coefficients not convex")
-    if sum(coefficients, zero) != one:
-        raise InternalInconsistencyError("witness coefficients do not sum to one")
-    return Witness(point, f, tuple(extremes), tuple(coefficients))
+    """The witness ``sum c_j f_j`` over the listed facets, checked exactly by
+    ``Polytope.witness`` on the ball's integer rows (it supports ``point``,
+    has norm one and vanishes on ``vanish_on``, and the coefficients are
+    convex weights), whichever route found the coefficients."""
+    functional = space.ball.witness(facets, coefficients, point, vanish_on)
+    extremes = tuple(space.ball.functionals[j] for j in facets)
+    return Witness(point, functional, extremes, tuple(coefficients))
 
 
 def _bracket_witness(space: PolyhedralSpace, point: Vector,
-                     extremes: Sequence[Vector], y: Vector) -> Optional[Witness]:
-    """A functional in the hull of ``extremes`` vanishing at ``y``, if any.
+                     facets: Sequence[int], y: Vector) -> Optional[Witness]:
+    """A functional in the hull of the listed facet functionals vanishing
+    at ``y``, if any.
 
-    Exists iff the values ``f(y)`` over the extremes bracket zero.
+    Exists iff the values ``f(y)`` over the facets bracket zero.
     """
     zero, one = space.field.zero, space.field.one
-    values = [f.dot(y) for f in extremes]
-    coeffs = [zero] * len(extremes)
+    values = space.ball.values_at(facets, y)
+    coeffs = [zero] * len(facets)
     for i, val in enumerate(values):
         if val == zero:
             coeffs[i] = one
-            return _verify_witness(space, point, extremes, coeffs, [y])
+            return _verify_witness(space, point, facets, coeffs, [y])
     pos = next(((i, v) for i, v in enumerate(values) if v > zero), None)
     neg = next(((i, v) for i, v in enumerate(values) if v < zero), None)
     if pos is None or neg is None:
@@ -134,38 +125,31 @@ def _bracket_witness(space: PolyhedralSpace, point: Vector,
     gap = vp - vn
     coeffs[ip] = -vn / gap
     coeffs[iq] = vp / gap
-    return _verify_witness(space, point, extremes, coeffs, [y])
+    return _verify_witness(space, point, facets, coeffs, [y])
 
 
 def bj_vector_vector(space: PolyhedralSpace, x: Vector, y: Vector) -> BJVerdict:
     """Whether the unit vector x is Birkhoff-James orthogonal to y."""
-    sup = support_set(space, x)
-    witness = _bracket_witness(space, x, sup.extreme_functionals, y)
+    witness = _bracket_witness(space, x, support_facets(space, x), y)
     if witness is None:
         return BJVerdict(False, counterexample_point=x)
     return BJVerdict(True, (witness,))
 
 
-def _annihilating_witness(space: PolyhedralSpace, point: Vector,
-                          extremes: Sequence[Vector],
+def _annihilating_witness(space: PolyhedralSpace, point: Vector, facets: Sequence[int],
                           targets: Sequence[Vector]) -> Optional[Witness]:
-    """A convex combination of ``extremes`` vanishing on all ``targets``."""
-    field = space.field
-    rows = [[field.one] * len(extremes)]
-    rhs: list[Scalar] = [field.one]
-    for w in targets:
-        rows.append([f.dot(w) for f in extremes])
-        rhs.append(field.zero)
-    coefficients = lp_feasible(rows, rhs, field)
+    """A convex combination of the listed facet functionals vanishing on
+    all ``targets``: one feasibility LP on the ball's integer rows."""
+    rows, rhs = space.ball.witness_lp(facets, targets)
+    coefficients = lp_feasible(rows, rhs, space.field)
     if coefficients is None:
         return None
-    return _verify_witness(space, point, extremes, coefficients, targets)
+    return _verify_witness(space, point, facets, coefficients, targets)
 
 
 def bj_vector_subspace(space: PolyhedralSpace, x: Vector, w: Subspace) -> BJVerdict:
     """Whether some functional of J(x) annihilates the whole subspace w."""
-    sup = support_set(space, x)
-    witness = _annihilating_witness(space, x, sup.extreme_functionals, w.basis)
+    witness = _annihilating_witness(space, x, support_facets(space, x), w.basis)
     if witness is None:
         return BJVerdict(False, counterexample_point=x)
     return BJVerdict(True, (witness,))
@@ -213,12 +197,12 @@ def _relint_sample(space: PolyhedralSpace, face: FaceDescriptor,
 
 def _walk_faces(space: PolyhedralSpace, v: Subspace,
                 witness: Callable[..., Optional[Witness]], target: object) -> BJVerdict:
-    """``witness(space, point, extremes, target)`` on each face of the ball
-    meeting v; the first face without a witness gives the counterexample."""
+    """``witness(space, point, facets, target)`` on each face of the ball
+    meeting v, ``facets`` its sorted active set; the first face without a
+    witness gives the counterexample."""
     witnesses = []
     for face, point in faces_meeting(space.ball, v.basis):
-        extremes = [space.ball.functionals[j] for j in sorted(face.active_set)]
-        found = witness(space, point, extremes, target)
+        found = witness(space, point, sorted(face.active_set), target)
         if found is None:
             return BJVerdict(False, counterexample_point=point)
         witnesses.append(found)

@@ -40,7 +40,11 @@ through the field table ``_FIELD_OPS``.  ``_row_max`` finds the rows tight
 at a cleared point: at the rows of ``V`` for the incidence check of
 ``Polytope.__init__``, at one cleared point for ``facets_at``,
 ``vertices_at`` and ``unit_facets``, and at each integer image ``An V_k``
-for ``image_gauge_max``, the operators' attainment scan.
+for ``image_gauge_max``, the operators' attainment scan.  The
+Birkhoff-James witnesses of :mod:`ksmooth.orthogonality` are integer work
+on the same rows: ``values_at`` evaluates facets at a point,
+``witness_lp`` forms the LP rows ``F_j . W_k``, and ``witness`` checks a
+convex combination of facets against ``V`` without the LP.
 
 Faces are keyed by their full active set (the maximal set of facets
 containing them); the face with active set A has dimension
@@ -57,12 +61,13 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cmp_to_key, reduce
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul, neg
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatchError,
+    FieldMismatchError,
     GuardExceededError,
     InternalInconsistencyError,
     NotFullDimensionalError,
@@ -73,7 +78,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    Matrix,
     Vector,
     _entry,
     _rank_of_lists,
@@ -82,7 +86,7 @@ from .linalg import (
     from_cleared,
 )
 from .lp import lp_feasible
-from .scalars import FieldTag, QuadScalar, Scalar, serialize
+from .scalars import FieldTag, QuadScalar, Scalar, quad_sign, serialize
 
 DEFAULT_MAX_DIM = 6
 DEFAULT_MAX_VERTICES = 64
@@ -310,15 +314,7 @@ def _quad_values(p: tuple, verts: list) -> list[tuple[int, int]]:
              sum(map(mul, pa, zb)) + sum(map(mul, pb, za))) for za, zb in verts]
 
 
-def _quad_sign(x: tuple[int, int]) -> int:
-    a, b = x
-    # a + b r2 has the sign of the larger of a and b r2 in absolute value;
-    # r2 is irrational, so a*a == 2*b*b only when both are 0
-    s = a if a * a > 2 * b * b else b
-    return (s > 0) - (s < 0)
-
-
-_quad_order = cmp_to_key(lambda x, y: _quad_sign((x[0] - y[0], x[1] - y[1])))
+_quad_order = cmp_to_key(lambda x, y: quad_sign((x[0] - y[0], x[1] - y[1])))
 
 
 def _quad_edge(a_u: tuple, u: tuple, a_w: tuple, w: tuple) -> tuple:
@@ -338,8 +334,32 @@ def _quad_edge(a_u: tuple, u: tuple, a_w: tuple, w: tuple) -> tuple:
     return _primitive([na, nb])
 
 
-@dataclass(frozen=True)
-class _FieldOps:
+def _rational_combine(c: tuple, rows: Sequence[tuple]) -> tuple:
+    return tuple(sum(map(mul, c, column)) for column in zip(*rows))
+
+
+def _quad_combine(c: tuple, rows: Sequence[tuple]) -> tuple:
+    # (x + y r2) times the parts (p, q) of each row, summed over the rows
+    x, y = c
+    columns = zip(zip(*(p for p, _ in rows)), zip(*(q for _, q in rows)))
+    return tuple(zip(*((sum(map(mul, x, p)) + 2 * sum(map(mul, y, q)),
+                        sum(map(mul, x, q)) + sum(map(mul, y, p))) for p, q in columns)))
+
+
+def _rational_mean(rows: Sequence[tuple]) -> tuple[tuple, int]:
+    top = lcm(*{z[-1] for z in rows})
+    return (tuple(map(sum, zip(*([x * (top // z[-1]) for x in z[:-1]] for z in rows)))),
+            len(rows) * top)
+
+
+def _quad_mean(rows: Sequence[tuple]) -> tuple[tuple, int]:
+    top = lcm(*{z[0][-1] for z in rows})
+    return (tuple(tuple(map(sum, zip(*([x * (top // z[0][-1]) for x in z[part][:-1]]
+                                       for z in rows)))) for part in (0, 1)),
+            len(rows) * top)
+
+
+class _FieldOps(NamedTuple):
     """What the readers of cleared rows do differently over each field.
 
     ``entries(row, h)`` appends a homogenizing integer to a cleared row;
@@ -347,8 +367,12 @@ class _FieldOps:
     ordering rows by their largest absolute entry;
     ``vertex`` turns a homogeneous row back into field entries;
     ``values(p, rows)`` gives the value ``p.z`` at every row ``z``, and
-    ``row`` turns a list of values into a row; ``sign`` and ``max`` order
-    values; ``edge(a_u, u, a_w, w)`` is the primitive row ``a_u w - a_w u``.
+    ``row`` turns a list of values into a row, ``split`` a row into its
+    values; ``lift`` makes an integer a value and ``total`` sums values;
+    ``sign`` and ``max`` order values; ``edge(a_u, u, a_w, w)`` is the
+    primitive row ``a_u w - a_w u``; ``combine(c, rows)`` is the row
+    ``sum_i c_i rows_i`` for the values of the row ``c``, and ``mean(rows)``
+    the numerators and ``h`` of the mean of the points of homogeneous ``rows``.
     """
 
     entries: Callable
@@ -357,9 +381,14 @@ class _FieldOps:
     vertex: Callable
     values: Callable
     row: Callable
+    split: Callable
+    lift: Callable
+    total: Callable
     sign: Callable
     max: Callable
     edge: Callable
+    combine: Callable
+    mean: Callable
 
 
 # Over Q a row is a tuple of ints, a value an int.  Over Q(sqrt 2) a row is
@@ -372,22 +401,32 @@ _FIELD_OPS = {
         vertex=lambda z: [Fraction(n, z[-1]) for n in z[:-1]],
         values=lambda p, rows: [sum(map(mul, p, z)) for z in rows],
         row=tuple,
+        split=list,
+        lift=lambda n: n,
+        total=sum,
         sign=lambda x: (x > 0) - (x < 0),
         max=max,
-        edge=_rational_edge),
+        edge=_rational_edge,
+        combine=_rational_combine,
+        mean=_rational_mean),
     FieldTag.QUAD_SQRT2: _FieldOps(
         entries=lambda row, h: ((*row[0], h), (*row[1], 0)),
         negate=lambda row: (tuple(map(neg, row[0])), tuple(map(neg, row[1]))),
-        far=lambda row: max(_quad_order(x if _quad_sign(x) >= 0 else (-x[0], -x[1]))
+        far=lambda row: max(_quad_order(x if quad_sign(x) >= 0 else (-x[0], -x[1]))
                             for x in zip(*row)),
         vertex=lambda z: [QuadScalar(Fraction(a, z[0][-1]), Fraction(b, z[0][-1]))
                           for a, b in zip(z[0][:-1], z[1])],
         values=_quad_values,
         row=lambda values: tuple(zip(*values)),
-        sign=_quad_sign,
+        split=lambda row: list(zip(*row)),
+        lift=lambda n: (n, 0),
+        total=lambda values: tuple(map(sum, zip(*values))),
+        sign=quad_sign,
         max=lambda values: reduce(
-            lambda x, y: y if _quad_sign((y[0] - x[0], y[1] - x[1])) > 0 else x, values),
-        edge=_quad_edge),
+            lambda x, y: y if quad_sign((y[0] - x[0], y[1] - x[1])) > 0 else x, values),
+        edge=_quad_edge,
+        combine=_quad_combine,
+        mean=_quad_mean),
 }
 
 
@@ -450,10 +489,13 @@ class Polytope:
         raise AttributeError("Polytope is immutable")
 
     def _check_point(self, x: Vector) -> None:
-        """DimensionMismatchError unless ``x`` has this polytope's field and
-        dimension: the cleared-row scans would silently truncate it."""
-        if x.field is not self.field or x.dim != self.dim:
-            raise DimensionMismatchError("point does not live in the polytope's space")
+        """FieldMismatchError unless ``x`` has this polytope's field and
+        DimensionMismatchError unless it has its dimension: the cleared-row
+        scans would silently truncate it."""
+        if x.field is not self.field:
+            raise FieldMismatchError(f"point field {x.field} vs space field {self.field}")
+        if x.dim != self.dim:
+            raise DimensionMismatchError(f"point dim {x.dim} vs space dim {self.dim}")
 
     def facets_at(self, x: Vector) -> tuple[Scalar, list[int]]:
         """``max_j f_j(x)`` (the gauge of ``x``) and the facets attaining it."""
@@ -471,7 +513,64 @@ class Polytope:
         """The facets attaining the gauge of ``x`` if it is 1, else ``None``; on integers."""
         self._check_point(x)
         top, scale, tight = _tight(self.F, self.D, x)
-        return tight if top == (scale if self.field is FieldTag.RATIONAL else (scale, 0)) else None
+        return tight if top == _FIELD_OPS[self.field].lift(scale) else None
+
+    def values_at(self, facets: Sequence[int], x: Vector) -> list[Scalar]:
+        """``f_j(x)`` for the listed facets ``j``: one integer dot product
+        and one field scalar each."""
+        self._check_point(x)
+        [cleared], e = clear_denominators([x.entries], self.field)
+        return [from_cleared(value, self.D * e, self.field) for value in
+                _FIELD_OPS[self.field].values(cleared, [self.F[j] for j in facets])]
+
+    def witness_lp(self, facets: Sequence[int],
+                   targets: Sequence[Vector]) -> tuple[list[list], list]:
+        """The rows and right-hand side of the LP for convex weights ``c`` over
+        the listed facets with ``sum_j c_j f_j`` vanishing on each target.
+
+        Row 0 asks ``sum_j c_j = 1`` and row ``k`` asks ``sum_j c_j f_j(w_k) = 0``,
+        all times ``D w`` for the targets cleared over ``w``: row ``k`` holds
+        the integers ``F_j . W_k`` and row 0 the value ``D w`` throughout.
+        """
+        for w in targets:
+            self._check_point(w)
+        ops = _FIELD_OPS[self.field]
+        cleared, w = clear_denominators((t.entries for t in targets), self.field)
+        rows = [ops.values(target, [self.F[j] for j in facets]) for target in cleared]
+        one = ops.lift(self.D * w)
+        return [[one] * len(facets)] + rows, [one] + [ops.lift(0)] * len(rows)
+
+    def witness(self, facets: Sequence[int], coefficients: Sequence[Scalar],
+                point: Vector, targets: Sequence[Vector]) -> Vector:
+        """The functional ``f = sum_j c_j f_j`` over the listed facets,
+        checked on integers: it is 1 at ``point``, has maximum 1 over the
+        vertices and vanishes on ``targets``, and the ``c_j`` are convex
+        weights.  With the ``c_j`` cleared over ``q`` and ``f`` cleared to
+        the row ``C.F`` over ``q D``: ``C.F . X = q D s`` at the point
+        cleared over ``s``, ``max_k C.F . V_k = q D E``, ``C.F . W = 0`` at
+        each cleared target, every ``C_j >= 0`` and ``sum_j C_j = q``.
+        InternalInconsistencyError names the first check that fails.
+        """
+        field = self.field
+        ops = _FIELD_OPS[field]
+        for x in (point, *targets):
+            self._check_point(x)
+        [c], q = clear_denominators([coefficients], field)
+        row = ops.combine(c, [self.F[j] for j in facets])
+        [x], s = clear_denominators([point.entries], field)
+        if ops.values(row, [x])[0] != ops.lift(q * self.D * s):
+            raise InternalInconsistencyError("witness functional does not support its point")
+        if _row_max(self.V, row, field)[0] != ops.lift(q * self.D * self.E):
+            raise InternalInconsistencyError("witness functional is not norm one")
+        cleared, _ = clear_denominators((t.entries for t in targets), field)
+        if any(map(ops.sign, ops.values(row, cleared))):
+            raise InternalInconsistencyError("witness functional fails to vanish")
+        weights = ops.split(c)
+        if any(ops.sign(weight) < 0 for weight in weights):
+            raise InternalInconsistencyError("witness coefficients not convex")
+        if ops.total(weights) != ops.lift(q):
+            raise InternalInconsistencyError("witness coefficients do not sum to one")
+        return Vector(ops.vertex(ops.entries(row, q * self.D)), field)
 
     def image_gauge_max(self, target: "Polytope", rows: Sequence[Sequence[Scalar]],
                         ) -> tuple[Scalar, dict[int, list[int]]]:
@@ -574,7 +673,10 @@ def faces_meeting(p: Polytope, basis: Sequence[Vector]):
     with active set A has as vertices the section vertices tight on all of
     A.  So the tight sets, mapped back to facet indices of ``p`` and closed
     under intersection, name the faces met, and the barycentre of a face's
-    section vertices lies in its relative interior.
+    section vertices lies in its relative interior: the section vertices
+    are homogeneous rows ``(N, h)``, so it is the mean row of ``N`` over the
+    common ``h`` (``_FieldOps.mean``) mapped by the cleared basis, with one
+    field scalar per entry.
     """
     field = p.field
     ops = _FIELD_OPS[field]
@@ -588,7 +690,6 @@ def faces_meeting(p: Polytope, basis: Sequence[Vector]):
         if any(map(ops.sign, values)):
             facets_of.setdefault(ops.row(values), []).append(j)
     rows, tight = dual_vertices(list(facets_of), p.D * s, field)
-    section = [Vector(ops.vertex(z), field) for z in rows]
     groups = list(facets_of.values())
     active = [frozenset(j for k in members for j in groups[k]) for members in tight]
     faces = []
@@ -598,11 +699,11 @@ def faces_meeting(p: Polytope, basis: Sequence[Vector]):
                 "a face of the subspace section is not a face of the ball")
         faces.append(FaceDescriptor(a, lattice[a]))
     faces.sort(key=lambda face: (face.dim, tuple(sorted(face.active_set))))
-    to_ambient = Matrix.from_columns(list(basis))
+    columns, t = clear_denominators(zip(*(b.entries for b in basis)), field)
     for face in faces:
-        members = [z for z, a in zip(section, active) if face.active_set <= a]
-        weights = Vector([field.one / field.from_int(len(members))] * len(members), field)
-        yield face, to_ambient.matvec(Matrix.from_columns(members).matvec(weights))
+        mean, h = ops.mean([z for z, a in zip(rows, active) if face.active_set <= a])
+        yield face, Vector(ops.vertex(ops.entries(ops.row(ops.values(mean, columns)), t * h)),
+                           field)
 
 
 def minimal_face(p: Polytope, x: Vector) -> FaceDescriptor:

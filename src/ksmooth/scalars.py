@@ -257,6 +257,22 @@ def sign(x: Scalar) -> int:
     raise FieldMismatchError(f"not a scalar of a supported field: {x!r}")
 
 
+# Over Q(sqrt 2) a cleared value is the pair (a, b) of ints for a + b r2.
+
+def quad_sign(x: tuple[int, int]) -> int:
+    """The sign of the cleared value ``x = (a, b)``, that is of ``a + b r2``."""
+    a, b = x
+    # a + b r2 has the sign of the larger of a and b r2 in absolute value;
+    # r2 is irrational, so a*a == 2*b*b only when both are 0
+    s = a if a * a > 2 * b * b else b
+    return (s > 0) - (s < 0)
+
+
+def quad_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """The product of two cleared values ``(a, b)``, read as ``a + b r2``."""
+    return x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
 # ---------------------------------------------------------------------------
 # literal parsing / serialization
 # ---------------------------------------------------------------------------

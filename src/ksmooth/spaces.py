@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
-    DimensionMismatchError,
     InternalInconsistencyError,
     FieldMismatchError,
     NotUnitNormError,
@@ -65,16 +64,8 @@ class SupportSet:
     smoothness_order: int
 
 
-def _check_point(space: PolyhedralSpace, x: Vector) -> None:
-    if x.field is not space.field:
-        raise FieldMismatchError(f"point field {x.field} vs space field {space.field}")
-    if x.dim != space.dim:
-        raise DimensionMismatchError(f"point dim {x.dim} vs space dim {space.dim}")
-
-
 def norm(space: PolyhedralSpace, x: Vector) -> Scalar:
     """The polytope norm: max of f(x) over the ball's facet functionals."""
-    _check_point(space, x)
     return space.ball.facets_at(x)[0]
 
 
@@ -86,13 +77,18 @@ def normalized(space: PolyhedralSpace, x: Vector) -> Vector:
     return x.scale(space.field.one / n)
 
 
-def support_set(space: PolyhedralSpace, x: Vector) -> SupportSet:
-    """Extreme support functionals of the unit vector x and their rank."""
-    _check_point(space, x)
+def support_facets(space: PolyhedralSpace, x: Vector) -> list[int]:
+    """The indices of the facet functionals active at the unit vector x,
+    the extreme points of J(x)."""
     tight = space.ball.unit_facets(x)
     if tight is None:
         raise NotUnitNormError(f"norm of {x} is not 1")
-    active = [space.ball.functionals[j] for j in tight]
+    return tight
+
+
+def support_set(space: PolyhedralSpace, x: Vector) -> SupportSet:
+    """Extreme support functionals of the unit vector x and their rank."""
+    active = [space.ball.functionals[j] for j in support_facets(space, x)]
     return SupportSet(x, tuple(active), rank_of_vectors(active))
 
 

@@ -350,6 +350,22 @@ def test_rank1_orders_computes_admissible_orders_once(capsys, monkeypatch):
     assert calls == [(3, 3)]
 
 
+def test_construct_face_computes_the_order_once(capsys, monkeypatch):
+    # the command reports the order that the construction has just verified
+    calls = []
+    real = operators.order_of_smoothness
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(operators, "order_of_smoothness", counted)
+    monkeypatch.setattr(cli, "order_of_smoothness", counted)
+    code, out = run(capsys, "op", "construct-face", "ell1:3", "e1;e2", "ellinf:2", "1,1")
+    assert code == 0 and "order 4" in out
+    assert len(calls) == 1
+
+
 def test_rank1_orders_command(capsys):
     code, out = run(capsys, "rank1", "orders", "3", "3")
     assert code == 0

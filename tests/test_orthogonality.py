@@ -5,6 +5,7 @@ import pytest
 
 from ksmooth.errors import (
     DimensionMismatchError,
+    InternalInconsistencyError,
     NotIndependentError,
     NotUnitNormError,
     SubspaceMembershipError,
@@ -13,6 +14,7 @@ from ksmooth.linalg import Vector, rank_of_vectors
 from ksmooth.orthogonality import (
     Subspace,
     _relint_sample,
+    _verify_witness,
     bj_subspace_subspace,
     bj_subspace_vector,
     bj_vector_subspace,
@@ -139,6 +141,27 @@ def test_witnesses_verified_exactly():
             assert max(w.functional.dot(v) for v in space.ball.vertices) == one
             assert sum(w.coefficients, zero) == one
             assert all(c >= zero for c in w.coefficients)
+
+
+@pytest.mark.parametrize("point, named, weights, message", [
+    ((0, 1), "ab", (Fraction(1, 2), Fraction(1, 2)), "does not support its point"),
+    ((1, 0), "ab", (2, -1), "is not norm one"),
+    ((1, 0), "ab", (1, 0), "fails to vanish"),
+    ((1, 0), "aba", (1, Fraction(1, 2), Fraction(-1, 2)), "coefficients not convex"),
+    ((1, 0), "abcd", (Fraction(3, 4), Fraction(3, 4), Fraction(1, 4), Fraction(1, 4)),
+     "do not sum to one"),
+], ids=["support", "norm", "vanish", "convex", "sum"])
+def test_witness_check_rejects_each_failure(point, named, weights, message):
+    # each combination passes every check before the one it breaks; the
+    # check reads only the ball, so a wrong LP answer cannot pass it
+    space = ell1(2)
+    facet = {name: space.ball.functionals.index(qv(*f)) for name, f in
+             zip("abcd", [(1, 1), (1, -1), (-1, 1), (-1, -1)])}
+    with pytest.raises(InternalInconsistencyError, match=message):
+        _verify_witness(space, qv(*point), [facet[n] for n in named],
+                        [Fraction(c) for c in weights], [qv(0, 1)])
+    assert _verify_witness(space, qv(1, 0), [facet["a"], facet["b"]],
+                           [Fraction(1, 2)] * 2, [qv(0, 1)]).functional == qv(1, 0)
 
 
 def test_subspace_of_another_space_is_rejected():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ksmooth.errors import (
     DimensionMismatchError,
+    FieldMismatchError,
     GuardExceededError,
     NotFullDimensionalError,
     NotOnBoundaryError,
@@ -421,9 +422,10 @@ def test_face_reads_the_lattice():
             p.face(frozenset(active))
 
 
-@pytest.mark.parametrize("point", [qv(1, 0, 5), qv(1,),
-                                   Vector([QuadScalar(1), QuadScalar(0)], K)],
-                         ids=["too-long", "too-short", "other-field"])
+@pytest.mark.parametrize("point, error", [
+    (qv(1, 0, 5), DimensionMismatchError), (qv(1,), DimensionMismatchError),
+    (Vector([QuadScalar(1), QuadScalar(0)], K), FieldMismatchError),
+], ids=["too-long", "too-short", "other-field"])
 @pytest.mark.parametrize("scan", [
     lambda p, x: p.facets_at(x),
     lambda p, x: p.vertices_at(x),
@@ -433,9 +435,10 @@ def test_face_reads_the_lattice():
     lambda p, x: list(faces_meeting(p, [qv(1, 0), x])),
 ], ids=["facets_at", "vertices_at", "unit_facets", "minimal_face", "faces_meeting",
         "faces_meeting-second"])
-def test_cleared_row_scans_reject_foreign_points(scan, point):
-    # zip would truncate a longer point and pair a shorter one with a prefix
-    with pytest.raises(DimensionMismatchError):
+def test_cleared_row_scans_reject_foreign_points(scan, point, error):
+    # zip would truncate a longer point and pair a shorter one with a prefix;
+    # a point of the other field is a field mismatch, as in `spaces.norm`
+    with pytest.raises(error):
         scan(ell1(2).ball, point)
 
 

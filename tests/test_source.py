@@ -108,7 +108,8 @@ def test_double_description_clips_on_integers():
     # dual_vertices takes and returns cleared integer rows: no field dot
     # product, scaling or `field.one`, no clearing and no Vector anywhere in
     # it, so it never falls back to field arithmetic; faces_meeting restricts
-    # the ball's cleared rows to the subspace with no field dot product
+    # the ball's cleared rows to the subspace and maps each barycentre back
+    # with no field dot product or matrix-vector product
     tree = ast.parse((SOURCE / "polytope.py").read_text(encoding="utf-8"))
     dd, section = (_function(tree, name) for name in ("dual_vertices", "faces_meeting"))
     found = [f"{node.lineno}:{node.attr}" for node in ast.walk(dd)
@@ -118,8 +119,8 @@ def test_double_description_clips_on_integers():
     found += [f"{node.lineno}:{node.func.id}" for node in ast.walk(dd)
               if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
                   "Vector", "clear_denominators")]
-    found += [f"faces_meeting:{node.lineno}:dot" for node in ast.walk(section)
-              if isinstance(node, ast.Attribute) and node.attr == "dot"]
+    found += [f"faces_meeting:{node.lineno}:{node.attr}" for node in ast.walk(section)
+              if isinstance(node, ast.Attribute) and node.attr in ("dot", "matvec")]
     assert found == [], found
 
 
@@ -160,8 +161,9 @@ def test_cleared_kernels_stay_on_integers():
 
 def test_one_elimination_kernel():
     # rank, solve, nullspace and greedy subsets share the fraction-free
-    # kernel of linalg; the simplex pivot of lp, which imports nothing from
-    # linalg, is the only elimination left in field arithmetic
+    # kernel of linalg; the simplex of lp, which imports nothing from linalg,
+    # pivots fraction-free on its own integer tableau: no true division in
+    # its pivot or its Bland loop
     linalg = ast.parse((SOURCE / "linalg.py").read_text(encoding="utf-8"))
     defined = {node.name for node in ast.walk(linalg) if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_reduce", "_scalar_size", "pivot_on"}, defined
@@ -171,7 +173,10 @@ def test_one_elimination_kernel():
                                getattr(node, "attr", None))]
     assert found == [], found
     lp = ast.parse((SOURCE / "lp.py").read_text(encoding="utf-8"))
-    _function(lp, "_pivot")
+    divisions = [f"{name}:{node.lineno}" for name in ("_pivot", "_run_simplex")
+                 for node in ast.walk(_function(lp, name))
+                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
+    assert divisions == [], divisions
     assert "linalg" not in {node.module for node in ast.walk(lp)
                             if isinstance(node, ast.ImportFrom)}
 
@@ -191,10 +196,13 @@ def test_canonicalize_takes_no_rank():
 
 def test_face_operator_is_a_closed_form():
     # the face operator is the rank-one u (x) f of the mean facet functional,
-    # written down directly: no kernel basis, completion or linear solve
+    # written down directly: no kernel basis, completion or linear solve;
+    # construct_face_operator returns the operator that
+    # face_operator_and_order builds and verifies
     tree = ast.parse((SOURCE / "operators.py").read_text(encoding="utf-8"))
-    found = [f"{node.lineno}:{used}"
-             for node in ast.walk(_function(tree, "construct_face_operator"))
+    found = [f"{node.lineno}:{used}" for name in ("construct_face_operator",
+                                                 "face_operator_and_order")
+             for node in ast.walk(_function(tree, name))
              if (used := getattr(node, "id", None) or getattr(node, "attr", None))
              in ("solve", "nullspace")]
     assert found == [], found
