@@ -10,7 +10,6 @@ from .linalg import (
     Matrix,
     Vector,
     greedy_independent_subset,
-    kron_coeff_vector,
     nullspace,
     rank,
     solve,

@@ -46,10 +46,8 @@ from .files import (
 from .linalg import Vector
 from .operators import (
     PAPER_EXAMPLE_REFERENCE_ORDER,
-    LinearOperator,
     _index_computation,
     face_operator_and_order,
-    operator_norm_and_attainment,
     order_of_smoothness,
     rank1_admissible_orders,
     rank1_forbidden_primes,
@@ -185,11 +183,9 @@ def _order_results(t, report) -> dict:
 def _cmd_op_order(args, argv) -> int:
     t = load_operator(args.operator)
     warnings = []
-    att = operator_norm_and_attainment(t)
-    original_norm = att.operator_norm
-    one = t.domain.field.one
-    if original_norm != one:
-        t = LinearOperator(t.domain, t.codomain, t.matrix.scale(one / original_norm))
+    original_norm = t.attainment.operator_norm
+    if original_norm != t.domain.field.one:
+        t = t.normalized()
         warnings.append(f"operator normalized by its norm {serialize(original_norm)}")
     report = order_of_smoothness(t)
     results = _order_results(t, report)

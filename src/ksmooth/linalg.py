@@ -11,9 +11,9 @@ Rank, ``solve``, ``nullspace`` and ``greedy_independent_subset`` run on
 one fraction-free kernel on ``int`` rows, ``_eliminate``, fed by
 ``_reduced``; ``_rank_of_lists`` is the rank front on cleared rows.  A
 solution entry is one ``Fraction`` over the kernel's ``det``, built at the
-end; as the reduced row echelon form is unique, every result is the one
-Gauss-Jordan in field arithmetic gives.  Matrices here are tiny: every
-query recomputes from scratch.
+end unless the caller goes on on integers; as the reduced row echelon form
+is unique, every result is the one Gauss-Jordan in field arithmetic gives.
+Matrices here are tiny: every query recomputes from scratch.
 """
 
 from __future__ import annotations
@@ -226,6 +226,12 @@ def from_cleared(value: int | tuple[int, int], scale: int, field: FieldTag) -> S
     return QuadScalar(Fraction(value[0], scale), Fraction(value[1], scale))
 
 
+def from_cleared_row(row: tuple, scale: int, field: FieldTag) -> Vector:
+    """The ``Vector`` ``row / scale`` of a cleared row."""
+    return Vector([from_cleared(value, scale, field) for value in
+                   (row if field is FieldTag.RATIONAL else zip(*row))], field)
+
+
 def _eliminate(rows: list[Sequence[int]], ncols: int, full: bool) -> tuple[list[int], int]:
     """Fraction-free elimination of ``int`` rows; returns the pivot columns
     and the last pivot ``det``.  Pivots go column by column through the
@@ -314,12 +320,15 @@ def rank_of_vectors(vs: Sequence[Vector]) -> int:
     return _rank_of_lists(_cleared_rows((v.entries for v in vs), vs[0].field), vs[0].field)
 
 
-def solve(a: Matrix, bs: Sequence[Vector]) -> Optional[list[Vector]]:
+def solve(a: Matrix, bs: Sequence[Vector], cleared: bool = False,
+          ) -> Optional[list[Vector] | tuple[list[tuple], int]]:
     """Exact solutions of ``a x = b`` for each ``b`` in ``bs``, or ``None``
     when some ``b`` is inconsistent, from one reduction of ``a`` augmented
     with every ``b``.  Pivots are searched in ``a``'s columns only, so each
     solution is the one its ``b`` alone gives: unique when ``a`` has full
     column rank, otherwise with free variables fixed at zero.
+    With ``cleared``, returns cleared rows ``X`` and the kernel's ``det``
+    (an integer of either sign) instead, each solution being ``X_t / det``.
     """
     field = a.field
     for b in bs:
@@ -332,11 +341,16 @@ def solve(a: Matrix, bs: Sequence[Vector]) -> Optional[list[Vector]]:
     width = len(rows[0]) - len(bs)
     if any(any(row[width:]) for row in rows if not any(row[:width])):
         return None
-    solutions = [[field.zero] * a.cols for _ in bs]
+    zero = 0 if field is FieldTag.RATIONAL else (0, 0)
+    solutions = [[zero] * a.cols for _ in bs]
     for k, j in enumerate(unknowns):
         for t, solution in enumerate(solutions):
-            solution[j] = from_cleared(_entry(rows, k, width + t, field), det, field)
-    return [Vector(solution, field) for solution in solutions]
+            solution[j] = _entry(rows, k, width + t, field)
+    if field is FieldTag.QUAD_SQRT2:
+        solutions = [tuple(zip(*solution)) for solution in solutions]
+    if cleared:
+        return solutions, det
+    return [from_cleared_row(solution, det, field) for solution in solutions]
 
 
 def nullspace(a: Matrix) -> list[Vector]:
@@ -369,10 +383,21 @@ def greedy_independent_subset(vs: Sequence[Vector]) -> list[int]:
     return _reduced(columns, vs[0].field, len(vs), False)[1]
 
 
+def outer_rows(xs: Sequence[tuple], ys: Sequence[tuple], field: FieldTag) -> list[tuple]:
+    """The products ``x[i] y[j]``, i-major, of the cleared rows ``x`` in ``xs``
+    and ``y`` in ``ys`` taken in step, over the product of their scales."""
+    if field is FieldTag.RATIONAL:
+        return [tuple(a * b for a in x for b in y) for x, y in zip(xs, ys)]
+    # (p + q r2)(u + w r2) = (p u + 2 q w) + (p w + q u) r2
+    return [(tuple(p * u + 2 * q * w for p, q in zip(*x) for u, w in zip(*y)),
+             tuple(p * w + q * u for p, q in zip(*x) for u, w in zip(*y)))
+            for x, y in zip(xs, ys)]
+
+
 def outer_product_rank(pairs: Sequence[tuple[Vector, Vector]]) -> int:
-    """The rank of ``kron_coeff_vector(x, y)`` over the ``(x, y)`` in
-    ``pairs``, formed on integers: each ``x`` and ``y`` is cleared on its own
-    scale, which multiplies its product by a positive integer."""
+    """The rank of the products ``x[i] y[j]``, i-major, over the ``(x, y)``
+    in ``pairs``, formed on integers: each ``x`` and ``y`` is cleared on its
+    own scale, which multiplies its product by a positive integer."""
     if not pairs:
         return 0
     field = pairs[0][0].field
@@ -380,26 +405,4 @@ def outer_product_rank(pairs: Sequence[tuple[Vector, Vector]]) -> int:
         raise FieldMismatchError("mixed fields in coefficient product")
     xs = _cleared_rows((x.entries for x, _ in pairs), field)
     ys = _cleared_rows((y.entries for _, y in pairs), field)
-    if field is FieldTag.RATIONAL:
-        rows = [tuple(a * b for a in x for b in y) for x, y in zip(xs, ys)]
-    else:
-        # (p + q r2)(u + w r2) = (p u + 2 q w) + (p w + q u) r2
-        rows = [(tuple(p * u + 2 * q * w for p, q in zip(*x) for u, w in zip(*y)),
-                 tuple(p * w + q * u for p, q in zip(*x) for u, w in zip(*y)))
-                for x, y in zip(xs, ys)]
-    return _rank_of_lists(rows, field)
-
-
-def kron_coeff_vector(alpha: Vector, beta: Vector) -> Vector:
-    """Coefficient tuple of all products ``alpha[i]*beta[j]``, i-major.
-
-    With ``alpha`` a domain vector and ``beta`` a codomain functional this
-    is the flattened bilinear form ``S -> beta(S alpha)``.
-    """
-    if alpha.field is not beta.field:
-        raise FieldMismatchError("mixed fields in coefficient product")
-    entries = []
-    for ai in alpha.entries:
-        for bj in beta.entries:
-            entries.append(ai * bj)
-    return Vector(entries, alpha.field)
+    return _rank_of_lists(outer_rows(xs, ys, field), field)

@@ -5,13 +5,14 @@ span of the extreme points of J(T).  For polyhedral X and Y these are the
 ``x (x) y*`` with x a vertex of B_X, y* a facet functional of B_Y and
 ``y*(Tx) = ||T||`` (Ruess & Stegall, Math. Ann. 261, 1982).  Two routes
 compute it, sharing only the attainment scan ``Polytope.image_gauge_max``
-(integer dot products on the cleared rows of :mod:`ksmooth.polytope`), and
-every report cross-asserts that they agree:
+(integer dot products on the cleared rows of :mod:`ksmooth.polytope`), run
+once per operator and kept as ``LinearOperator.attainment``, and every
+report cross-asserts that they agree:
 
 * the index route works in basis coordinates: it computes the support set
   of each attaining vertex's image, picks a basis of the span of the
   vertices and one of the span of their support functionals, and takes
-  the rank of the coefficient tuples ``((alpha_i beta_j))``;
+  the rank of the coefficient tuples ``((alpha_i beta_j))``, on integers;
 
 * the oracle route works in ambient coordinates: it takes the rank of the
   flattened ``x (x) y*`` over the (vertex, facet) pairs the scan returns.
@@ -28,7 +29,8 @@ strictly convex (non-polyhedral) spaces are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -46,14 +48,16 @@ from .errors import (
 from .linalg import (
     Matrix,
     Vector,
+    _rank_of_lists,
+    from_cleared_row,
     greedy_independent_subset,
-    kron_coeff_vector,
     outer_product_rank,
+    outer_rows,
     rank,
     rank_of_vectors,
     solve,
 )
-from .polytope import FaceDescriptor, check_guard
+from .polytope import FaceDescriptor, check_guard, images
 from .scalars import FieldTag, QuadScalar, Scalar, serialize, sign
 from .spaces import (
     PolyhedralSpace,
@@ -102,15 +106,26 @@ class LinearOperator:
     def rank(self) -> int:
         return rank(self.matrix)
 
+    @cached_property
+    def attainment(self) -> "AttainmentSet":
+        """``operator_norm_and_attainment`` of this operator, run on first read
+        and kept; a zero operator raises ``ZeroOperatorError`` on every read."""
+        return operator_norm_and_attainment(self)
+
     def normalized(self) -> "LinearOperator":
         """Rescale to unit operator norm.
 
         Both supported fields are closed under division, so the quotient
-        never leaves the field.
+        never leaves the field.  Scaling by ``1/||T|| > 0`` keeps every
+        attaining vertex and tight facet, so the rescaled operator is handed
+        this one's ``attainment`` with norm one instead of scanning again.
         """
-        n = operator_norm_and_attainment(self).operator_norm
-        return LinearOperator(self.domain, self.codomain,
-                              self.matrix.scale(self.domain.field.one / n))
+        att = self.attainment
+        one = self.domain.field.one
+        t = LinearOperator(self.domain, self.codomain,
+                           self.matrix.scale(one / att.operator_norm))
+        object.__setattr__(t, "attainment", replace(att, operator_norm=one))
+        return t
 
 
 @dataclass(frozen=True)
@@ -197,63 +212,60 @@ def _extreme_members(t: LinearOperator, r: Sequence[Vector]) -> list[Vector]:
     return reps
 
 
+def _basis(given: Optional[Sequence[Vector]], members: list[Vector], name: str,
+           spanned: str) -> list[Vector]:
+    """A greedy basis of the span of ``members`` in input order, or the
+    ``given`` one once it is checked to be a basis of that span."""
+    if given is None:
+        return [members[i] for i in greedy_independent_subset(members)]
+    basis = list(given)
+    if rank_of_vectors(basis) != len(basis):
+        raise NotIndependentError(f"explicit {name} basis is dependent")
+    if rank_of_vectors(basis + members) != len(basis):
+        raise ValidationError(f"explicit {name} basis does not span {spanned}")
+    return basis
+
+
 def _index_computation(t: LinearOperator, r: Sequence[Vector],
                        vector_basis: Optional[Sequence[Vector]] = None,
                        functional_basis: Optional[Sequence[Vector]] = None,
                        ) -> IndexComputation:
     if not r:
         raise ValidationError("R must be nonempty")
-    one = t.domain.field.one
+    field = t.domain.field
     for x in r:
-        if norm(t.domain, x) != one:
+        if norm(t.domain, x) != field.one:
             raise NotUnitNormError(f"R member {x} is not unit norm")
     reps = _extreme_members(t, r)
     if not reps:
         raise EmptyExtremeIntersectionError(
             "R contains no extreme point of the domain ball")
-
-    if vector_basis is None:
-        chosen = [r[i] for i in greedy_independent_subset(list(r))]
-    else:
-        chosen = list(vector_basis)
-        if rank_of_vectors(chosen) != len(chosen):
-            raise NotIndependentError("explicit vector basis is dependent")
-        if rank_of_vectors(chosen + list(r)) != len(chosen):
-            raise ValidationError("explicit vector basis does not span R")
+    chosen = _basis(vector_basis, list(r), "vector", "R")
 
     supports = []
     collected: list[Vector] = []
-    for v in reps:
-        image = t.apply(v)
+    for v, image in zip(reps, images(t.matrix.row_data, reps)):
         if image.is_zero():
             raise ValidationError(
                 f"image of extreme point {v} is zero; support set undefined")
         sup = support_functionals_at(t.codomain, image)
         supports.append(sup)
         collected.extend(sup.extreme_functionals)
+    f_basis = _basis(functional_basis, collected, "functional", "the support functionals")
 
-    if functional_basis is None:
-        f_basis = [collected[i] for i in greedy_independent_subset(collected)]
-    else:
-        f_basis = list(functional_basis)
-        if rank_of_vectors(f_basis) != len(f_basis):
-            raise NotIndependentError("explicit functional basis is dependent")
-        if rank_of_vectors(f_basis + collected) != len(f_basis):
-            raise ValidationError(
-                "explicit functional basis does not span the support functionals")
-
-    alphas = solve(Matrix.from_columns(chosen), reps)
+    alphas = solve(Matrix.from_columns(chosen), reps, cleared=True)
     if alphas is None:
         raise SpanViolationError("an attaining vector is outside the collected span")
-    betas = solve(Matrix.from_columns(f_basis), collected)
+    betas = solve(Matrix.from_columns(f_basis), collected, cleared=True)
     if betas is None:
         raise SpanViolationError("a support functional is outside the collected span")
-    betas = iter(betas)
-    generators = [kron_coeff_vector(alpha, next(betas))
-                  for alpha, sup in zip(alphas, supports) for _ in sup.extreme_functionals]
+    # the coefficient tuples on integers, over the product of the two dets
+    (alphas, a), (betas, b) = alphas, betas
+    rows = outer_rows([alpha for alpha, sup in zip(alphas, supports)
+                       for _ in sup.extreme_functionals], betas, field)
+    generators = [from_cleared_row(row, a * b, field) for row in rows]
     return IndexComputation(tuple(reps), tuple(supports), tuple(chosen),
-                            tuple(f_basis), tuple(generators),
-                            rank_of_vectors(generators))
+                            tuple(f_basis), tuple(generators), _rank_of_lists(rows, field))
 
 
 def index_of_smoothness(t: LinearOperator, r: Sequence[Vector],
@@ -278,7 +290,7 @@ def _pair_rank(att: AttainmentSet) -> int:
 
 def oracle_order_of_smoothness(t: LinearOperator) -> int:
     """Basis-free order of smoothness via flattened ambient outer products."""
-    att = operator_norm_and_attainment(t)
+    att = t.attainment
     if att.operator_norm != t.domain.field.one:
         raise NotUnitNormError(f"operator norm is {serialize(att.operator_norm)}, not 1")
     return _pair_rank(att)
@@ -292,7 +304,7 @@ def order_of_smoothness(t: LinearOperator) -> SmoothnessReport:
     that they agree and that the sum of image smoothness orders over a
     maximal independent attaining set does not exceed them; returns the trail.
     """
-    att = operator_norm_and_attainment(t)
+    att = t.attainment
     if att.operator_norm != t.domain.field.one:
         raise NotUnitNormError(
             f"operator norm is {serialize(att.operator_norm)}, not 1; rescale first")
@@ -412,7 +424,7 @@ def face_operator_and_order(x_space: PolyhedralSpace, face: FaceDescriptor,
     operator = LinearOperator(x_space, y_space,
                               Matrix([[a * b for b in avg] for a in u], field))
 
-    att = operator_norm_and_attainment(operator)
+    att = operator.attainment
     expected = {sign_canonical(v).entries for v in face_vertices}
     got = {v.entries for v in att.attaining_vertices}
     if att.operator_norm != field.one or got != expected:

@@ -38,13 +38,14 @@ A ``Polytope`` also holds both tuples cleared, which no other module
 reads: ``F`` over one positive scale ``D`` and ``V`` over ``E``, read
 through the field table ``_FIELD_OPS``.  ``_row_max`` finds the rows tight
 at a cleared point: at the rows of ``V`` for the incidence check of
-``Polytope.__init__``, at one cleared point for ``facets_at``,
-``vertices_at`` and ``unit_facets``, and at each integer image ``An V_k``
-for ``image_gauge_max``, the operators' attainment scan.  The
-Birkhoff-James witnesses of :mod:`ksmooth.orthogonality` are integer work
-on the same rows: ``values_at`` evaluates facets at a point,
-``witness_lp`` forms the LP rows ``F_j . W_k``, and ``witness`` checks a
-convex combination of facets against ``V`` without the LP.
+``Polytope.__init__``, at one cleared point for ``facets_at`` and
+``unit_facets``, and at each integer image ``An V_k`` for
+``image_gauge_max``, the operators' attainment scan; ``images`` forms such
+products for the index of smoothness.  The Birkhoff-James witnesses of
+:mod:`ksmooth.orthogonality` are integer work on the same rows:
+``values_at`` evaluates facets at a point, ``witness_lp`` forms the LP rows
+``F_j . W_k``, and ``witness`` checks a convex combination of facets
+against ``V`` without the LP.
 
 Faces are keyed by their full active set (the maximal set of facets
 containing them); the face with active set A has dimension
@@ -60,7 +61,6 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from functools import cmp_to_key, reduce
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul, neg
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -84,9 +84,10 @@ from .linalg import (
     _reduced,
     clear_denominators,
     from_cleared,
+    from_cleared_row,
 )
 from .lp import lp_feasible
-from .scalars import FieldTag, QuadScalar, Scalar, quad_sign, serialize
+from .scalars import FieldTag, Scalar, quad_sign, serialize
 
 DEFAULT_MAX_DIM = 6
 DEFAULT_MAX_VERTICES = 64
@@ -135,7 +136,7 @@ def _negation_index(rows: Sequence, scale: int, field: FieldTag) -> list[int]:
     position = {row: i for i, row in enumerate(rows)}
     pairs = [position.get(ops.negate(row)) for row in rows]
     if None in pairs:
-        point = Vector(ops.vertex(ops.entries(rows[pairs.index(None)], scale)), field)
+        point = from_cleared_row(rows[pairs.index(None)], scale, field)
         raise NotSymmetricError(f"point set not closed under negation: {point}")
     return pairs
 
@@ -365,7 +366,7 @@ class _FieldOps(NamedTuple):
     ``entries(row, h)`` appends a homogenizing integer to a cleared row;
     ``negate`` negates a cleared row, and ``far(row)`` is a sort key
     ordering rows by their largest absolute entry;
-    ``vertex`` turns a homogeneous row back into field entries;
+    ``vertex`` turns a homogeneous row back into a ``Vector``;
     ``values(p, rows)`` gives the value ``p.z`` at every row ``z``, and
     ``row`` turns a list of values into a row, ``split`` a row into its
     values; ``lift`` makes an integer a value and ``total`` sums values;
@@ -398,7 +399,7 @@ _FIELD_OPS = {
         entries=lambda row, h: (*row, h),
         negate=lambda row: tuple(map(neg, row)),
         far=lambda row: max(map(abs, row)),
-        vertex=lambda z: [Fraction(n, z[-1]) for n in z[:-1]],
+        vertex=lambda z: from_cleared_row(z[:-1], z[-1], FieldTag.RATIONAL),
         values=lambda p, rows: [sum(map(mul, p, z)) for z in rows],
         row=tuple,
         split=list,
@@ -414,8 +415,7 @@ _FIELD_OPS = {
         negate=lambda row: (tuple(map(neg, row[0])), tuple(map(neg, row[1]))),
         far=lambda row: max(_quad_order(x if quad_sign(x) >= 0 else (-x[0], -x[1]))
                             for x in zip(*row)),
-        vertex=lambda z: [QuadScalar(Fraction(a, z[0][-1]), Fraction(b, z[0][-1]))
-                          for a, b in zip(z[0][:-1], z[1])],
+        vertex=lambda z: from_cleared_row((z[0][:-1], z[1][:-1]), z[0][-1], FieldTag.QUAD_SQRT2),
         values=_quad_values,
         row=lambda values: tuple(zip(*values)),
         split=lambda row: list(zip(*row)),
@@ -445,6 +445,17 @@ def _tight(rows: Sequence[tuple], scale: int, x: Vector) -> tuple[object, int, l
     [cleared], e = clear_denominators([x.entries], x.field)
     top, tight = _row_max(rows, cleared, x.field)
     return top, scale * e, tight
+
+
+def images(rows: Sequence[Sequence[Scalar]], points: Sequence[Vector]) -> list[Vector]:
+    """The images ``A x`` of the ``points`` for the matrix ``A`` with the
+    given rows, on integers: with ``A`` cleared to ``An`` over ``a`` and the
+    points to ``X`` over ``e``, each image is ``An X_k`` over ``a e``."""
+    field = points[0].field
+    ops = _FIELD_OPS[field]
+    an, a = clear_denominators(rows, field)
+    cleared, e = clear_denominators((x.entries for x in points), field)
+    return [from_cleared_row(ops.row(ops.values(x, an)), a * e, field) for x in cleared]
 
 
 class Polytope:
@@ -501,12 +512,6 @@ class Polytope:
         """``max_j f_j(x)`` (the gauge of ``x``) and the facets attaining it."""
         self._check_point(x)
         top, scale, tight = _tight(self.F, self.D, x)
-        return from_cleared(top, scale, self.field), tight
-
-    def vertices_at(self, f: Vector) -> tuple[Scalar, list[int]]:
-        """``max_i f(v_i)`` (the dual gauge of ``f``) and the vertices attaining it."""
-        self._check_point(f)
-        top, scale, tight = _tight(self.V, self.E, f)
         return from_cleared(top, scale, self.field), tight
 
     def unit_facets(self, x: Vector) -> list[int] | None:
@@ -570,7 +575,7 @@ class Polytope:
             raise InternalInconsistencyError("witness coefficients not convex")
         if ops.total(weights) != ops.lift(q):
             raise InternalInconsistencyError("witness coefficients do not sum to one")
-        return Vector(ops.vertex(ops.entries(row, q * self.D)), field)
+        return from_cleared_row(row, q * self.D, field)
 
     def image_gauge_max(self, target: "Polytope", rows: Sequence[Sequence[Scalar]],
                         ) -> tuple[Scalar, dict[int, list[int]]]:
@@ -597,7 +602,7 @@ class Polytope:
         field = vertices[0].field
         check_guard(vertices[0].dim, len(vertices))
         rows, _ = dual_vertices(*clear_denominators((v.entries for v in vertices), field), field)
-        return cls(vertices, tuple(Vector(_FIELD_OPS[field].vertex(z), field) for z in rows))
+        return cls(vertices, tuple(map(_FIELD_OPS[field].vertex, rows)))
 
     def polar(self) -> "Polytope":
         """The polar dual: facet functionals become vertices and vice versa."""
@@ -702,8 +707,7 @@ def faces_meeting(p: Polytope, basis: Sequence[Vector]):
     columns, t = clear_denominators(zip(*(b.entries for b in basis)), field)
     for face in faces:
         mean, h = ops.mean([z for z, a in zip(rows, active) if face.active_set <= a])
-        yield face, Vector(ops.vertex(ops.entries(ops.row(ops.values(mean, columns)), t * h)),
-                           field)
+        yield face, from_cleared_row(ops.row(ops.values(mean, columns)), t * h, field)
 
 
 def minimal_face(p: Polytope, x: Vector) -> FaceDescriptor:

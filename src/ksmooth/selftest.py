@@ -22,7 +22,6 @@ from .operators import (
     LinearOperator,
     _index_computation,
     index_of_smoothness,
-    operator_norm_and_attainment,
     order_of_smoothness,
     rank1_admissible_orders,
 )
@@ -127,8 +126,7 @@ def invariance_suite(seed: int, cases: int, recombinations: int) -> SuiteResult:
     for case in range(cases):
         x, y = _random_pair(rng)
         t = _random_unit_operator(rng, x, y)
-        att = operator_norm_and_attainment(t)
-        r = list(att.attaining_vertices)
+        r = list(t.attainment.attaining_vertices)
         base = _index_computation(t, r)
         for trial in range(recombinations):
             c = _random_invertible(rng, len(base.vector_basis), x.field)

@@ -19,13 +19,14 @@ from ksmooth.linalg import (
     _rank_of_lists,
     clear_denominators,
     from_cleared,
+    from_cleared_row,
     greedy_independent_subset,
     nullspace,
     rank,
     solve,
 )
 from ksmooth.operators import LinearOperator, operator_norm_and_attainment, sign_canonical
-from ksmooth.polytope import Polytope, minimal_face
+from ksmooth.polytope import Polytope, _tight, minimal_face
 from ksmooth.scalars import FieldTag, QuadScalar
 from ksmooth.spaces import (
     ell1,
@@ -154,7 +155,8 @@ def test_norm_support_set_and_face_match_fraction_route(space):
             == [space.ball.functionals[j] for j in sorted(active)]
         assert minimal_face(space.ball, unit).active_set == active
         f = space.ball.functionals[0]
-        top, tight = space.ball.vertices_at(f)
+        top, scale, tight = _tight(space.ball.V, space.ball.E, f)
+        top = from_cleared(top, scale, space.field)
         assert top == max(f.dot(v) for v in space.ball.vertices)
         assert tight == [i for i, v in enumerate(space.ball.vertices) if f.dot(v) == top]
 
@@ -193,6 +195,26 @@ def test_attainment_matches_fraction_route(codomain):
         att = operator_norm_and_attainment(t)
         assert att.operator_norm == best
         assert list(att.attaining_vertices) == expected
+
+
+@pytest.mark.parametrize("field", [Q, K], ids=["rational", "quadratic"])
+def test_normalized_carries_the_scan_a_fresh_scan_gives(field):
+    # normalized() stores its own scan, rescaled, on the operator it returns;
+    # scanning a copy of that operator from scratch gives the same norm one,
+    # vertices, basis indices and tight facets
+    rng = random.Random(f"memo:{field.name}")
+    domains = [s for s in SPACES if s.field is field]
+    for trial in range(12):
+        domain, codomain = rng.choice(domains), rng.choice(domains)
+        kind = ("full", "rank1", "zero-column")[trial % 3]
+        entries = random_matrix(rng, field, codomain.dim, domain.dim, kind)
+        if not any(any(row) for row in entries):
+            continue
+        t = LinearOperator(domain, codomain, Matrix(entries, field)).normalized()
+        assert "attainment" in vars(t)
+        fresh = LinearOperator(t.domain, t.codomain, t.matrix)
+        assert t.attainment == operator_norm_and_attainment(fresh) == fresh.attainment
+        assert t.attainment.operator_norm == field.one
 
 
 def test_zero_operator_has_no_attainment():
@@ -326,6 +348,10 @@ def test_solve_matches_gauss_jordan(field, kind):
         expected = reference_solve(m, bs, field)
         inconsistent += expected is None
         assert solve(a, bs) == expected
+        # the cleared return holds the same solutions over its det
+        cleared = solve(a, bs, cleared=True)
+        assert (cleared if cleared is None else
+                [from_cleared_row(row, cleared[1], field) for row in cleared[0]]) == expected
         for b in bs:
             assert solve(a, [b]) == reference_solve(m, [b], field)
     if kind == "deficient":

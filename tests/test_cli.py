@@ -211,8 +211,9 @@ def test_op_order_normalizes_with_note(tmp_path, capsys):
 
 
 def test_op_order_rescales_by_the_norm_it_holds(tmp_path, capsys, monkeypatch):
-    # the first scan's norm rescales the operator: one scan for the norm and
-    # one inside the order computation, the report that of t.normalized()
+    # the scan that finds the norm is carried over to the rescaled operator:
+    # one scan in all, of the operator as loaded, and the report that of
+    # t.normalized()
     op_doc = {"domain": "ell1:2", "codomain": "ellinf:2",
               "matrix": [["2", "2"], ["2", "1"]]}
     path = tmp_path / "op.json"
@@ -227,10 +228,10 @@ def test_op_order_rescales_by_the_norm_it_holds(tmp_path, capsys, monkeypatch):
         return real(op)
 
     monkeypatch.setattr(operators, "operator_norm_and_attainment", counted)
-    monkeypatch.setattr(cli, "operator_norm_and_attainment", counted)
     code, out = run(capsys, "op", "order", str(path), "--json")
     assert code == 0
-    assert len(scans) == 2
+    assert len(scans) == 1
+    assert scans[0].matrix == load_operator(str(path)).matrix
     results = json.loads(out)["results"]
     assert results.pop("original_norm") == "2"
     assert results == expected
@@ -269,6 +270,18 @@ def test_op_index_requires_extreme_member(tmp_path, capsys):
                  "--set", str(tmp_path / "r.json")])
     capsys.readouterr()
     assert code == 2
+
+
+def test_op_index_zero_image_is_validation_error(tmp_path, capsys):
+    # e2 is an extreme member of R that the operator sends to zero
+    op_doc = {"domain": "ell1:2", "codomain": "ellinf:2",
+              "matrix": [["1", "0"], ["1", "0"]]}
+    (tmp_path / "op.json").write_text(json.dumps(op_doc), encoding="utf-8")
+    (tmp_path / "r.json").write_text(json.dumps([["1", "0"], ["0", "1"]]), encoding="utf-8")
+    code = main(["op", "index", str(tmp_path / "op.json"), "--set", str(tmp_path / "r.json")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "validation error: image of extreme point (0,1) is zero; support set undefined\n")
 
 
 def test_vector_file_bad_literal_names_its_cell(tmp_path, capsys):

@@ -7,10 +7,12 @@ from ksmooth.errors import DimensionMismatchError, FieldMismatchError
 from ksmooth.linalg import (
     Matrix,
     Vector,
+    clear_denominators,
+    from_cleared_row,
     greedy_independent_subset,
-    kron_coeff_vector,
     nullspace,
     outer_product_rank,
+    outer_rows,
     rank,
     rank_of_vectors,
     solve,
@@ -233,39 +235,61 @@ def test_greedy_subset_matches_rank_rule_cube_shape():
     assert greedy_independent_subset(late)[-1] == 63
 
 
+def kron_coeff_vector(alpha, beta):
+    """Reference: the products ``alpha[i] * beta[j]``, i-major, in field arithmetic."""
+    return Vector([a * b for a in alpha for b in beta], alpha.field)
+
+
+def integer_kron(alpha, beta):
+    """``outer_rows`` on the two vectors cleared, read back as a vector."""
+    [x], s = clear_denominators([alpha.entries], alpha.field)
+    [y], t = clear_denominators([beta.entries], beta.field)
+    [row] = outer_rows([x], [y], alpha.field)
+    return from_cleared_row(row, s * t, alpha.field)
+
+
+# the layout tests run on the field reference and on the integer products
+KRONS = (kron_coeff_vector, integer_kron)
+
+
 def test_kron_layout():
-    assert kron_coeff_vector(qv(1, 0), qv(0, 1)).entries == \
-        (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
+    for kron in KRONS:
+        assert kron(qv(1, 0), qv(0, 1)).entries == \
+            (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
 
 
 def test_kron_zero():
-    alpha = qv(0, 0)
-    assert kron_coeff_vector(alpha, qv(1, 2)).is_zero()
+    for kron in KRONS:
+        alpha = qv(0, 0)
+        assert kron(alpha, qv(1, 2)).is_zero()
 
 
 def test_kron_matches_example_vertex():
-    alpha = Vector([INV_SQRT2, INV_SQRT2, QuadScalar(0)], K)
-    beta = Vector([QuadScalar(1), QuadScalar(0), QuadScalar(0)], K)
-    got = kron_coeff_vector(alpha, beta)
-    # 1/sqrt2 in slots 11 and 21 of the i-major layout
-    expected = [QuadScalar(0)] * 9
-    expected[0] = INV_SQRT2
-    expected[3] = INV_SQRT2
-    assert got == Vector(expected, K)
+    for kron in KRONS:
+        alpha = Vector([INV_SQRT2, INV_SQRT2, QuadScalar(0)], K)
+        beta = Vector([QuadScalar(1), QuadScalar(0), QuadScalar(0)], K)
+        got = kron(alpha, beta)
+        # 1/sqrt2 in slots 11 and 21 of the i-major layout
+        expected = [QuadScalar(0)] * 9
+        expected[0] = INV_SQRT2
+        expected[3] = INV_SQRT2
+        assert got == Vector(expected, K)
 
 
 def test_outer_flatten_examples():
-    assert kron_coeff_vector(qv(1, 0), qv(1, 0)).entries[0] == 1
-    assert kron_coeff_vector(qv(1, 1), qv(1, 0)).entries == \
-        (Fraction(1), Fraction(0), Fraction(1), Fraction(0))
+    for kron in KRONS:
+        assert kron(qv(1, 0), qv(1, 0)).entries[0] == 1
+        assert kron(qv(1, 1), qv(1, 0)).entries == \
+            (Fraction(1), Fraction(0), Fraction(1), Fraction(0))
 
 
 def test_outer_flatten_independence():
-    # independent x's and f's give independent flattened outer products
-    xs = [qv(1, 0), qv(1, 1)]
-    fs = [qv(1, 0), qv(0, 1), qv(1, -1)][:2]
-    products = [kron_coeff_vector(x, f) for x in xs for f in fs]
-    assert rank_of_vectors(products) == 4
+    for kron in KRONS:
+        # independent x's and f's give independent flattened outer products
+        xs = [qv(1, 0), qv(1, 1)]
+        fs = [qv(1, 0), qv(0, 1), qv(1, -1)][:2]
+        products = [kron(x, f) for x in xs for f in fs]
+        assert rank_of_vectors(products) == 4
 
 
 def test_outer_product_rank_matches_field_products():

@@ -9,10 +9,11 @@ from ksmooth.errors import (
     InternalInconsistencyError,
     NotProperFaceError,
     NotUnitNormError,
+    ValidationError,
     ZeroOperatorError,
 )
 import ksmooth.operators as operators
-from ksmooth.linalg import Matrix, Vector, nullspace, rank_of_vectors
+from ksmooth.linalg import Matrix, Vector, nullspace, rank_of_vectors, solve
 from ksmooth.operators import (
     LinearOperator,
     _index_computation,
@@ -28,7 +29,7 @@ from ksmooth.operators import (
 )
 from ksmooth.polytope import FaceDescriptor, enumerate_faces, minimal_face
 from ksmooth.scalars import FieldTag, INV_SQRT2, QuadScalar
-from ksmooth.selftest import _random_rank1_operator, _random_unit_operator
+from ksmooth.selftest import _random_invertible, _random_rank1_operator, _random_unit_operator
 from ksmooth.spaces import (
     SupportSet,
     ell1,
@@ -113,6 +114,81 @@ def test_oracle_does_not_read_the_index_support_sets(monkeypatch):
         order_of_smoothness(LinearOperator(space, space, Matrix.identity(2, Q)))
 
 
+def test_normalize_then_order_scans_once(monkeypatch):
+    # normalized() hands its scan to the operator it returns, so the order
+    # of a rescaled operator costs one scan in all
+    calls = []
+    real = operators.operator_norm_and_attainment
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(operators, "operator_norm_and_attainment", counted)
+    t = LinearOperator(ell1(2), ellinf(2), Matrix([[2, 2], [2, 1]], Q)).normalized()
+    report = order_of_smoothness(t)
+    assert len(calls) == 1 and calls[0].matrix != t.matrix
+    assert report.attainment.operator_norm == 1 and report.index == report.oracle_order
+
+
+def kron_coeff_vector(alpha, beta):
+    """Reference: the products ``alpha[i] * beta[j]``, i-major, in field arithmetic."""
+    return Vector([a * b for a in alpha for b in beta], alpha.field)
+
+
+def field_z_generators(comp):
+    """The coefficient tuples of an index computation formed in field
+    arithmetic from the bases and support sets it reports."""
+    alphas = solve(Matrix.from_columns(list(comp.vector_basis)), list(comp.rep_vertices))
+    functionals = [f for sup in comp.image_supports for f in sup.extreme_functionals]
+    betas = iter(solve(Matrix.from_columns(list(comp.functional_basis)), functionals))
+    return [kron_coeff_vector(alpha, next(betas))
+            for alpha, sup in zip(alphas, comp.image_supports) for _ in sup.extreme_functionals]
+
+
+@pytest.mark.parametrize("field", [Q, K], ids=["rational", "quadratic"])
+def test_integer_index_matches_field_products(field):
+    # the index ranks integer products of the cleared solutions; the field
+    # products of the same solutions give the same generators and rank,
+    # with the default bases and with explicit recombinations of them
+    rng = random.Random(f"index:{field.name}")
+    if field is Q:
+        spaces = [random_space(rng.randrange(2 ** 30), d, d + 2) for d in (2, 3, 3)]
+    else:
+        spaces = [paper_example_space(), ellinf(3, K), ell1(3, K)]
+    for trial in range(12):
+        x, y = rng.choice(spaces), rng.choice(spaces)
+        t = (_random_rank1_operator if trial % 3 == 0 else _random_unit_operator)(rng, x, y)
+        images = {v.entries: t.apply(v) for v in x.ball.vertices}
+        r = list(t.attainment.attaining_vertices)
+        r += [v for v in rng.sample(x.ball.vertices, 2) if not images[v.entries].is_zero()]
+        comp = _index_computation(t, r)
+        explicit = _index_computation(t, r, _recombined(rng, comp.vector_basis),
+                                      _recombined(rng, comp.functional_basis))
+        for c in (comp, explicit):
+            expected = field_z_generators(c)
+            assert list(c.z_generators) == expected
+            assert c.index == rank_of_vectors(expected) == comp.index
+
+
+def _recombined(rng, basis):
+    """An invertible integer recombination of ``basis``, another basis of its span."""
+    c = _random_invertible(rng, len(basis), basis[0].field)
+    m = c.matmul(Matrix.from_rows(list(basis)))
+    return [m.row(i) for i in range(m.rows)]
+
+
+def test_zero_image_leaves_the_support_set_undefined():
+    # an extreme member of R that the operator sends to zero has no support set
+    for field in (Q, K):
+        t = LinearOperator(ell1(2, field), ellinf(2, field),
+                           Matrix([[1, 0], [1, 0]], field)).normalized()
+        with pytest.raises(ValidationError, match=r"^image of extreme point \(0,1\) is zero; "
+                                                  r"support set undefined$"):
+            index_of_smoothness(t, [Vector.basis(0, 2, field), Vector.basis(1, 2, field)])
+        assert index_of_smoothness(t, [Vector.basis(0, 2, field)]) == 2
+
+
 def test_bundled_z_generators_with_printed_bases(bundled):
     # reproduce the listed coefficient tuples entry by entry, using the
     # printed basis order; seven of the eight generators match the listing
@@ -185,6 +261,11 @@ def test_zero_operator_rejected():
     t = LinearOperator.from_images(ell1(2), ellinf(2), [qv(0, 0), qv(0, 0)])
     with pytest.raises(ZeroOperatorError):
         operator_norm_and_attainment(t)
+    # the memo keeps no failure: every read scans again and raises again
+    for read in [lambda: t.attainment, t.normalized, lambda: order_of_smoothness(t)] * 2:
+        with pytest.raises(ZeroOperatorError):
+            read()
+        assert "attainment" not in vars(t)
 
 
 def test_order_requires_unit_norm():

@@ -428,13 +428,11 @@ def test_face_reads_the_lattice():
 ], ids=["too-long", "too-short", "other-field"])
 @pytest.mark.parametrize("scan", [
     lambda p, x: p.facets_at(x),
-    lambda p, x: p.vertices_at(x),
     lambda p, x: p.unit_facets(x),
     lambda p, x: minimal_face(p, x),
     lambda p, x: list(faces_meeting(p, [x])),
     lambda p, x: list(faces_meeting(p, [qv(1, 0), x])),
-], ids=["facets_at", "vertices_at", "unit_facets", "minimal_face", "faces_meeting",
-        "faces_meeting-second"])
+], ids=["facets_at", "unit_facets", "minimal_face", "faces_meeting", "faces_meeting-second"])
 def test_cleared_row_scans_reject_foreign_points(scan, point, error):
     # zip would truncate a longer point and pair a shorter one with a prefix;
     # a point of the other field is a field mismatch, as in `spaces.norm`

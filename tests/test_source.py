@@ -206,3 +206,19 @@ def test_face_operator_is_a_closed_form():
              if (used := getattr(node, "id", None) or getattr(node, "attr", None))
              in ("solve", "nullspace")]
     assert found == [], found
+
+
+def test_index_ranks_integer_products_and_the_cli_rescales_once():
+    # the index ranks the integer products of its cleared solutions, with no
+    # field coefficient tuple or field rank; `op order` rescales through
+    # LinearOperator.normalized, which hands the operator's scan over,
+    # instead of building the rescaled operator, which would scan again
+    operators = ast.parse((SOURCE / "operators.py").read_text(encoding="utf-8"))
+    cli = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    found = [f"_index_computation:{node.lineno}:{used}"
+             for node in ast.walk(_function(operators, "_index_computation"))
+             if (used := getattr(node, "id", None) or getattr(node, "attr", None))
+             in ("kron_coeff_vector", "QuadScalar", "rank_of_vectors")]
+    found += [f"_cmd_op_order:{node.lineno}" for node in ast.walk(_function(cli, "_cmd_op_order"))
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "LinearOperator"]
+    assert found == [], found
