@@ -151,15 +151,10 @@ class IndexComputation:
 
 
 @dataclass(frozen=True)
-class SmoothnessReport:
-    """Full audit trail of an order-of-smoothness computation."""
+class SmoothnessReport(IndexComputation):
+    """Full audit trail of an order of smoothness: the index, the scan and the oracle."""
 
     attainment: AttainmentSet
-    image_supports: tuple[SupportSet, ...]
-    vector_basis: tuple[Vector, ...]
-    functional_basis: tuple[Vector, ...]
-    z_generators: tuple[Vector, ...]
-    index: int
     oracle_order: int
     min_bound: int
 
@@ -323,9 +318,8 @@ def order_of_smoothness(t: LinearOperator) -> SmoothnessReport:
     if min_bound > comp.index:
         raise InternalInconsistencyError(
             f"lower bound {min_bound} exceeds computed order {comp.index}")
-    return SmoothnessReport(att, comp.image_supports, comp.vector_basis,
-                            comp.functional_basis, comp.z_generators,
-                            comp.index, oracle, min_bound)
+    return SmoothnessReport(**vars(comp), attainment=att, oracle_order=oracle,
+                            min_bound=min_bound)
 
 
 PAPER_EXAMPLE_REFERENCE_ORDER = 7

@@ -38,10 +38,11 @@ A ``Polytope`` also holds both tuples cleared, which no other module
 reads: ``F`` over one positive scale ``D`` and ``V`` over ``E``, read
 through the field table ``_FIELD_OPS``.  ``_row_max`` finds the rows tight
 at a cleared point: at the rows of ``V`` for the incidence check of
-``Polytope.__init__``, at one cleared point for ``facets_at`` and
-``unit_facets``, and at each integer image ``An V_k`` for
+``Polytope.__init__``, at one cleared point for ``facets_at``, the only
+point scan, and at each integer image ``An V_k`` for
 ``image_gauge_max``, the operators' attainment scan; ``images`` forms such
-products for the index of smoothness.  The Birkhoff-James witnesses of
+products for the index of smoothness, and ``facet_rank`` ranks a set of
+facets on the rows of ``F``.  The Birkhoff-James witnesses of
 :mod:`ksmooth.orthogonality` are integer work on the same rows:
 ``values_at`` evaluates facets at a point, ``witness_lp`` forms the LP rows
 ``F_j . W_k``, and ``witness`` checks a convex combination of facets
@@ -491,8 +492,8 @@ class Polytope:
         object.__setattr__(self, "_cache", {})
         if _rank_of_lists(V, field) < d:
             raise NotFullDimensionalError("vertex set does not span")
-        for i, v in enumerate(vertices):
-            if _rank_of_lists([F[j] for j in incidence[i]], field) != d:
+        for v, active in zip(vertices, incidence):
+            if self.facet_rank(active) != d:
                 raise NotFullDimensionalError(
                     f"vertex {v} has active functionals of deficient rank")
 
@@ -514,11 +515,9 @@ class Polytope:
         top, scale, tight = _tight(self.F, self.D, x)
         return from_cleared(top, scale, self.field), tight
 
-    def unit_facets(self, x: Vector) -> list[int] | None:
-        """The facets attaining the gauge of ``x`` if it is 1, else ``None``; on integers."""
-        self._check_point(x)
-        top, scale, tight = _tight(self.F, self.D, x)
-        return tight if top == _FIELD_OPS[self.field].lift(scale) else None
+    def facet_rank(self, facets: Iterable[int]) -> int:
+        """The rank of the listed facet functionals, on their cleared rows."""
+        return _rank_of_lists([self.F[j] for j in facets], self.field)
 
     def values_at(self, facets: Sequence[int], x: Vector) -> list[Scalar]:
         """``f_j(x)`` for the listed facets ``j``: one integer dot product
@@ -622,9 +621,8 @@ class Polytope:
     def _face_lattice(self) -> dict[frozenset[int], int]:
         cache = self._cache
         if "lattice" not in cache:
-            cache["lattice"] = {
-                a: self.dim - _rank_of_lists([self.F[j] for j in a], self.field)
-                for a in intersection_closure(self.vertex_active)}
+            cache["lattice"] = {a: self.dim - self.facet_rank(a)
+                                for a in intersection_closure(self.vertex_active)}
         return cache["lattice"]
 
     def face(self, active: Iterable[int]) -> FaceDescriptor:
@@ -712,9 +710,9 @@ def faces_meeting(p: Polytope, basis: Sequence[Vector]):
 
 def minimal_face(p: Polytope, x: Vector) -> FaceDescriptor:
     """The face whose relative interior contains the boundary point ``x``."""
-    tight = p.unit_facets(x)
-    if tight is None:
-        raise NotOnBoundaryError(f"max functional value is {serialize(p.facets_at(x)[0])}, not 1")
+    top, tight = p.facets_at(x)
+    if top != p.field.one:
+        raise NotOnBoundaryError(f"max functional value is {serialize(top)}, not 1")
     active = frozenset(tight)
     # from the vertex side: a k-face misses the origin, so its vertices span k + 1
     on_face = [row for row, act in zip(p.V, p.vertex_active) if active <= act]

@@ -4,8 +4,9 @@ A ``PolyhedralSpace`` holds only its unit ball, a symmetric polytope.
 By polarity the extreme points of the dual ball are exactly the facet
 functionals of the ball, so the support set ``J(x)`` of a unit vector is
 represented by its extreme points: the facet functionals active at ``x``.
-``norm`` reads them from one scan of the ball, ``Polytope.facets_at``;
-``support_set`` from ``Polytope.unit_facets``, which checks ``|x| = 1``.
+``norm``, ``support_set`` and ``support_functionals_at`` each read them
+and the gauge from one scan of the ball, ``Polytope.facets_at``, and
+``Polytope.facet_rank`` ranks them on the ball's cleared rows.
 
 The smoothness order of a unit vector is the rank of its active
 functionals; it always equals the ambient dimension minus the dimension
@@ -80,25 +81,32 @@ def normalized(space: PolyhedralSpace, x: Vector) -> Vector:
 def support_facets(space: PolyhedralSpace, x: Vector) -> list[int]:
     """The indices of the facet functionals active at the unit vector x,
     the extreme points of J(x)."""
-    tight = space.ball.unit_facets(x)
-    if tight is None:
+    top, tight = space.ball.facets_at(x)
+    if top != space.field.one:
         raise NotUnitNormError(f"norm of {x} is not 1")
     return tight
 
 
+def _supports(ball: Polytope, x: Vector, tight: list[int]) -> SupportSet:
+    return SupportSet(x, tuple(ball.functionals[j] for j in tight), ball.facet_rank(tight))
+
+
 def support_set(space: PolyhedralSpace, x: Vector) -> SupportSet:
     """Extreme support functionals of the unit vector x and their rank."""
-    active = [space.ball.functionals[j] for j in support_facets(space, x)]
-    return SupportSet(x, tuple(active), rank_of_vectors(active))
+    return _supports(space.ball, x, support_facets(space, x))
 
 
 def support_functionals_at(space: PolyhedralSpace, y: Vector) -> SupportSet:
     """Support set of a nonzero (not necessarily unit) vector.
 
-    The support functionals at ``y`` are those of ``y/||y||``; the base
-    point recorded in the result is the normalized vector.
+    The support functionals at ``y`` are those of ``y/||y||``: the facets
+    attaining the gauge of ``y``, read from the same scan that gives the
+    norm.  The base point recorded in the result is the normalized vector.
     """
-    return support_set(space, normalized(space, y))
+    n, tight = space.ball.facets_at(y)
+    if not n:
+        raise ValidationError("cannot normalize the zero vector")
+    return _supports(space.ball, y.scale(space.field.one / n), tight)
 
 
 def point_smoothness(space: PolyhedralSpace, x: Vector) -> int:

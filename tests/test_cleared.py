@@ -12,7 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from ksmooth.errors import NotOnBoundaryError, OriginNotInteriorError, ZeroOperatorError
+from ksmooth.errors import (
+    NotOnBoundaryError,
+    OriginNotInteriorError,
+    ValidationError,
+    ZeroOperatorError,
+)
 from ksmooth.linalg import (
     Matrix,
     Vector,
@@ -23,18 +28,22 @@ from ksmooth.linalg import (
     greedy_independent_subset,
     nullspace,
     rank,
+    rank_of_vectors,
     solve,
 )
 from ksmooth.operators import LinearOperator, operator_norm_and_attainment, sign_canonical
+import ksmooth.polytope as polytope
 from ksmooth.polytope import Polytope, _tight, minimal_face
 from ksmooth.scalars import FieldTag, QuadScalar
 from ksmooth.spaces import (
     ell1,
     ellinf,
     norm,
+    normalized,
     paper_example_space,
     product_space,
     random_space,
+    support_functionals_at,
     support_set,
 )
 
@@ -159,6 +168,35 @@ def test_norm_support_set_and_face_match_fraction_route(space):
         top = from_cleared(top, scale, space.field)
         assert top == max(f.dot(v) for v in space.ball.vertices)
         assert tight == [i for i, v in enumerate(space.ball.vertices) if f.dot(v) == top]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=IDS)
+def test_support_functionals_at_takes_the_norm_scan(space, monkeypatch):
+    # one scan gives the norm and the support set of y/||y||: the same base
+    # point, functionals in facet order and rank as normalizing and then
+    # scanning the unit vector again
+    points = probe_points(random.Random(f"one-scan:{space.name}"), space)
+    expected = [support_set(space, normalized(space, y)) for y in points]
+    calls = []
+    real_tight = polytope._tight
+    monkeypatch.setattr(polytope, "_tight", lambda *args: calls.append(args) or real_tight(*args))
+    for y, want in zip(points, expected):
+        got = support_functionals_at(space, y)
+        assert got.base_point == want.base_point
+        assert got.extreme_functionals == want.extreme_functionals
+        assert got.smoothness_order == want.smoothness_order
+    assert len(calls) == len(points)
+    with pytest.raises(ValidationError, match=r"^cannot normalize the zero vector$"):
+        support_functionals_at(space, Vector.zero(space.dim, space.field))
+
+
+@pytest.mark.parametrize("space", SPACES, ids=IDS)
+def test_facet_rank_matches_the_field_rank(space):
+    # the rank of a set of facets on the cleared rows F, against the rank of
+    # the field functionals, on every active set of the face lattice
+    ball = space.ball
+    for active in ball._face_lattice():
+        assert ball.facet_rank(active) == rank_of_vectors([ball.functionals[j] for j in active])
 
 
 def random_matrix(rng, field, rows, cols, kind):

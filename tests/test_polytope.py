@@ -33,7 +33,15 @@ from ksmooth.polytope import (
 )
 from ksmooth.scalars import FieldTag, INV_SQRT2, QuadScalar
 from ksmooth.operators import paper_example_operator
-from ksmooth.spaces import ell1, ellinf, paper_example_space, random_space
+from ksmooth.spaces import (
+    ell1,
+    ellinf,
+    paper_example_space,
+    random_space,
+    support_facets,
+    support_functionals_at,
+    support_set,
+)
 
 Q = FieldTag.RATIONAL
 K = FieldTag.QUAD_SQRT2
@@ -290,18 +298,24 @@ def test_ball_build_reduces_each_slab_once(monkeypatch):
     assert calls["_reduced"] == calls["dual_vertices"] == 8
 
 
+def count_point_scans(monkeypatch):
+    """The arguments of every later ``polytope._tight`` call, the one point scan."""
+    calls = []
+    real_tight = polytope._tight
+
+    def counted_tight(*args):
+        calls.append(args)
+        return real_tight(*args)
+
+    monkeypatch.setattr(polytope, "_tight", counted_tight)
+    return calls
+
+
 def test_subspace_walk_builds_no_polytope(monkeypatch):
     # canonicalize reads double description's tight sets and the section
     # walk maps them back to ball facets: neither rescans nor revalidates
     spaces = [ell1(3), paper_example_space(), random_space(5, 3, 8)]
-    tight_calls = []
-    real_tight = polytope._tight
-
-    def counted_tight(*args):
-        tight_calls.append(args)
-        return real_tight(*args)
-
-    monkeypatch.setattr(polytope, "_tight", counted_tight)
+    tight_calls = count_point_scans(monkeypatch)
     for space in spaces:
         vertices = space.ball.vertices
         assert canonicalize(vertices + (vertices[0].scale(Fraction(1, 2)),)) == vertices
@@ -374,6 +388,20 @@ def test_minimal_face_requires_boundary():
         minimal_face(p, qv(2, 0))
 
 
+def test_minimal_face_scans_each_point_once(monkeypatch):
+    # the gauge of the one scan words the error off the boundary
+    p = Polytope.from_vertices(cross())
+    calls = count_point_scans(monkeypatch)
+    with pytest.raises(NotOnBoundaryError, match=r"^max functional value is 1/4, not 1$"):
+        minimal_face(p, qv(Fraction(1, 4), 0))
+    assert len(calls) == 1
+    with pytest.raises(NotOnBoundaryError, match=r"^max functional value is 2, not 1$"):
+        minimal_face(p, qv(2, 0))
+    assert len(calls) == 2
+    assert minimal_face(p, qv(Fraction(1, 2), Fraction(1, 2))).dim == 1
+    assert len(calls) == 3
+
+
 def test_minimal_face_paper_vertex():
     space = paper_example_space()
     x = Vector([INV_SQRT2, INV_SQRT2, QuadScalar(0)], FieldTag.QUAD_SQRT2)
@@ -427,17 +455,20 @@ def test_face_reads_the_lattice():
     (Vector([QuadScalar(1), QuadScalar(0)], K), FieldMismatchError),
 ], ids=["too-long", "too-short", "other-field"])
 @pytest.mark.parametrize("scan", [
-    lambda p, x: p.facets_at(x),
-    lambda p, x: p.unit_facets(x),
-    lambda p, x: minimal_face(p, x),
-    lambda p, x: list(faces_meeting(p, [x])),
-    lambda p, x: list(faces_meeting(p, [qv(1, 0), x])),
-], ids=["facets_at", "unit_facets", "minimal_face", "faces_meeting", "faces_meeting-second"])
+    lambda s, x: s.ball.facets_at(x),
+    lambda s, x: minimal_face(s.ball, x),
+    lambda s, x: list(faces_meeting(s.ball, [x])),
+    lambda s, x: list(faces_meeting(s.ball, [qv(1, 0), x])),
+    support_facets,
+    support_set,
+    support_functionals_at,
+], ids=["facets_at", "minimal_face", "faces_meeting", "faces_meeting-second",
+        "support_facets", "support_set", "support_functionals_at"])
 def test_cleared_row_scans_reject_foreign_points(scan, point, error):
     # zip would truncate a longer point and pair a shorter one with a prefix;
     # a point of the other field is a field mismatch, as in `spaces.norm`
     with pytest.raises(error):
-        scan(ell1(2).ball, point)
+        scan(ell1(2), point)
 
 
 def test_euler_characteristic_random():

@@ -190,8 +190,10 @@ def test_canonicalize_takes_no_rank():
     found = [f"{node.lineno}:{used}" for node in ast.walk(_function(tree, "canonicalize"))
              if (used := getattr(node, "id", None) or getattr(node, "attr", None)) in banned]
     assert found == [], found
-    assert "_rank_of_lists" in {getattr(node.func, "id", None) for node in ast.walk(
-        _function(tree, "__init__", owner="Polytope")) if isinstance(node, ast.Call)}
+    called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+              for node in ast.walk(_function(tree, "__init__", owner="Polytope"))
+              if isinstance(node, ast.Call)}
+    assert {"_rank_of_lists", "facet_rank"} <= called, called
 
 
 def test_face_operator_is_a_closed_form():
@@ -221,4 +223,26 @@ def test_index_ranks_integer_products_and_the_cli_rescales_once():
              in ("kron_coeff_vector", "QuadScalar", "rank_of_vectors")]
     found += [f"_cmd_op_order:{node.lineno}" for node in ast.walk(_function(cli, "_cmd_op_order"))
               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "LinearOperator"]
+    assert found == [], found
+
+
+def test_one_point_scan_and_one_facet_rank():
+    # Polytope.facets_at is the only point scan, and Polytope.facet_rank
+    # the only rank of a set of facets: the support sets take the norm's
+    # scan and rank the ball's cleared rows, re-clearing no field functional
+    found = [path.name for path in sorted(SOURCE.glob("*.py"))
+             if "unit_facets" in path.read_text(encoding="utf-8")]
+    spaces = ast.parse((SOURCE / "spaces.py").read_text(encoding="utf-8"))
+    found += [f"{name}:{node.lineno}:{used}"
+              for name in ("support_set", "support_functionals_at", "_supports")
+              for node in ast.walk(_function(spaces, name))
+              if (used := getattr(node, "id", None) or getattr(node, "attr", None))
+              in ("rank_of_vectors", "normalized", "norm")]
+    polytope = ast.parse((SOURCE / "polytope.py").read_text(encoding="utf-8"))
+    facet_rank = _function(polytope, "facet_rank", owner="Polytope")
+    inside = {id(node) for node in ast.walk(facet_rank)}
+    found += [f"polytope.py:{node.lineno}:rank of F" for node in ast.walk(polytope)
+              if isinstance(node, ast.Call) and id(node) not in inside
+              and getattr(node.func, "id", None) == "_rank_of_lists"
+              and any(getattr(sub, "attr", None) == "F" for sub in ast.walk(node))]
     assert found == [], found
