@@ -233,17 +233,28 @@ def from_cleared_row(row: tuple, scale: int, field: FieldTag) -> Vector:
 
 
 def _eliminate(rows: list[Sequence[int]], ncols: int, full: bool) -> tuple[list[int], int]:
-    """Fraction-free elimination of ``int`` rows; returns the pivot columns
-    and the last pivot ``det``.  Pivots go column by column through the
-    first ``ncols`` columns, each on the unused row whose entry there has the
-    smallest nonzero bit length; pivot ``k`` ends in row ``k``.  A step maps
-    a row ``x`` to ``(p * x - f * y) // prev``, with ``y`` the pivot row,
-    ``p`` its pivot, ``f`` the entry of ``x`` under it and ``prev`` the pivot
-    before; the division is exact (Bareiss, 1968).  Forward-only this leaves
-    an echelon form; ``full`` also clears above each pivot, which leaves
-    ``det`` times the reduced row echelon form (Nakos, Turner & Williams,
-    1997).  Rows are swapped and replaced in ``rows``, never changed.
+    """Fraction-free elimination of ``int`` rows; returns the sorted pivot
+    columns among the first ``ncols`` and the last pivot ``det``.  A step
+    maps a row ``x`` to ``(p * x - f * y) // prev``, with ``y`` the pivot
+    row, ``p`` its pivot, ``f`` the entry of ``x`` under it and ``prev`` the
+    pivot before; the division is exact (Bareiss, 1968) in any order of
+    pivot columns.
+
+    ``full`` pivots column by column, each on the unused row whose entry
+    there has the smallest nonzero bit length, and clears above each pivot
+    as well as below, which leaves ``det`` times the reduced row echelon
+    form (Nakos, Turner & Williams, 1997); pivot ``k`` ends in row ``k``.
+    Forward-only, for rank and greedy subsets, takes the rows one at a time:
+    a row is put through the steps of the pivot rows found so far, in the
+    order they were found, which leaves it where column-order elimination on
+    that pivot sequence would, and its first nonzero column, if any, is a
+    new pivot.  That column is a pivot of every echelon form, so the sorted
+    pivot columns are those of column-order elimination, and the loop stops
+    once ``ncols`` pivots are found.  ``full`` swaps and replaces rows in
+    ``rows``, never changing one; forward-only leaves ``rows`` as it is.
     """
+    if not full:
+        return _forward(rows, ncols)
     pivot_cols: list[int] = []
     nr = len(rows)
     prev = 1
@@ -261,7 +272,7 @@ def _eliminate(rows: list[Sequence[int]], ncols: int, full: bool) -> tuple[list[
         rows[r], rows[best] = rows[best], rows[r]
         pivot_row = rows[r]
         p = pivot_row[c]
-        for i in range(0 if full else r + 1, nr):
+        for i in range(nr):
             f = rows[i][c]
             if f and i != r:
                 rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
@@ -272,15 +283,41 @@ def _eliminate(rows: list[Sequence[int]], ncols: int, full: bool) -> tuple[list[
     return pivot_cols, prev
 
 
+def _forward(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[int], int]:
+    """``_eliminate``'s forward-only mode: each row put through the Bareiss
+    steps of the pivot rows before it; ``rows`` is left as it is."""
+    pivots: list[tuple[int, Sequence[int]]] = []
+    det = 1
+    for x in rows:
+        prev = 1
+        for c, y in pivots:
+            p, f = y[c], x[c]
+            if f:
+                x = [(p * a - f * b) // prev for a, b in zip(x, y)]
+            elif p != prev:
+                x = [p * a // prev for a in x]
+            prev = p
+        for c in range(ncols):
+            if x[c]:
+                break
+        else:
+            continue
+        pivots.append((c, x))
+        det = x[c]
+        if len(pivots) == ncols:
+            break
+    return sorted(c for c, _ in pivots), det
+
+
 def _reduced(rows: Sequence[tuple], field: FieldTag, width: int,
              full: bool) -> tuple[list[list[int]], list[int], int]:
     """``_eliminate`` on cleared rows whose first ``width`` entries multiply
-    the unknowns, the rest being right-hand sides; returns the reduced rows,
-    the pivot unknowns and ``det``.  Over Q(sqrt 2) a row ``a + b r2`` times
-    ``x1 + x2 r2`` is two rational rows on interleaved unknown columns
-    ``(x1_j, x2_j)``, ``(a_j, 2 b_j)`` then ``a``'s right-hand sides and
-    ``(b_j, a_j)`` then ``b``'s; pivot columns come in pairs, as a span is
-    closed under r2.
+    the unknowns, the rest being right-hand sides; returns the rows it
+    worked on (reduced when ``full``), the pivot unknowns and ``det``.
+    Over Q(sqrt 2) a row ``a + b r2`` times ``x1 + x2 r2`` is two rational
+    rows on interleaved unknown columns ``(x1_j, x2_j)``, ``(a_j, 2 b_j)``
+    then ``a``'s right-hand sides and ``(b_j, a_j)`` then ``b``'s; pivot
+    columns come in pairs, as a span is closed under r2.
     """
     if field is FieldTag.RATIONAL:
         work = list(rows)

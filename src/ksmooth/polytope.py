@@ -15,11 +15,14 @@ parallelotope, and the other halfspaces clip it in input order.  A vertex
 positive integer; over Q(sqrt 2) made rational with its conjugate), the
 key that merges a vertex reached from two edges; the sign of ``p.v - 1``
 is that of ``P.N - s h``, and a new vertex is an integer combination of
-its edge's ends divided by a gcd.  Two vertices are adjacent iff their
-common active constraints have rank d-1 on the rows of ``P``, exact for
-degenerate polytopes too.  Tight sets need no scan: a vertex made strictly
-inside an edge is tight exactly where both ends are and on the constraint
-inserted.
+its edge's ends divided by a gcd.  A tight set is an ``int`` bit mask over
+the indices of ``P``, and adjacency is decided on the masks alone: two
+vertices span an edge iff no third vertex is tight on every constraint
+tight at both (Fukuda & Prodon, 1996, Prop. 7), which is exact for
+degenerate polytopes too and takes no rank.  Tight sets need no scan: a
+vertex made strictly inside an edge is tight exactly where both ends are
+and on the constraint inserted.  The one rank is the final check that the
+tight rows of each vertex returned have rank d.
 
 A ball is built by double description alone, with no LP: ``canonicalize``
 keeps a boundary point of one pass on the cleared input rows when no
@@ -243,47 +246,66 @@ def dual_vertices(P: Sequence, scale: int,
     inverse = [[_entry(rows, k, width + t, field) for k in range(d)] for t in range(d)]
     corners = list(itertools.product((1, -1), repeat=d))
     verts = [_corner(inverse, signs, scale, det, field) for signs in corners]
-    actives = [{init[j] if s == 1 else negation[init[j]] for j, s in enumerate(signs)}
-               for signs in corners]
+    # a tight set is an int bit mask over the indices of P
+    masks = [sum(1 << (init[j] if s == 1 else negation[init[j]]) for j, s in enumerate(signs))
+             for signs in corners]
     constraints = [ops.entries(row, -scale) for row in P]
 
     inserted = set(init) | {negation[i] for i in init}
     for idx, p in enumerate(constraints):
         if idx in inserted:
             continue
+        bit = 1 << idx
         values = ops.values(p, verts)
-        signs = [ops.sign(val) for val in values]
-        for k, sign in enumerate(signs):
-            if sign == 0:
-                actives[k].add(idx)
-        if 1 not in signs:
+        # p cuts off the vertices in out and keeps the others: those in
+        # into strictly inside it, and the rest, which become tight on p
+        out, into, keep = [], [], []
+        for k, val in enumerate(values):
+            sign = ops.sign(val)
+            if sign > 0:
+                out.append(k)
+            else:
+                keep.append(k)
+                if sign:
+                    into.append(k)
+                else:
+                    masks[k] |= bit
+        if not out:
             continue
         new_verts = {}
-        for k_out, sign_out in enumerate(signs):
-            if sign_out <= 0:
-                continue
-            for k_in, sign_in in enumerate(signs):
-                if sign_in >= 0:
-                    continue
-                common = actives[k_out] & actives[k_in]
-                if len(common) < d - 1:
-                    continue
-                # an empty common set (d = 1) has rank 0 = d - 1 with no kernel call
-                if common and _rank_of_lists([P[j] for j in common], field) != d - 1:
+        for k_out in out:
+            for k_in in into:
+                common = masks[k_out] & masks[k_in]
+                # u and w span an edge iff no third vertex is tight on every
+                # constraint tight at both, which cut out the smallest face
+                # holding u and w (Fukuda & Prodon, 1996, Prop. 7); an edge
+                # lies on at least d - 1 of them
+                if (common.bit_count() < d - 1
+                        or [mask & common for mask in masks].count(common) > 2):
                     continue
                 z = ops.edge(values[k_out], verts[k_out], values[k_in], verts[k_in])
                 # z lies strictly inside the edge uw: an inserted constraint
                 # is tight at z exactly when it is tight at both ends
-                new_verts.setdefault(z, common | {idx})
-        keep = [k for k, sign in enumerate(signs) if sign <= 0]
+                new_verts.setdefault(z, common | bit)
         verts = [verts[k] for k in keep] + list(new_verts)
-        actives = [actives[k] for k in keep] + list(new_verts.values())
+        masks = [masks[k] for k in keep] + list(new_verts.values())
 
+    actives = [_members(mask) for mask in masks]
     for act in actives:
         if _rank_of_lists([P[j] for j in act], field) != d:
             raise InternalInconsistencyError(
                 "double description produced a non-vertex point")
-    return verts, [frozenset(act) for act in actives]
+    return verts, actives
+
+
+def _members(mask: int) -> frozenset[int]:
+    """The indices of the set bits of ``mask``."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(members)
 
 
 def _primitive(parts: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -713,6 +735,12 @@ def minimal_face(p: Polytope, x: Vector) -> FaceDescriptor:
     top, tight = p.facets_at(x)
     if top != p.field.one:
         raise NotOnBoundaryError(f"max functional value is {serialize(top)}, not 1")
+    return _minimal_face_of(p, tight)
+
+
+def _minimal_face_of(p: Polytope, tight: Iterable[int]) -> FaceDescriptor:
+    """The face whose relative interior contains a boundary point, from the
+    facets ``tight`` at it, the full active set of that face."""
     active = frozenset(tight)
     # from the vertex side: a k-face misses the origin, so its vertices span k + 1
     on_face = [row for row, act in zip(p.V, p.vertex_active) if active <= act]

@@ -4,9 +4,10 @@ A ``PolyhedralSpace`` holds only its unit ball, a symmetric polytope.
 By polarity the extreme points of the dual ball are exactly the facet
 functionals of the ball, so the support set ``J(x)`` of a unit vector is
 represented by its extreme points: the facet functionals active at ``x``.
-``norm``, ``support_set`` and ``support_functionals_at`` each read them
-and the gauge from one scan of the ball, ``Polytope.facets_at``, and
-``Polytope.facet_rank`` ranks them on the ball's cleared rows.
+``norm``, ``support_set``, ``support_functionals_at`` and
+``point_smoothness`` each read them and the gauge from one scan of the
+ball, ``Polytope.facets_at``, and ``Polytope.facet_rank`` ranks them on the
+ball's cleared rows.
 
 The smoothness order of a unit vector is the rank of its active
 functionals; it always equals the ambient dimension minus the dimension
@@ -34,7 +35,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import Vector, rank_of_vectors
-from .polytope import Polytope, check_guard, minimal_face
+from .polytope import Polytope, _minimal_face_of, check_guard
 from .scalars import FieldTag, INV_SQRT2, QuadScalar, Scalar
 
 
@@ -112,13 +113,14 @@ def support_functionals_at(space: PolyhedralSpace, y: Vector) -> SupportSet:
 def point_smoothness(space: PolyhedralSpace, x: Vector) -> int:
     """The smoothness order of a unit vector.
 
-    Computed two ways on every call: as the rank of the active support
-    functionals, and as ambient dimension minus the dimension of the
-    minimal face containing x, which counts the ball vertices on that face.
-    Disagreement signals a kernel bug.
+    Computed two ways on every call from one scan of the ball: as the rank
+    of the active support functionals, and as ambient dimension minus the
+    dimension of the minimal face containing x, which counts the ball
+    vertices on that face.  Disagreement signals a kernel bug.
     """
-    supports = support_set(space, x)
-    face = minimal_face(space.ball, x)
+    tight = support_facets(space, x)
+    supports = _supports(space.ball, x, tight)
+    face = _minimal_face_of(space.ball, tight)
     by_face = space.dim - face.dim
     if supports.smoothness_order != by_face:
         raise InternalInconsistencyError(

@@ -18,7 +18,16 @@ from ksmooth.errors import (
     NotSymmetricError,
 )
 from ksmooth.files import load_space
-from ksmooth.linalg import Matrix, Vector, clear_denominators, rank_of_vectors, solve
+from ksmooth.linalg import (
+    Matrix,
+    Vector,
+    _entry,
+    _rank_of_lists,
+    _reduced,
+    clear_denominators,
+    rank_of_vectors,
+    solve,
+)
 import ksmooth.lp as lp
 from ksmooth.orthogonality import Subspace, bj_subspace_subspace, bj_subspace_vector
 import ksmooth.polytope as polytope
@@ -37,6 +46,7 @@ from ksmooth.spaces import (
     ell1,
     ellinf,
     paper_example_space,
+    point_smoothness,
     random_space,
     support_facets,
     support_functionals_at,
@@ -582,6 +592,153 @@ def test_dual_vertices_requires_symmetry():
     with pytest.raises(NotSymmetricError, match=r"negation: \(1/2\+1/2\*r2,0\)$"):
         dual_vertices([Vector([QuadScalar(Fraction(1, 2), Fraction(1, 2)), 0], K),
                        Vector([0, 1], K), Vector([0, -1], K)])
+
+
+def rank_adjacency_dual_vertices(P, scale, field):
+    """Double description with the rank adjacency test: tight sets as sets,
+    and two vertices adjacent iff the rows of ``P`` tight at both have rank
+    d - 1.  Returns the rows, the tight sets and the number of pairs with at
+    least d - 1 common tight rows that are not edges."""
+    d = len(P[0] if field is Q else P[0][0])
+    ops = polytope._FIELD_OPS[field]
+    negation = polytope._negation_index(P, scale, field)
+    unit = [(0,) * t + (1,) + (0,) * (d - 1 - t) for t in range(d)]
+    if field is Q:
+        columns = list(zip(*P, *unit))
+    else:
+        columns = list(zip(zip(*[a for a, _ in P], *unit),
+                           zip(*[b for _, b in P], *[(0,) * d] * d)))
+    rows, init, det = _reduced(columns, field, len(P), True)
+    width = len(rows[0]) - d
+    inverse = [[_entry(rows, k, width + t, field) for k in range(d)] for t in range(d)]
+    corners = list(itertools.product((1, -1), repeat=d))
+    verts = [polytope._corner(inverse, signs, scale, det, field) for signs in corners]
+    actives = [{init[j] if s == 1 else negation[init[j]] for j, s in enumerate(signs)}
+               for signs in corners]
+    inserted = set(init) | {negation[i] for i in init}
+    non_edges = 0
+    for idx, row in enumerate(P):
+        if idx in inserted:
+            continue
+        values = ops.values(ops.entries(row, -scale), verts)
+        signs = [ops.sign(val) for val in values]
+        for k, sign in enumerate(signs):
+            if sign == 0:
+                actives[k].add(idx)
+        new_verts = {}
+        for k_out, sign_out in enumerate(signs):
+            for k_in, sign_in in enumerate(signs):
+                if sign_out <= 0 or sign_in >= 0:
+                    continue
+                common = actives[k_out] & actives[k_in]
+                if len(common) < d - 1:
+                    continue
+                if common and _rank_of_lists([P[j] for j in common], field) != d - 1:
+                    non_edges += 1
+                    continue
+                z = ops.edge(values[k_out], verts[k_out], values[k_in], verts[k_in])
+                new_verts.setdefault(z, common | {idx})
+        keep = [k for k, sign in enumerate(signs) if sign <= 0]
+        verts = [verts[k] for k in keep] + list(new_verts)
+        actives = [actives[k] for k in keep] + list(new_verts.values())
+    return verts, [frozenset(a) for a in actives], non_edges
+
+
+def capture_dual_vertices(monkeypatch):
+    """The arguments and result of every later ``polytope.dual_vertices`` call."""
+    calls = []
+    real = polytope.dual_vertices
+
+    def recorded(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(polytope, "dual_vertices", recorded)
+    return calls
+
+
+def check_against_rank_adjacency(calls):
+    """Each captured pass's rows, their order and tight sets against the
+    rank-adjacency pass; returns the non-edges that pass ranked."""
+    non_edges = 0
+    for args, (rows, tight) in calls:
+        want_rows, want_tight, missed = rank_adjacency_dual_vertices(*args)
+        assert rows == want_rows
+        assert tight == want_tight
+        non_edges += missed
+    return non_edges
+
+
+def _adjacency_cloud(rng, dim, field):
+    """A symmetric cloud with non-extreme points: quarter sums of two points
+    and points on the segment between two others."""
+    def scalar():
+        a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return a if field is Q else QuadScalar(a, Fraction(rng.randint(-1, 1), 2))
+    half = [Vector.basis(i, dim, field).scale(Fraction(rng.randint(1, 3), rng.randint(1, 2)))
+            for i in range(dim)]
+    half += [Vector([scalar() for _ in range(dim)], field) for _ in range(dim + 1)]
+    half = [p for p in half if not p.is_zero()]
+    points = half + [-p for p in half]
+    for _ in range(dim + 2):
+        p, q = rng.sample(points, 2)
+        half.append((p + q).scale(Fraction(1, 4)))
+        t = Fraction(rng.randint(1, 3), 4)
+        half.append(p + (q - p).scale(t))
+    points = list({p.entries: p for q in half if not q.is_zero() for p in (q, -q)}.values())
+    rng.shuffle(points)
+    return points
+
+
+def test_combinatorial_adjacency_matches_rank_adjacency(monkeypatch):
+    # double description decides adjacency on its tight-set bit masks; every
+    # pass of a ball build and of a subspace section gives the rows, their
+    # order and the tight sets that the rank test gives, and the inputs
+    # reach pairs with d - 1 common tight rows that are not edges
+    calls = capture_dual_vertices(monkeypatch)
+    for field in (Q, K):
+        for dim in range(1, 6):
+            for seed in range(3 if dim < 5 else 1):
+                rng = random.Random(f"adjacency:{field.name}:{dim}:{seed}")
+                Polytope.from_vertices(_adjacency_cloud(rng, dim, field))
+    r2 = INV_SQRT2 + INV_SQRT2
+    sections = [
+        (ell1(3), [qv(1, 0, 0)]),
+        (ell1(3), [qv(1, 1, 0), qv(0, 0, 1)]),
+        (ell1(3), [qv(1, 1, 1), qv(1, -1, 0)]),
+        (paper_example_space(), [Vector([1, 0, 0], K), Vector([0, 1, 0], K)]),
+        (paper_example_space(), [Vector([1, r2, 1], K)]),
+        (paper_example_space(), [Vector([1, 1, 0], K), Vector([0, 1, 1], K)]),
+    ]
+    built = len(calls)
+    for space, basis in sections:
+        assert list(faces_meeting(space.ball, basis))
+    assert len(calls) > built
+    assert {len(args[0][0] if args[2] is Q else args[0][0][0]) for args, _ in calls} == {
+        1, 2, 3, 4, 5}
+    non_edges = [check_against_rank_adjacency([call for call in calls if call[0][2] is field])
+                 for field in (Q, K)]
+    assert min(non_edges) > 0, non_edges
+
+
+def test_five_dimensional_ball_matches_rank_adjacency(monkeypatch):
+    calls = capture_dual_vertices(monkeypatch)
+    space = random_space(2, 5, 15)
+    assert (space.dim, len(space.ball.functionals)) == (5, 272)
+    assert len(calls) == 2
+    check_against_rank_adjacency(calls)
+
+
+def test_point_smoothness_scans_once(monkeypatch):
+    # the support rank and the minimal face take the facets tight at x from
+    # one scan; each route still ranks on its own side of the ball
+    space = ell1(3)
+    calls = count_point_scans(monkeypatch)
+    assert point_smoothness(space, qv(Fraction(1, 2), Fraction(1, 2), 0)) == 2
+    assert len(calls) == 1
+    assert point_smoothness(space, qv(1, 0, 0)) == 3
+    assert len(calls) == 2
 
 
 def test_boundary_grid_face_dims_match_rank():

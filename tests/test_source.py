@@ -143,8 +143,8 @@ def test_cleared_kernels_stay_on_integers():
     polytope = ast.parse((SOURCE / "polytope.py").read_text(encoding="utf-8"))
     bodies = [_function(linalg, "_rank_of_lists"), _function(polytope, "_row_max"),
               _function(polytope, "image_gauge_max", owner="Polytope")]
-    bodies += [_function(linalg, name) for name in
-               ("_eliminate", "_reduced", "_entry", "_cleared_rows", "_scaled", "_denominators")]
+    bodies += [_function(linalg, name) for name in ("_eliminate", "_forward", "_reduced", "_entry",
+                                                    "_cleared_rows", "_scaled", "_denominators")]
     banned = {"QuadScalar", "Fraction", "truediv", "_scalar_size", "pivot_on"}
     found = []
     for body in bodies:
@@ -179,6 +179,22 @@ def test_one_elimination_kernel():
     assert divisions == [], divisions
     assert "linalg" not in {node.module for node in ast.walk(lp)
                             if isinstance(node, ast.ImportFrom)}
+
+
+def test_double_description_ranks_only_its_output():
+    # dual_vertices decides adjacency on its tight-set bit masks, with no
+    # rank in the insertion loop; its one rank is the final check that each
+    # vertex returned has tight rows of full rank
+    dd = _function(ast.parse((SOURCE / "polytope.py").read_text(encoding="utf-8")),
+                   "dual_vertices")
+    ranks = [node for node in ast.walk(dd) if isinstance(node, ast.Call)
+             and "_rank_of_lists" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))]
+    [insertion] = [node for node in dd.body if isinstance(node, ast.For)
+                   and ast.unparse(node.iter) == "enumerate(constraints)"]
+    inside = {id(node) for node in ast.walk(insertion)}
+    assert len(ranks) == 1, [node.lineno for node in ranks]
+    assert id(ranks[0]) not in inside, ranks[0].lineno
 
 
 def test_canonicalize_takes_no_rank():
