@@ -92,14 +92,6 @@ class LinearOperator:
                 f"matrix is {self.matrix.rows}x{self.matrix.cols}, expected "
                 f"{self.codomain.dim}x{self.domain.dim}")
 
-    @classmethod
-    def from_images(cls, domain: PolyhedralSpace, codomain: PolyhedralSpace,
-                    images: Sequence[Vector]) -> "LinearOperator":
-        """Operator sending the j-th ambient basis vector to ``images[j]``."""
-        if len(images) != domain.dim:
-            raise DimensionMismatchError("one image per domain basis vector required")
-        return cls(domain, codomain, Matrix.from_columns(images))
-
     def apply(self, x: Vector) -> Vector:
         return self.matrix.matvec(x)
 
@@ -287,27 +279,26 @@ def oracle_order_of_smoothness(t: LinearOperator) -> int:
     """Basis-free order of smoothness via flattened ambient outer products."""
     att = t.attainment
     if att.operator_norm != t.domain.field.one:
-        raise NotUnitNormError(f"operator norm is {serialize(att.operator_norm)}, not 1")
+        raise NotUnitNormError(
+            f"operator norm is {serialize(att.operator_norm)}, not 1; rescale first")
     return _pair_rank(att)
 
 
 def order_of_smoothness(t: LinearOperator) -> SmoothnessReport:
     """The order of smoothness of a unit-norm operator, fully audited.
 
-    Runs the attainment scan once, then the index on the image support sets
-    and the outer-product oracle on the scan's (vertex, facet) pairs, asserts
-    that they agree and that the sum of image smoothness orders over a
-    maximal independent attaining set does not exceed them; returns the trail.
+    Runs the attainment scan once: the outer-product oracle checks the norm
+    and ranks the scan's (vertex, facet) pairs, and the index is taken on the
+    image support sets; asserts that they agree and that the sum of image
+    smoothness orders over a maximal independent attaining set does not
+    exceed them; returns the trail.
     """
+    oracle = oracle_order_of_smoothness(t)
     att = t.attainment
-    if att.operator_norm != t.domain.field.one:
-        raise NotUnitNormError(
-            f"operator norm is {serialize(att.operator_norm)}, not 1; rescale first")
     comp = _index_computation(t, list(att.attaining_vertices))
     if comp.rep_vertices != att.attaining_vertices:
         raise InternalInconsistencyError(
             "index computation saw other attaining vertices than the scan")
-    oracle = _pair_rank(att)
     if comp.index != oracle:
         raise InternalInconsistencyError(
             f"index {comp.index} by basis coordinates but {oracle} by the "

@@ -52,10 +52,10 @@ facets on the rows of ``F``.  The Birkhoff-James witnesses of
 against ``V`` without the LP.
 
 Faces are keyed by their full active set (the maximal set of facets
-containing them); the face with active set A has dimension
-``d - rank{f_j : j in A}``, which ``Polytope.face`` reads from the cached
-face lattice, and ``minimal_face`` reads it from the other side, as the
-rank of the vertices on the face minus one.
+containing them).  ``_minimal_face_of`` is the one face-dimension
+routine, the rank of the face's rows of ``V`` minus one; the cached face
+lattice behind ``Polytope.face`` holds its value on every active set, and
+the facet side, ``d - rank{f_j : j in A}``, is the tests' reference route.
 """
 
 from __future__ import annotations
@@ -643,7 +643,7 @@ class Polytope:
     def _face_lattice(self) -> dict[frozenset[int], int]:
         cache = self._cache
         if "lattice" not in cache:
-            cache["lattice"] = {a: self.dim - self.facet_rank(a)
+            cache["lattice"] = {a: _minimal_face_of(self, a).dim
                                 for a in intersection_closure(self.vertex_active)}
         return cache["lattice"]
 
@@ -739,10 +739,10 @@ def minimal_face(p: Polytope, x: Vector) -> FaceDescriptor:
 
 
 def _minimal_face_of(p: Polytope, tight: Iterable[int]) -> FaceDescriptor:
-    """The face whose relative interior contains a boundary point, from the
-    facets ``tight`` at it, the full active set of that face."""
+    """The face with full active set ``tight``, the facets tight at a point
+    of its relative interior; its dimension from the vertex side, as a
+    k-face misses the origin, so its vertices span k + 1."""
     active = frozenset(tight)
-    # from the vertex side: a k-face misses the origin, so its vertices span k + 1
     on_face = [row for row, act in zip(p.V, p.vertex_active) if active <= act]
     return FaceDescriptor(active, _rank_of_lists(on_face, p.field) - 1)
 

@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-from .errors import FieldMismatchError, InternalInconsistencyError, ScalarSyntaxError
+from .errors import FieldMismatchError, ScalarSyntaxError
 
 def _fraction_sign(x: Fraction) -> int:
     if x > 0:
@@ -73,9 +73,8 @@ class QuadScalar:
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}.
 
-        When a and b have opposite signs the sign follows the larger of
-        a**2 and 2*b**2 (they are never equal for nonzero b since the
-        square root of two is irrational).
+        When a and b have opposite signs it is ``quad_sign``'s, which
+        takes Fraction parts too.
         """
         sa = _fraction_sign(self.a)
         sb = _fraction_sign(self.b)
@@ -85,11 +84,7 @@ class QuadScalar:
             return 1
         if sa <= 0 and sb <= 0:
             return -1
-        d = self.a * self.a - 2 * self.b * self.b
-        if d == 0:
-            raise InternalInconsistencyError(
-                "a^2 = 2 b^2 is impossible for rational a, b not both zero")
-        return sa if d > 0 else sb
+        return quad_sign((self.a, self.b))
 
     def __bool__(self) -> bool:
         return bool(self.a) or bool(self.b)

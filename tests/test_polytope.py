@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import add
 from pathlib import Path
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -458,6 +459,38 @@ def test_face_reads_the_lattice():
     for active in ({0, 3}, set(), {8}, {0, 7}):
         with pytest.raises(NotProperFaceError):
             p.face(frozenset(active))
+
+
+_LATTICE_BALLS = {
+    **{f"{name}:{n}:{field.value}": (lambda make=make, n=n, field=field: make(n, field))
+       for make, name in ((ell1, "ell1"), (ellinf, "ellinf"))
+       for n in range(2, 6) for field in (Q, K)},
+    "paper-example": paper_example_space,
+    "cloud3": lambda: load_space(str(Path(__file__).parent / "golden" / "cloud3.json")),
+    "random-2-5-15": lambda: random_space(2, 5, 15),
+}
+
+
+@pytest.mark.parametrize("make", _LATTICE_BALLS.values(), ids=_LATTICE_BALLS.keys())
+def test_lattice_dimensions_match_the_facet_route(make):
+    # the lattice reads each face's dimension from the vertex side; the
+    # facet side, d - rank of the active facets, is the reference
+    p = make().ball
+    lattice = p._face_lattice()
+    assert lattice
+    for active, dim in lattice.items():
+        assert dim == p.dim - p.facet_rank(active), sorted(active)
+
+
+def test_full_lattice_of_a_d6_ball_is_fast():
+    # 5,184 faces: d - facet_rank on the facet rows, cleared over one scale
+    # of 2,919 bits, takes about 35 s on a 2-CPU Xeon, the vertex rows 0.2 s
+    p = random_space(1, 6, 12).ball
+    started = time.perf_counter()
+    faces = [count_faces(p, k) for k in range(p.dim)]
+    elapsed = time.perf_counter() - started
+    assert sum(faces) == len(p._face_lattice())
+    assert elapsed < 5.0, f"face lattice took {elapsed:.2f}s"
 
 
 @pytest.mark.parametrize("point, error", [

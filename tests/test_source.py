@@ -262,3 +262,19 @@ def test_one_point_scan_and_one_facet_rank():
               and getattr(node.func, "id", None) == "_rank_of_lists"
               and any(getattr(sub, "attr", None) == "F" for sub in ast.walk(node))]
     assert found == [], found
+
+
+def test_face_dimensions_come_from_the_vertex_side():
+    # _minimal_face_of, the rank of a face's vertex rows, is the one
+    # face-dimension routine: the lattice calls it on every active set, and
+    # no face dimension anywhere is d - facet_rank(...), which stays the
+    # tests' reference route
+    polytope = ast.parse((SOURCE / "polytope.py").read_text(encoding="utf-8"))
+    lattice = _function(polytope, "_face_lattice", owner="Polytope")
+    names = {node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+             for node in ast.walk(lattice)}
+    assert "_minimal_face_of" in names and "facet_rank" not in names, names
+    found = [f"{name}:{node.lineno}" for name, tree in _trees() for node in ast.walk(tree)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+             and "facet_rank" in ast.unparse(node.right)]
+    assert found == [], found
