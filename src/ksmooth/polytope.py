@@ -27,9 +27,11 @@ tight rows of each vertex returned have rank d.
 A ball is built by double description alone, with no LP: ``canonicalize``
 keeps a boundary point of one pass on the cleared input rows when no
 other point is tight on every facet tight at it (a containment test on
-the pass's tight sets, with no rank; the proof is in its docstring), and
-``Polytope.from_vertices`` runs double description again on the extreme
-points in first-seen order, which fixes the facet order of every report.
+the pass's tight sets, with no rank; the proof is in its docstring).  The
+facet order of every report is that of a pass on the extreme points in
+first-seen order.  ``Polytope.from_vertices`` runs that pass only when a
+non-extreme point shaped the first one, itself in first-seen order;
+otherwise it keeps the first pass's facets, which are the same.
 ``Polytope.__init__`` checks the rank of each vertex's tight facets, a
 second route independent of the containment test.  ``in_convex_hull``
 (one LP per point) is the tests' reference route for ``canonicalize``.
@@ -64,7 +66,7 @@ import itertools
 import os
 from collections import deque
 from dataclasses import dataclass
-from functools import cmp_to_key, reduce
+from functools import reduce
 from math import gcd, lcm
 from operator import mul, neg
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -163,24 +165,39 @@ def canonicalize(points: Sequence[Vector]) -> tuple[Vector, ...]:
 
     The points are cleared once over one common scale and keyed by their
     integer rows; the negated row of a distinct point is added only when no
-    input point has it.  One double description pass runs on these rows,
-    far points first (largest absolute coordinate, stable; a negation
-    takes its point's key), and its tight sets, transposed, give
-    ``T(i)``, the facets of the hull tight at point ``i``.  Point ``i`` is
-    extreme iff ``T(i)`` is nonempty and no other point ``j`` has
-    ``T(j) >= T(i)``, that is, iff ``i`` alone is tight on all of ``T(i)``.
-    The test is exact on degenerate input: an interior point has no tight
-    facet; a boundary point that is not extreme lies in the relative
-    interior of a face of dimension at least 1, whose vertices are input
-    points tight wherever it is; and an extreme point ``v`` is the only
-    point of the face cut out by ``T(v)``.  No rank is taken here, so the
-    rank check of ``Polytope.__init__`` on every kept vertex is an
-    independent second route.
+    input point has it.  One double description pass runs on these rows in
+    first-seen order (the distinct rows, then the added negations), and its
+    tight sets, transposed, give ``T(i)``, the facets of the hull tight at
+    point ``i``.  Point ``i`` is extreme iff ``T(i)`` is nonempty and no
+    other point ``j`` has ``T(j) >= T(i)``, that is, iff ``i`` alone is
+    tight on all of ``T(i)``.  The test is exact on degenerate input: an
+    interior point has no tight facet; a boundary point that is not extreme
+    lies in the relative interior of a face of dimension at least 1, whose
+    vertices are input points tight wherever it is; and an extreme point
+    ``v`` is the only point of the face cut out by ``T(v)``.  No rank is
+    taken here, so the rank check of ``Polytope.__init__`` on every kept
+    vertex is an independent second route.
+
+    When every row in the pass's ``shaped`` mask is extreme, its facet rows
+    are those of a pass on the extreme points alone, in the same order, and
+    ``Polytope.from_vertices`` keeps them: extreme pivots of the initial
+    reduction are the first d independent extreme points; corner and edge
+    rows are primitive, so they do not depend on the scale the input was
+    cleared over; and a row that cuts off no vertex only adds tight bits,
+    which change no adjacency decision, as adjacency is geometric (Fukuda &
+    Prodon, 1996, Prop. 7).
 
     The kept points must be closed under negation (asymmetry is an error,
     not repaired), and a point set that does not span raises
     ``NotFullDimensionalError``.
     """
+    return _extreme_points(points)[0]
+
+
+def _extreme_points(points: Sequence[Vector]) -> tuple[tuple[Vector, ...], list[tuple] | None]:
+    """``canonicalize``'s extreme points, and the facet rows of its double
+    description pass when they equal those of a pass on the extreme points
+    alone: when every row in the pass's ``shaped`` mask is extreme."""
     if not points:
         raise NotFullDimensionalError("empty point set")
     field = points[0].field
@@ -193,24 +210,21 @@ def canonicalize(points: Sequence[Vector]) -> tuple[Vector, ...]:
     rows = list(distinct)
     lonely = [i for i, row in enumerate(rows) if ops.negate(row) not in distinct]
     rows += [ops.negate(rows[i]) for i in lonely]
-    # far points first: fewer intermediate vertices (Avis, Bremner & Seidel 1997)
-    order = sorted(range(len(rows)), key=lambda i: ops.far(rows[i]), reverse=True)
-    _, tight = dual_vertices([rows[i] for i in order], scale, field)
-    at: list[list[frozenset[int]]] = [[] for _ in order]  # the tight sets, transposed
+    facets, tight, shaped = dual_vertices(rows, scale, field)
+    at: list[list[frozenset[int]]] = [[] for _ in rows]  # the tight sets, transposed
     for members in tight:
         for h in members:
             at[h].append(members)
-    extreme = [False] * len(rows)
-    for h, i in enumerate(order):
-        extreme[i] = bool(at[h]) and frozenset.intersection(*at[h]) == {h}
+    extreme = [bool(sets) and frozenset.intersection(*sets) == {h} for h, sets in enumerate(at)]
     for i, keep in zip(lonely, extreme[len(unique):]):
         if keep:
             raise NotSymmetricError(f"point set not closed under negation: {unique[i]}")
-    return tuple(p for p, keep in zip(unique, extreme) if keep)
+    vertices = tuple(p for p, keep in zip(unique, extreme) if keep)
+    return vertices, facets if all(extreme[h] for h in _members(shaped)) else None
 
 
 def dual_vertices(P: Sequence, scale: int,
-                  field: FieldTag) -> tuple[list[tuple], list[frozenset[int]]]:
+                  field: FieldTag) -> tuple[list[tuple], list[frozenset[int]], int]:
     """Vertices of ``{f : p.f <= 1 for each p}`` by double description,
     each with its tight set: the indices of the points ``p`` with ``p.f == 1``.
 
@@ -218,7 +232,10 @@ def dual_vertices(P: Sequence, scale: int,
     vertex leaves as its primitive homogeneous row ``(N, h)``, which
     ``_FIELD_OPS[field].vertex`` reads back.  The input must be symmetric
     and span the ambient space (otherwise the polar is unbounded), and the
-    output order follows the input order.
+    output order follows the input order.  ``shaped`` is an ``int`` bit mask
+    over the indices of ``P``: the first d independent points and their
+    negations, which bound the initial parallelotope, and every point whose
+    insertion cut off a vertex.
     """
     if not P:
         raise NotFullDimensionalError("empty point set")
@@ -252,6 +269,7 @@ def dual_vertices(P: Sequence, scale: int,
     constraints = [ops.entries(row, -scale) for row in P]
 
     inserted = set(init) | {negation[i] for i in init}
+    shaped = sum(1 << i for i in inserted)
     for idx, p in enumerate(constraints):
         if idx in inserted:
             continue
@@ -272,6 +290,7 @@ def dual_vertices(P: Sequence, scale: int,
                     masks[k] |= bit
         if not out:
             continue
+        shaped |= bit
         new_verts = {}
         for k_out in out:
             for k_in in into:
@@ -295,7 +314,7 @@ def dual_vertices(P: Sequence, scale: int,
         if _rank_of_lists([P[j] for j in act], field) != d:
             raise InternalInconsistencyError(
                 "double description produced a non-vertex point")
-    return verts, actives
+    return verts, actives, shaped
 
 
 def _members(mask: int) -> frozenset[int]:
@@ -336,9 +355,6 @@ def _quad_values(p: tuple, verts: list) -> list[tuple[int, int]]:
     pa, pb = p
     return [(sum(map(mul, pa, za)) + 2 * sum(map(mul, pb, zb)),
              sum(map(mul, pa, zb)) + sum(map(mul, pb, za))) for za, zb in verts]
-
-
-_quad_order = cmp_to_key(lambda x, y: quad_sign((x[0] - y[0], x[1] - y[1])))
 
 
 def _quad_edge(a_u: tuple, u: tuple, a_w: tuple, w: tuple) -> tuple:
@@ -387,8 +403,7 @@ class _FieldOps(NamedTuple):
     """What the readers of cleared rows do differently over each field.
 
     ``entries(row, h)`` appends a homogenizing integer to a cleared row;
-    ``negate`` negates a cleared row, and ``far(row)`` is a sort key
-    ordering rows by their largest absolute entry;
+    ``negate`` negates a cleared row;
     ``vertex`` turns a homogeneous row back into a ``Vector``;
     ``values(p, rows)`` gives the value ``p.z`` at every row ``z``, and
     ``row`` turns a list of values into a row, ``split`` a row into its
@@ -401,7 +416,6 @@ class _FieldOps(NamedTuple):
 
     entries: Callable
     negate: Callable
-    far: Callable
     vertex: Callable
     values: Callable
     row: Callable
@@ -421,7 +435,6 @@ _FIELD_OPS = {
     FieldTag.RATIONAL: _FieldOps(
         entries=lambda row, h: (*row, h),
         negate=lambda row: tuple(map(neg, row)),
-        far=lambda row: max(map(abs, row)),
         vertex=lambda z: from_cleared_row(z[:-1], z[-1], FieldTag.RATIONAL),
         values=lambda p, rows: [sum(map(mul, p, z)) for z in rows],
         row=tuple,
@@ -436,8 +449,6 @@ _FIELD_OPS = {
     FieldTag.QUAD_SQRT2: _FieldOps(
         entries=lambda row, h: ((*row[0], h), (*row[1], 0)),
         negate=lambda row: (tuple(map(neg, row[0])), tuple(map(neg, row[1]))),
-        far=lambda row: max(_quad_order(x if quad_sign(x) >= 0 else (-x[0], -x[1]))
-                            for x in zip(*row)),
         vertex=lambda z: from_cleared_row((z[0][:-1], z[1][:-1]), z[0][-1], FieldTag.QUAD_SQRT2),
         values=_quad_values,
         row=lambda values: tuple(zip(*values)),
@@ -619,10 +630,12 @@ class Polytope:
     def from_vertices(cls, points: Sequence[Vector]) -> "Polytope":
         if points:
             check_guard(points[0].dim, 0)  # before canonicalize's double description
-        vertices = canonicalize(points)
+        vertices, rows = _extreme_points(points)
         field = vertices[0].field
         check_guard(vertices[0].dim, len(vertices))
-        rows, _ = dual_vertices(*clear_denominators((v.entries for v in vertices), field), field)
+        if rows is None:  # a non-extreme point shaped canonicalize's pass
+            rows, _, _ = dual_vertices(
+                *clear_denominators((v.entries for v in vertices), field), field)
         return cls(vertices, tuple(map(_FIELD_OPS[field].vertex, rows)))
 
     def polar(self) -> "Polytope":
@@ -714,7 +727,7 @@ def faces_meeting(p: Polytope, basis: Sequence[Vector]):
         values = ops.values(f, cleared)
         if any(map(ops.sign, values)):
             facets_of.setdefault(ops.row(values), []).append(j)
-    rows, tight = dual_vertices(list(facets_of), p.D * s, field)
+    rows, tight, _ = dual_vertices(list(facets_of), p.D * s, field)
     groups = list(facets_of.values())
     active = [frozenset(j for k in members for j in groups[k]) for members in tight]
     faces = []

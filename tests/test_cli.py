@@ -471,6 +471,7 @@ def test_dimension_guard_before_building_points(capsys, monkeypatch, spec):
 
     monkeypatch.delenv("KSMOOTH_MAX_DIM", raising=False)
     monkeypatch.setattr(polytope, "canonicalize", fail)
+    monkeypatch.setattr(polytope, "_extreme_points", fail)
     # a regression must fail fast here, not build 2 * 10**20 points
     monkeypatch.setattr(Vector, "basis", fail)
     assert main(["space", "info", spec]) == 2

@@ -46,6 +46,7 @@ from ksmooth.operators import paper_example_operator
 from ksmooth.spaces import (
     ell1,
     ellinf,
+    from_vertices,
     paper_example_space,
     point_smoothness,
     random_space,
@@ -84,7 +85,7 @@ def cube(n):
 def dual_vertices(points):
     """``polytope.dual_vertices`` on the cleared points, its rows read back as vectors."""
     field = points[0].field
-    rows, tight = polytope.dual_vertices(
+    rows, tight, _ = polytope.dual_vertices(
         *clear_denominators((p.entries for p in points), field), field)
     return [Vector(polytope._FIELD_OPS[field].vertex(z), field) for z in rows], tight
 
@@ -306,7 +307,85 @@ def test_ball_build_reduces_each_slab_once(monkeypatch):
     for space in (ell1(3), ellinf(4), paper_example_space(), random_space(5, 3, 8)):
         assert len(space.ball.vertex_active) == len(space.ball.vertices)
     assert calls["_tight"] == 0
-    assert calls["_reduced"] == calls["dual_vertices"] == 8
+    # one pass for each builtin ball; random_space(5, 3, 8) has a non-extreme
+    # point among those that shaped its pass, so it runs a second
+    assert calls["_reduced"] == calls["dual_vertices"] == 5
+
+
+def count_single_passes(monkeypatch):
+    """For every later ``Polytope.from_vertices``, whether it kept the rows of
+    ``canonicalize``'s pass (True) or ran a second pass (False)."""
+    kept = []
+    real = polytope._extreme_points
+
+    def recorded(*args):
+        result = real(*args)
+        kept.append(result[1] is not None)
+        return result
+
+    monkeypatch.setattr(polytope, "_extreme_points", recorded)
+    return kept
+
+
+def _with_interior_pairs(rng, cloud, where):
+    """The extreme points of ``cloud`` with three scaled copies of them and
+    their negations, all inside the ball, inserted at the front, the middle
+    or the end, and then the other points of ``cloud``."""
+    extreme = list(canonicalize(cloud))
+    inner = []
+    for p in rng.choices(extreme, k=3):
+        p = p.scale(Fraction(rng.randint(1, 3), 4))
+        inner += [p, -p]
+    at = {"front": 0, "middle": len(extreme) // 2, "end": len(extreme)}[where]
+    return extreme[:at] + inner + extreme[at:] + [q for q in cloud if q not in extreme]
+
+
+def test_single_pass_rows_match_a_second_pass(monkeypatch):
+    # the reference route is a second double description pass on the
+    # extreme points cleared in first-seen order: a ball built from one pass
+    # has its facets, in its order, and so does one built from two
+    builds = [lambda n=n, f=f, space=space: space(n, f)
+              for n in range(2, 6) for f in (Q, K) for space in (ell1, ellinf)]
+    builds += [paper_example_space,
+               lambda: load_space(str(Path(__file__).parent / "golden" / "cloud3.json"))]
+    wheres = []
+    for field in (Q, K):
+        for seed in range(20):
+            rng = random.Random(f"single-pass:{field.name}:{seed}")
+            dim = 2 + seed % 3
+            cloud = _cloud(rng, dim) if field is Q else _quad_cloud(rng, dim)
+            wheres.append(("front", "middle", "end")[seed % 3])
+            cloud = _with_interior_pairs(rng, cloud, wheres[-1])
+            builds.append(lambda cloud=cloud: from_vertices(cloud))
+    kept = count_single_passes(monkeypatch)
+    for build in builds:
+        ball = build().ball
+        field = ball.field
+        rows, _, _ = polytope.dual_vertices(
+            *clear_denominators((v.entries for v in ball.vertices), field), field)
+        assert ball.functionals == tuple(map(polytope._FIELD_OPS[field].vertex, rows))
+    assert len(kept) == len(builds)
+    assert all(kept[:17])  # every builtin ball
+    assert kept[17] is False  # cloud3.json's first point, a pivot, is not extreme
+    # an interior pivot always forces the second pass; interior points after
+    # every extreme point cut nothing; in the middle they may
+    by_place = {where: [k for k, w in zip(kept[18:], wheres) if w == where]
+                for where in ("front", "middle", "end")}
+    assert not any(by_place["front"]) and all(by_place["end"]), by_place
+    assert 0 < sum(by_place["middle"]) < len(by_place["middle"]), by_place
+
+
+def test_ball_build_runs_one_pass_unless_a_non_extreme_point_shaped_it(monkeypatch):
+    calls = capture_dual_vertices(monkeypatch)
+    for build in (paper_example_space, lambda: ell1(3), lambda: ellinf(4)):
+        before = len(calls)
+        build()
+        assert len(calls) == before + 1
+    # an interior first point is a pivot of the initial reduction
+    before = len(calls)
+    half = qv(Fraction(1, 2), 0)
+    Polytope.from_vertices([half, -half] + cross())
+    assert len(calls) == before + 2
 
 
 def count_point_scans(monkeypatch):
@@ -695,7 +774,7 @@ def check_against_rank_adjacency(calls):
     """Each captured pass's rows, their order and tight sets against the
     rank-adjacency pass; returns the non-edges that pass ranked."""
     non_edges = 0
-    for args, (rows, tight) in calls:
+    for args, (rows, tight, _) in calls:
         want_rows, want_tight, missed = rank_adjacency_dual_vertices(*args)
         assert rows == want_rows
         assert tight == want_tight
@@ -759,7 +838,7 @@ def test_five_dimensional_ball_matches_rank_adjacency(monkeypatch):
     calls = capture_dual_vertices(monkeypatch)
     space = random_space(2, 5, 15)
     assert (space.dim, len(space.ball.functionals)) == (5, 272)
-    assert len(calls) == 2
+    assert len(calls) == 1  # no non-extreme point shaped the pass
     check_against_rank_adjacency(calls)
 
 

@@ -198,12 +198,14 @@ def test_double_description_ranks_only_its_output():
 
 
 def test_canonicalize_takes_no_rank():
-    # canonicalize decides extremality from double description's tight sets
-    # alone; the rank of each kept vertex's tight functionals is checked once,
-    # in Polytope.__init__, the independent second route
+    # canonicalize (through _extreme_points, which does its work) decides
+    # extremality from double description's tight sets alone; the rank of
+    # each kept vertex's tight functionals is checked once, in
+    # Polytope.__init__, the independent second route
     tree = ast.parse((SOURCE / "polytope.py").read_text(encoding="utf-8"))
     banned = {"rank", "rank_of_vectors", "_rank_of_lists"}
-    found = [f"{node.lineno}:{used}" for node in ast.walk(_function(tree, "canonicalize"))
+    found = [f"{name}:{node.lineno}:{used}" for name in ("canonicalize", "_extreme_points")
+             for node in ast.walk(_function(tree, name))
              if (used := getattr(node, "id", None) or getattr(node, "attr", None)) in banned]
     assert found == [], found
     called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
