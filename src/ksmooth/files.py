@@ -13,7 +13,10 @@ An operator file references its spaces by path or builtin spec::
 Matrix rows are codomain coordinates; column j is the image of the j-th
 ambient basis vector.  ``dim`` must be a JSON integer (``true`` is
 rejected, not read as 1).  All scalars use the exact literal grammar of
-:mod:`ksmooth.scalars`, so files round-trip bit-exactly.
+:mod:`ksmooth.scalars`, so files round-trip bit-exactly.  A space file's
+literals are scanned to integers and its points cleared over one scale,
+and ``Polytope.from_rows`` builds the ball from those rows: loading a
+space builds no field scalar.
 
 Builtin space specs: ``ell1:n``, ``ellinf:n``, ``paper-example``; the
 builtin operator spec ``paper-example`` names the bundled example
@@ -27,13 +30,15 @@ import hashlib
 import json
 import re
 import sys
+from math import lcm
 from pathlib import Path
 
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import Matrix, Vector
 from .operators import LinearOperator, paper_example_operator
-from .scalars import FieldTag, Scalar, parse, serialize
-from .spaces import PolyhedralSpace, ell1, ellinf, from_vertices, paper_example_space
+from .polytope import Polytope
+from .scalars import FieldTag, parse, scan, serialize
+from .spaces import PolyhedralSpace, ell1, ellinf, paper_example_space
 
 _BUILTIN_RE = re.compile(r"^(ell1|ellinf):([1-9]\d*)$")
 
@@ -63,9 +68,9 @@ def _read_json(path: Path, what: str) -> object:
         raise ValidationError(f"{path}: cannot decode {what} file: {exc}") from exc
 
 
-def _parse_rows(rows: list, dim: int, field: FieldTag, what: str) -> list[list[Scalar]]:
-    """Rows of ``dim`` scalar literals; an error names its row or cell as
-    ``what[i]`` or ``what[i][j]``."""
+def _parse_rows(rows: list, dim: int, field: FieldTag, what: str, read=parse) -> list[list]:
+    """Rows of ``dim`` scalar literals, each read by ``read(literal, field)``;
+    an error names its row or cell as ``what[i]`` or ``what[i][j]``."""
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
@@ -73,11 +78,21 @@ def _parse_rows(rows: list, dim: int, field: FieldTag, what: str) -> list[list[S
         entries = []
         for j, literal in enumerate(row):
             try:
-                entries.append(parse(str(literal), field))
+                entries.append(read(str(literal), field))
             except ValidationError as exc:
                 raise ValidationError(f"{what}[{i}][{j}]: {exc}") from exc
         out.append(entries)
     return out
+
+
+def _cleared(points: list[list[tuple]], field: FieldTag) -> tuple[list[tuple], int]:
+    """Scanned points as ``clear_denominators`` rows over one positive scale."""
+    scale = lcm(*{den for point in points for _, q, _, s in point for den in (q, s)})
+    a = [tuple(p * (scale // q) for p, q, _, _ in point) for point in points]
+    if field is FieldTag.RATIONAL:
+        return a, scale
+    return [(row, tuple(r * (scale // s) for _, _, r, s in point))
+            for row, point in zip(a, points)], scale
 
 
 def load_space(spec: str, base_dir: Path | None = None) -> PolyhedralSpace:
@@ -115,10 +130,9 @@ def space_from_document(doc: object, default_name: str = "custom") -> Polyhedral
         raise ValidationError("'dim' is too large")
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise ValidationError("'vertices' must be a nonempty list")
-    vertices = [Vector(row, field)
-                for row in _parse_rows(raw_vertices, dim, field, "vertices")]
-    name = doc.get("name", default_name)
-    return from_vertices(vertices, str(name))
+    points = _parse_rows(raw_vertices, dim, field, "vertices", scan)
+    ball = Polytope.from_rows(*_cleared(points, field), field)
+    return PolyhedralSpace.from_ball(ball, str(doc.get("name", default_name)))
 
 
 def space_to_document(space: PolyhedralSpace) -> dict:

@@ -19,7 +19,7 @@ Matrices here are tiny: every query recomputes from scratch.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -418,6 +418,14 @@ def greedy_independent_subset(vs: Sequence[Vector]) -> list[int]:
         return []
     columns = _cleared_rows(([v[i] for v in vs] for i in range(vs[0].dim)), vs[0].field)
     return _reduced(columns, vs[0].field, len(vs), False)[1]
+
+
+def primitive_rows(rows: Sequence[tuple], field: FieldTag) -> list[tuple]:
+    """Each cleared row over the gcd of its entries (of both parts over Q(sqrt 2))."""
+    if field is FieldTag.RATIONAL:
+        return [tuple(x // g for x in row) for row in rows for g in [gcd(*row) or 1]]
+    return [tuple(tuple(x // g for x in part) for part in row)
+            for row in rows for g in [gcd(*row[0], *row[1]) or 1]]
 
 
 def outer_rows(xs: Sequence[tuple], ys: Sequence[tuple], field: FieldTag) -> list[tuple]:

@@ -53,6 +53,7 @@ from .linalg import (
     greedy_independent_subset,
     outer_product_rank,
     outer_rows,
+    primitive_rows,
     rank,
     rank_of_vectors,
     solve,
@@ -180,7 +181,7 @@ def operator_norm_and_attainment(t: LinearOperator) -> AttainmentSet:
         v = ball.vertices[k]
         c = sign_canonical(v)
         if c.entries not in pairs:
-            facets = [target.functionals[j] for j in tight]
+            facets = list(map(target.functionals.__getitem__, tight))
             pairs[c.entries] = (c, tuple(facets if c is v else [-f for f in facets]))
     reps, image_facets = zip(*pairs.values())
     return AttainmentSet(best, reps, tuple(greedy_independent_subset(reps)), image_facets)
@@ -246,13 +247,14 @@ def _index_computation(t: LinearOperator, r: Sequence[Vector],
     betas = solve(Matrix.from_columns(f_basis), collected, cleared=True)
     if betas is None:
         raise SpanViolationError("a support functional is outside the collected span")
-    # the coefficient tuples on integers, over the product of the two dets
+    # the coefficient tuples on integers, over the product of the two dets,
+    # ranked gcd-primitive: the dets' products reach thousands of bits
     (alphas, a), (betas, b) = alphas, betas
     rows = outer_rows([alpha for alpha, sup in zip(alphas, supports)
                        for _ in sup.extreme_functionals], betas, field)
     generators = [from_cleared_row(row, a * b, field) for row in rows]
-    return IndexComputation(tuple(reps), tuple(supports), tuple(chosen),
-                            tuple(f_basis), tuple(generators), _rank_of_lists(rows, field))
+    return IndexComputation(tuple(reps), tuple(supports), tuple(chosen), tuple(f_basis),
+                            tuple(generators), _rank_of_lists(primitive_rows(rows, field), field))
 
 
 def index_of_smoothness(t: LinearOperator, r: Sequence[Vector],

@@ -99,7 +99,7 @@ def _verify_witness(space: PolyhedralSpace, point: Vector, facets: Sequence[int]
     has norm one and vanishes on ``vanish_on``, and the coefficients are
     convex weights), whichever route found the coefficients."""
     functional = space.ball.witness(facets, coefficients, point, vanish_on)
-    extremes = tuple(space.ball.functionals[j] for j in facets)
+    extremes = tuple(map(space.ball.functionals.__getitem__, facets))
     return Witness(point, functional, extremes, tuple(coefficients))
 
 

@@ -29,7 +29,7 @@ keeps a boundary point of one pass on the cleared input rows when no
 other point is tight on every facet tight at it (a containment test on
 the pass's tight sets, with no rank; the proof is in its docstring).  The
 facet order of every report is that of a pass on the extreme points in
-first-seen order.  ``Polytope.from_vertices`` runs that pass only when a
+first-seen order.  ``Polytope.from_rows`` runs that pass only when a
 non-extreme point shaped the first one, itself in first-seen order;
 otherwise it keeps the first pass's facets, which are the same.
 ``Polytope.__init__`` checks the rank of each vertex's tight facets, a
@@ -39,15 +39,18 @@ second route independent of the containment test.  ``in_convex_hull``
 reads the faces it meets from one pass's tight sets, without building the
 section as a ``Polytope``.
 
-A ``Polytope`` also holds both tuples cleared, which no other module
-reads: ``F`` over one positive scale ``D`` and ``V`` over ``E``, read
-through the field table ``_FIELD_OPS``.  ``_row_max`` finds the rows tight
-at a cleared point: at the rows of ``V`` for the incidence check of
-``Polytope.__init__``, at one cleared point for ``facets_at``, the only
-point scan, and at each integer image ``An V_k`` for
-``image_gauge_max``, the operators' attainment scan; ``images`` forms such
-products for the index of smoothness, and ``facet_rank`` ranks a set of
-facets on the rows of ``F``.  The Birkhoff-James witnesses of
+A ``Polytope`` is held as both tuples cleared, ``V`` over ``E`` and ``F``
+over ``D``, read through the field table ``_FIELD_OPS``; ``vertices`` and
+``functionals`` are built on first read.  A ball built from points keeps
+``V`` over their scale, and as DD's facet rows ``(N_j, h_j)`` are
+primitive, the entries of ``N_j / h_j`` have lcm of denominators ``h_j``,
+so ``D = lcm_j h_j`` and ``F_j = N_j D / h_j`` (``_FieldOps.common``).
+``_row_max`` finds the rows tight at a cleared point: at the rows of ``V``
+for the incidence check of ``Polytope.__init__``, at one cleared point for
+``facets_at``, the only point scan, and at each integer image ``An V_k``
+for ``image_gauge_max``, the operators' attainment scan; ``images`` forms
+such products for the index of smoothness, and ``facet_rank`` ranks a set
+of facets on the rows of ``F``.  The Birkhoff-James witnesses of
 :mod:`ksmooth.orthogonality` are integer work on the same rows:
 ``values_at`` evaluates facets at a point, ``witness_lp`` forms the LP rows
 ``F_j . W_k``, and ``witness`` checks a convex combination of facets
@@ -66,7 +69,7 @@ import itertools
 import os
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import mul, neg
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -180,7 +183,7 @@ def canonicalize(points: Sequence[Vector]) -> tuple[Vector, ...]:
 
     When every row in the pass's ``shaped`` mask is extreme, its facet rows
     are those of a pass on the extreme points alone, in the same order, and
-    ``Polytope.from_vertices`` keeps them: extreme pivots of the initial
+    ``Polytope.from_rows`` keeps them: extreme pivots of the initial
     reduction are the first d independent extreme points; corner and edge
     rows are primitive, so they do not depend on the scale the input was
     cleared over; and a row that cuts off no vertex only adds tight bits,
@@ -191,22 +194,20 @@ def canonicalize(points: Sequence[Vector]) -> tuple[Vector, ...]:
     not repaired), and a point set that does not span raises
     ``NotFullDimensionalError``.
     """
-    return _extreme_points(points)[0]
-
-
-def _extreme_points(points: Sequence[Vector]) -> tuple[tuple[Vector, ...], list[tuple] | None]:
-    """``canonicalize``'s extreme points, and the facet rows of its double
-    description pass when they equal those of a pass on the extreme points
-    alone: when every row in the pass's ``shaped`` mask is extreme."""
-    if not points:
-        raise NotFullDimensionalError("empty point set")
-    field = points[0].field
-    ops = _FIELD_OPS[field]
+    field = points[0].field if points else FieldTag.RATIONAL
     cleared, scale = clear_denominators((p.entries for p in points), field)
-    distinct: dict[tuple, Vector] = {}
-    for p, row in zip(points, cleared):
-        distinct.setdefault(row, p)
-    unique = list(distinct.values())
+    first = dict(zip(reversed(cleared), reversed(points)))  # each row's first point
+    return tuple(first[row] for row in _extreme_points(cleared, scale, field)[0])
+
+
+def _extreme_points(P: Sequence, scale: int,
+                    field: FieldTag) -> tuple[list[tuple], list[tuple] | None]:
+    """``canonicalize``'s extreme rows among the points ``P / scale``, and
+    the facet rows of its double description pass when they equal those of
+    a pass on the extreme points alone: when every row in the pass's
+    ``shaped`` mask is extreme."""
+    ops = _FIELD_OPS[field]
+    distinct = dict.fromkeys(P)
     rows = list(distinct)
     lonely = [i for i, row in enumerate(rows) if ops.negate(row) not in distinct]
     rows += [ops.negate(rows[i]) for i in lonely]
@@ -216,11 +217,12 @@ def _extreme_points(points: Sequence[Vector]) -> tuple[tuple[Vector, ...], list[
         for h in members:
             at[h].append(members)
     extreme = [bool(sets) and frozenset.intersection(*sets) == {h} for h, sets in enumerate(at)]
-    for i, keep in zip(lonely, extreme[len(unique):]):
+    for i, keep in zip(lonely, extreme[len(distinct):]):
         if keep:
-            raise NotSymmetricError(f"point set not closed under negation: {unique[i]}")
-    vertices = tuple(p for p, keep in zip(unique, extreme) if keep)
-    return vertices, facets if all(extreme[h] for h in _members(shaped)) else None
+            raise NotSymmetricError("point set not closed under negation: "
+                                    f"{from_cleared_row(rows[i], scale, field)}")
+    kept = [row for row, keep in zip(rows, extreme) if keep]
+    return kept, facets if all(extreme[h] for h in _members(shaped)) else None
 
 
 def dual_vertices(P: Sequence, scale: int,
@@ -229,13 +231,13 @@ def dual_vertices(P: Sequence, scale: int,
     each with its tight set: the indices of the points ``p`` with ``p.f == 1``.
 
     The points ``P_i / scale`` come as ``clear_denominators`` rows, and each
-    vertex leaves as its primitive homogeneous row ``(N, h)``, which
-    ``_FIELD_OPS[field].vertex`` reads back.  The input must be symmetric
-    and span the ambient space (otherwise the polar is unbounded), and the
-    output order follows the input order.  ``shaped`` is an ``int`` bit mask
-    over the indices of ``P``: the first d independent points and their
-    negations, which bound the initial parallelotope, and every point whose
-    insertion cut off a vertex.
+    vertex leaves as its primitive homogeneous row ``(N, h)``;
+    ``_FIELD_OPS[field].common`` clears them over ``lcm h``.  The input must
+    be symmetric and span the ambient space (otherwise the polar is
+    unbounded), and the output order follows the input order.  ``shaped``
+    is an ``int`` bit mask over the indices of ``P``: the first d
+    independent points and their negations, which bound the initial
+    parallelotope, and every point whose insertion cut off a vertex.
     """
     if not P:
         raise NotFullDimensionalError("empty point set")
@@ -386,17 +388,15 @@ def _quad_combine(c: tuple, rows: Sequence[tuple]) -> tuple:
                         sum(map(mul, x, q)) + sum(map(mul, y, p))) for p, q in columns)))
 
 
-def _rational_mean(rows: Sequence[tuple]) -> tuple[tuple, int]:
+def _rational_common(rows: Sequence[tuple]) -> tuple[list[tuple], int]:
     top = lcm(*{z[-1] for z in rows})
-    return (tuple(map(sum, zip(*([x * (top // z[-1]) for x in z[:-1]] for z in rows)))),
-            len(rows) * top)
+    return [tuple([x * (top // z[-1]) for x in z[:-1]]) for z in rows], top
 
 
-def _quad_mean(rows: Sequence[tuple]) -> tuple[tuple, int]:
+def _quad_common(rows: Sequence[tuple]) -> tuple[list[tuple], int]:
     top = lcm(*{z[0][-1] for z in rows})
-    return (tuple(tuple(map(sum, zip(*([x * (top // z[0][-1]) for x in z[part][:-1]]
-                                       for z in rows)))) for part in (0, 1)),
-            len(rows) * top)
+    return [tuple(tuple([x * (top // z[0][-1]) for x in part[:-1]]) for part in z)
+            for z in rows], top
 
 
 class _FieldOps(NamedTuple):
@@ -404,19 +404,17 @@ class _FieldOps(NamedTuple):
 
     ``entries(row, h)`` appends a homogenizing integer to a cleared row;
     ``negate`` negates a cleared row;
-    ``vertex`` turns a homogeneous row back into a ``Vector``;
     ``values(p, rows)`` gives the value ``p.z`` at every row ``z``, and
     ``row`` turns a list of values into a row, ``split`` a row into its
     values; ``lift`` makes an integer a value and ``total`` sums values;
     ``sign`` and ``max`` order values; ``edge(a_u, u, a_w, w)`` is the
     primitive row ``a_u w - a_w u``; ``combine(c, rows)`` is the row
-    ``sum_i c_i rows_i`` for the values of the row ``c``, and ``mean(rows)``
-    the numerators and ``h`` of the mean of the points of homogeneous ``rows``.
+    ``sum_i c_i rows_i`` for the values of the row ``c``, and ``common(rows)``
+    the points of primitive homogeneous ``rows`` cleared over ``lcm h``.
     """
 
     entries: Callable
     negate: Callable
-    vertex: Callable
     values: Callable
     row: Callable
     split: Callable
@@ -426,7 +424,7 @@ class _FieldOps(NamedTuple):
     max: Callable
     edge: Callable
     combine: Callable
-    mean: Callable
+    common: Callable
 
 
 # Over Q a row is a tuple of ints, a value an int.  Over Q(sqrt 2) a row is
@@ -435,7 +433,6 @@ _FIELD_OPS = {
     FieldTag.RATIONAL: _FieldOps(
         entries=lambda row, h: (*row, h),
         negate=lambda row: tuple(map(neg, row)),
-        vertex=lambda z: from_cleared_row(z[:-1], z[-1], FieldTag.RATIONAL),
         values=lambda p, rows: [sum(map(mul, p, z)) for z in rows],
         row=tuple,
         split=list,
@@ -445,11 +442,10 @@ _FIELD_OPS = {
         max=max,
         edge=_rational_edge,
         combine=_rational_combine,
-        mean=_rational_mean),
+        common=_rational_common),
     FieldTag.QUAD_SQRT2: _FieldOps(
         entries=lambda row, h: ((*row[0], h), (*row[1], 0)),
         negate=lambda row: (tuple(map(neg, row[0])), tuple(map(neg, row[1]))),
-        vertex=lambda z: from_cleared_row((z[0][:-1], z[1][:-1]), z[0][-1], FieldTag.QUAD_SQRT2),
         values=_quad_values,
         row=lambda values: tuple(zip(*values)),
         split=lambda row: list(zip(*row)),
@@ -460,7 +456,7 @@ _FIELD_OPS = {
             lambda x, y: y if quad_sign((y[0] - x[0], y[1] - x[1])) > 0 else x, values),
         edge=_quad_edge,
         combine=_quad_combine,
-        mean=_quad_mean),
+        common=_quad_common),
 }
 
 
@@ -493,42 +489,48 @@ def images(rows: Sequence[Sequence[Scalar]], points: Sequence[Vector]) -> list[V
 
 
 class Polytope:
-    """Immutable vertices and facet functionals with eager vertex-facet
-    incidence, also held cleared: ``functionals == F / D``, ``vertices == V / E``."""
+    """Immutable vertices and facet functionals held as the cleared rows
+    ``V / E`` and ``F / D``, with eager vertex-facet incidence."""
 
-    __slots__ = ("dim", "field", "vertices", "functionals", "F", "D", "V", "E",
-                 "vertex_active", "_cache")
+    # __dict__ holds only the cached vertices and functionals
+    __slots__ = ("dim", "field", "V", "E", "F", "D", "vertex_active", "_cache", "__dict__")
 
-    def __init__(self, vertices: tuple[Vector, ...], functionals: tuple[Vector, ...]) -> None:
-        if not vertices or not functionals:
+    def __init__(self, V: Sequence, E: int, F: Sequence, D: int, field: FieldTag) -> None:
+        if not V or not F:
             raise NotFullDimensionalError("empty representation")
-        field = vertices[0].field
-        d = vertices[0].dim
-        F, D = clear_denominators((f.entries for f in functionals), field)
-        V, E = clear_denominators((v.entries for v in vertices), field)
-        for name, value in (("dim", d), ("field", field), ("vertices", vertices),
-                            ("functionals", functionals), ("F", tuple(F)), ("D", D),
+        d = len(V[0] if field is FieldTag.RATIONAL else V[0][0])
+        for name, value in (("dim", d), ("field", field), ("F", tuple(F)), ("D", D),
                             ("V", tuple(V)), ("E", E)):
             object.__setattr__(self, name, value)
         ops = _FIELD_OPS[field]
         rows = [ops.entries(row, -D) for row in F]  # f_j(v_k) - 1 = (F_j.V_k - D E) / D E
         incidence = []
-        for v, row in zip(vertices, V):
+        for row in V:
             top, tight = _row_max(rows, ops.entries(row, E), field)
-            if ops.sign(top) > 0:
-                raise OriginNotInteriorError(
-                    f"vertex {v} violates functional {functionals[tight[0]]}")
-            if ops.sign(top):
+            if ops.sign(top):  # the vectors of an error message are built here only
+                v, f = from_cleared_row(row, E, field), from_cleared_row(F[tight[0]], D, field)
+                if ops.sign(top) > 0:
+                    raise OriginNotInteriorError(f"vertex {v} violates functional {f}")
                 raise NotOnBoundaryError(f"vertex {v} is not on the boundary")
             incidence.append(frozenset(tight))
         object.__setattr__(self, "vertex_active", tuple(incidence))
         object.__setattr__(self, "_cache", {})
         if _rank_of_lists(V, field) < d:
             raise NotFullDimensionalError("vertex set does not span")
-        for v, active in zip(vertices, incidence):
+        for row, active in zip(V, incidence):
             if self.facet_rank(active) != d:
-                raise NotFullDimensionalError(
-                    f"vertex {v} has active functionals of deficient rank")
+                raise NotFullDimensionalError(f"vertex {from_cleared_row(row, E, field)} "
+                                              "has active functionals of deficient rank")
+
+    @cached_property
+    def vertices(self) -> tuple[Vector, ...]:
+        """The vertices ``V / E``, built on first read."""
+        return tuple(from_cleared_row(row, self.E, self.field) for row in self.V)
+
+    @cached_property
+    def functionals(self) -> tuple[Vector, ...]:
+        """The facet functionals ``F / D``, built on first read."""
+        return tuple(from_cleared_row(row, self.D, self.field) for row in self.F)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polytope is immutable")
@@ -627,20 +629,36 @@ class Polytope:
                 {k: tight for k, (value, tight) in enumerate(scans) if value == top})
 
     @classmethod
+    def from_vectors(cls, vertices: Sequence[Vector],
+                     functionals: Sequence[Vector]) -> "Polytope":
+        """The polytope with the given vertices and facet functionals."""
+        field = vertices[0].field if vertices else FieldTag.RATIONAL
+        return cls(*clear_denominators((v.entries for v in vertices), field),
+                   *clear_denominators((f.entries for f in functionals), field), field)
+
+    @classmethod
     def from_vertices(cls, points: Sequence[Vector]) -> "Polytope":
-        if points:
-            check_guard(points[0].dim, 0)  # before canonicalize's double description
-        vertices, rows = _extreme_points(points)
-        field = vertices[0].field
-        check_guard(vertices[0].dim, len(vertices))
-        if rows is None:  # a non-extreme point shaped canonicalize's pass
-            rows, _, _ = dual_vertices(
-                *clear_denominators((v.entries for v in vertices), field), field)
-        return cls(vertices, tuple(map(_FIELD_OPS[field].vertex, rows)))
+        """The convex hull of the points, a symmetric ball."""
+        field = points[0].field if points else FieldTag.RATIONAL
+        return cls.from_rows(*clear_denominators((p.entries for p in points), field), field)
+
+    @classmethod
+    def from_rows(cls, P: Sequence, scale: int, field: FieldTag) -> "Polytope":
+        """The convex hull of the integer rows ``P / scale``: ``V`` keeps the
+        extreme rows over ``scale``, and ``F / D`` is cleared from DD's rows."""
+        if not P:
+            raise NotFullDimensionalError("empty point set")
+        dim = len(P[0] if field is FieldTag.RATIONAL else P[0][0])
+        check_guard(dim, 0)  # before canonicalize's double description
+        V, facets = _extreme_points(P, scale, field)
+        check_guard(dim, len(V))
+        if facets is None:  # a non-extreme point shaped canonicalize's pass
+            facets, _, _ = dual_vertices(V, scale, field)
+        return cls(V, scale, *_FIELD_OPS[field].common(facets), field)
 
     def polar(self) -> "Polytope":
         """The polar dual: facet functionals become vertices and vice versa."""
-        return Polytope(self.functionals, self.vertices)
+        return Polytope(self.F, self.D, self.V, self.E, self.field)
 
     def has_vertex(self, x: Vector) -> bool:
         """Whether ``x`` is one of the vertices (the entry set is built once)."""
@@ -712,9 +730,9 @@ def faces_meeting(p: Polytope, basis: Sequence[Vector]):
     A.  So the tight sets, mapped back to facet indices of ``p`` and closed
     under intersection, name the faces met, and the barycentre of a face's
     section vertices lies in its relative interior: the section vertices
-    are homogeneous rows ``(N, h)``, so it is the mean row of ``N`` over the
-    common ``h`` (``_FieldOps.mean``) mapped by the cleared basis, with one
-    field scalar per entry.
+    are homogeneous rows ``(N, h)``, so it is the sum of their rows cleared
+    over one ``h`` (``_FieldOps.common``), over ``h`` times their number,
+    mapped by the cleared basis, with one field scalar per entry.
     """
     field = p.field
     ops = _FIELD_OPS[field]
@@ -739,8 +757,10 @@ def faces_meeting(p: Polytope, basis: Sequence[Vector]):
     faces.sort(key=lambda face: (face.dim, tuple(sorted(face.active_set))))
     columns, t = clear_denominators(zip(*(b.entries for b in basis)), field)
     for face in faces:
-        mean, h = ops.mean([z for z, a in zip(rows, active) if face.active_set <= a])
-        yield face, from_cleared_row(ops.row(ops.values(mean, columns)), t * h, field)
+        on_face, h = ops.common([z for z, a in zip(rows, active) if face.active_set <= a])
+        total = ops.row([ops.total(column) for column in zip(*map(ops.split, on_face))])
+        yield face, from_cleared_row(ops.row(ops.values(total, columns)),
+                                     t * h * len(on_face), field)
 
 
 def minimal_face(p: Polytope, x: Vector) -> FaceDescriptor:

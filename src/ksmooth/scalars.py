@@ -12,7 +12,7 @@ selected by a :class:`FieldTag`:
 There is no floating point anywhere in the core: comparisons of quadratic
 scalars are decided exactly by comparing ``a**2`` against ``2*b**2``.
 
-Scalar literal grammar (used by :func:`parse` / :func:`serialize`)::
+Scalar literal grammar (:func:`scan` reads it to integers for :func:`parse`)::
 
     rational := '-'? digits ('/' digits)?
     quad     := rational (('+'|'-') (rational '*')? 'r2')?
@@ -279,7 +279,8 @@ def _to_int(text: str, start: int, end: int) -> int:
         raise ScalarSyntaxError(text, start, "integer too long or not decimal") from None
 
 
-def _scan_rational(text: str, pos: int) -> tuple[Fraction, int]:
+def _scan_rational(text: str, pos: int) -> tuple[int, int, int]:
+    """Scan ``rational``; return its numerator, denominator and end."""
     start = pos
     if pos < len(text) and text[pos] == "-":
         pos += 1
@@ -299,63 +300,68 @@ def _scan_rational(text: str, pos: int) -> tuple[Fraction, int]:
         den = _to_int(text, dstart, pos)
         if den == 0:
             raise ScalarSyntaxError(text, dstart, "zero denominator")
-        return Fraction(num, den), pos
-    return Fraction(num), pos
+        return num, den, pos
+    return num, 1, pos
 
 
-def _scan_term(text: str, pos: int) -> tuple[Fraction, bool, int]:
-    """Scan ``'r2' | rational ('*' 'r2')?``; return its coefficient, whether
-    it is an r2 term, and the position after it."""
+def _scan_term(text: str, pos: int) -> tuple[int, int, bool, int]:
+    """Scan ``'r2' | rational ('*' 'r2')?``; return its coefficient's
+    numerator and denominator, whether it is an r2 term, and its end."""
     if text.startswith("r2", pos):
-        return Fraction(1), True, pos + 2
-    coeff, pos = _scan_rational(text, pos)
+        return 1, 1, True, pos + 2
+    num, den, pos = _scan_rational(text, pos)
     if pos < len(text) and text[pos] == "*":
         if not text.startswith("r2", pos + 1):
             raise ScalarSyntaxError(text, pos + 1, "expected 'r2'")
-        return coeff, True, pos + 3
-    return coeff, False, pos
+        return num, den, True, pos + 3
+    return num, den, False, pos
 
 
-def parse(text: str, tag: FieldTag) -> Scalar:
-    """Parse a scalar literal under the given field tag.
-
-    Raises :class:`ScalarSyntaxError` on malformed input and when a
-    quadratic literal appears under the ``RATIONAL`` tag.
-    """
-    for i, ch in enumerate(text):
-        if ch.isspace():
-            raise ScalarSyntaxError(text, i, "whitespace inside literal")
+def scan(text: str, tag: FieldTag) -> tuple[int, int, int, int]:
+    """The integers ``(p, q, r, s)`` of the literal ``p/q + (r/s) r2``, with
+    positive denominators, not reduced.  Raises :class:`ScalarSyntaxError`
+    on malformed input and on ``r != 0`` under the ``RATIONAL`` tag."""
+    if not text.isprintable() or " " in text:  # every other space is unprintable
+        for i, ch in enumerate(text):
+            if ch.isspace():
+                raise ScalarSyntaxError(text, i, "whitespace inside literal")
     if not text:
         raise ScalarSyntaxError(text, 0, "empty literal")
 
     if text.startswith("-r2"):
-        head, is_r2, pos = Fraction(-1), True, 3
+        num, den, is_r2, pos = -1, 1, True, 3
     else:
-        head, is_r2, pos = _scan_term(text, 0)
-    a, b = (Fraction(0), head) if is_r2 else (head, Fraction(0))
+        num, den, is_r2, pos = _scan_term(text, 0)
+    a, b = ((0, 1), (num, den)) if is_r2 else ((num, den), (0, 1))
     if pos < len(text):
         if text[pos] not in "+-":
             raise ScalarSyntaxError(text, pos, "expected '+' or '-'")
         op = -1 if text[pos] == "-" else 1
         pos += 1
         if is_r2:
-            a, pos = _scan_rational(text, pos)
-            a *= op
+            num, den, pos = _scan_rational(text, pos)
+            a = op * num, den
         else:
             # a rational head takes an r2 tail; name it when no term starts here
             if not (text[pos:pos + 1].isdigit() or text.startswith(("-", "r2"), pos)):
                 raise ScalarSyntaxError(text, pos, "expected 'r2'")
-            b, is_r2, pos = _scan_term(text, pos)
+            num, den, is_r2, pos = _scan_term(text, pos)
             if not is_r2:
                 raise ScalarSyntaxError(text, pos, "expected '*' before r2")
-            b *= op
+            b = op * num, den
         if pos != len(text):
             raise ScalarSyntaxError(text, pos, "trailing characters")
+    if tag is FieldTag.RATIONAL and b[0]:
+        raise ScalarSyntaxError(text, 0, "quadratic literal under rational field tag")
+    return (*a, *b)
+
+
+def parse(text: str, tag: FieldTag) -> Scalar:
+    """Parse a scalar literal under the given field tag; errors as ``scan``'s."""
+    p, q, r, s = scan(text, tag)
     if tag is FieldTag.RATIONAL:
-        if b != 0:
-            raise ScalarSyntaxError(text, 0, "quadratic literal under rational field tag")
-        return a
-    return QuadScalar(a, b)
+        return Fraction(p, q)
+    return QuadScalar(Fraction(p, q), Fraction(r, s))
 
 
 def _serialize_fraction(x: Fraction) -> str:

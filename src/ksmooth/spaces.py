@@ -89,7 +89,7 @@ def support_facets(space: PolyhedralSpace, x: Vector) -> list[int]:
 
 
 def _supports(ball: Polytope, x: Vector, tight: list[int]) -> SupportSet:
-    return SupportSet(x, tuple(ball.functionals[j] for j in tight), ball.facet_rank(tight))
+    return SupportSet(x, tuple(map(ball.functionals.__getitem__, tight)), ball.facet_rank(tight))
 
 
 def support_set(space: PolyhedralSpace, x: Vector) -> SupportSet:
@@ -251,6 +251,6 @@ def product_space(components: Sequence[PolyhedralSpace],
                 entries[offset + i] = e
             functionals.append(Vector(entries, field))
         offset += c.dim
-    ball = Polytope(tuple(vertices), tuple(functionals))
+    ball = Polytope.from_vectors(vertices, functionals)
     ball.polar()
     return PolyhedralSpace.from_ball(ball, name)

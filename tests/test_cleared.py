@@ -143,6 +143,9 @@ def test_ball_holds_its_cleared_rows(space):
             for row in ball.F] == [list(f.entries) for f in ball.functionals]
     assert [[from_cleared(e, ball.E, field) for e in cleared_values(row, field)]
             for row in ball.V] == [list(v.entries) for v in ball.vertices]
+    # F comes from DD's primitive rows, yet D is the functionals' least scale
+    F, D = clear_denominators((f.entries for f in ball.functionals), field)
+    assert (tuple(F), D) == (ball.F, ball.D)
     reference = tuple(frozenset(j for j, f in enumerate(ball.functionals)
                                 if f.dot(v) == field.one) for v in ball.vertices)
     assert ball.vertex_active == reference
@@ -531,13 +534,13 @@ def test_polytope_rejects_vertex_outside_a_facet():
     # the square's corners violate the square's own facets scaled by 2
     doubled = tuple(f.scale(2) for f in CROSS_FUNCTIONALS)
     with pytest.raises(OriginNotInteriorError, match=r"violates functional \(2,0\)"):
-        Polytope(SQUARE, doubled)
+        Polytope.from_vectors(SQUARE, doubled)
     # the corners read as functionals: (1,1) takes the value 2 at itself
     with pytest.raises(OriginNotInteriorError, match=r"vertex \(1,1\) violates functional \(1,1\)"):
-        Polytope(SQUARE, SQUARE)
+        Polytope.from_vectors(SQUARE, SQUARE)
     r2 = QuadScalar(0, 1)
     with pytest.raises(OriginNotInteriorError):
-        Polytope((kv(r2, 0), kv(-r2, 0), kv(0, 1), kv(0, -1)),
+        Polytope.from_vectors((kv(r2, 0), kv(-r2, 0), kv(0, 1), kv(0, -1)),
                  (kv(1, 0), kv(-1, 0), kv(0, 1), kv(0, -1)))
 
 
@@ -545,12 +548,12 @@ def test_polytope_rejects_vertex_inside():
     half = Fraction(1, 2)
     inner = (qv(half, half), qv(half, -half), qv(-half, half), qv(-half, -half))
     with pytest.raises(NotOnBoundaryError, match=r"vertex \(1/2,1/2\) is not on the boundary"):
-        Polytope(inner, CROSS_FUNCTIONALS)
+        Polytope.from_vectors(inner, CROSS_FUNCTIONALS)
     # one interior vertex among boundary ones
     with pytest.raises(NotOnBoundaryError, match=r"vertex \(1/2,0\)"):
-        Polytope((qv(1, 0), qv(Fraction(1, 2), 0)), CROSS_FUNCTIONALS)
+        Polytope.from_vectors((qv(1, 0), qv(Fraction(1, 2), 0)), CROSS_FUNCTIONALS)
     with pytest.raises(NotOnBoundaryError):
-        Polytope((kv(QuadScalar(0, Fraction(1, 2)), 0),), (kv(1, 0), kv(-1, 0)))
+        Polytope.from_vectors((kv(QuadScalar(0, Fraction(1, 2)), 0),), (kv(1, 0), kv(-1, 0)))
 
 
 # 2 - r2/2 > 1 > 3/2 - r2/2, and both differences from 1 have parts of
@@ -562,9 +565,9 @@ K_CROSS = (kv(1, 0), kv(-1, 0), kv(0, 1), kv(0, -1))
 
 def test_quadratic_polytope_rejects_by_mixed_sign_values():
     with pytest.raises(OriginNotInteriorError, match=r"violates functional \(1,0\)"):
-        Polytope((kv(ABOVE, 0), kv(-ABOVE, 0), kv(0, 1), kv(0, -1)), K_CROSS)
+        Polytope.from_vectors((kv(ABOVE, 0), kv(-ABOVE, 0), kv(0, 1), kv(0, -1)), K_CROSS)
     with pytest.raises(NotOnBoundaryError, match=r"is not on the boundary"):
-        Polytope((kv(BELOW, 0), kv(-BELOW, 0), kv(0, 1), kv(0, -1)), K_CROSS)
+        Polytope.from_vectors((kv(BELOW, 0), kv(-BELOW, 0), kv(0, 1), kv(0, -1)), K_CROSS)
 
 
 def test_norm_between_mixed_sign_facet_values():

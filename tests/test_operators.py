@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from ksmooth.operators import (
     LinearOperator,
     _index_computation,
     construct_face_operator,
+    face_operator_and_order,
     index_of_smoothness,
     operator_norm_and_attainment,
     oracle_order_of_smoothness,
@@ -466,3 +468,21 @@ def test_min_bound_from_remark():
         qv(1, 0).entries, qv(0, 1).entries}
     assert report.index == 2 + 1
     assert report.min_bound == report.index
+
+
+@pytest.mark.parametrize("build, dims", [
+    (lambda: (random_space(2, 5, 15), random_space(3, 5, 15)), (5, 5)),
+    (lambda: (paper_example_space(), paper_example_space()), (3, 3)),
+], ids=["random-5-to-5", "paper-example"])
+def test_face_operator_index_on_large_coefficients_is_fast(build, dims):
+    # from a facet to a vertex the order is d_X * d_Y; on the d = 5 balls the
+    # coefficient rows over the solves' dets reach thousands of bits, and the
+    # index ranks their gcd-primitive rows instead
+    x_space, y_space = build()
+    facet = enumerate_faces(x_space.ball, x_space.dim - 1)[0]
+    u = y_space.ball.vertices[0]
+    started = time.perf_counter()
+    _, report = face_operator_and_order(x_space, facet, y_space, u)
+    elapsed = time.perf_counter() - started
+    assert report.index == report.oracle_order == dims[0] * dims[1]
+    assert elapsed < 5.0, elapsed

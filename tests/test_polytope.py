@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from functools import reduce
@@ -18,7 +19,7 @@ from ksmooth.errors import (
     NotProperFaceError,
     NotSymmetricError,
 )
-from ksmooth.files import load_space
+from ksmooth.files import load_space, space_from_document, space_to_document
 from ksmooth.linalg import (
     Matrix,
     Vector,
@@ -26,6 +27,7 @@ from ksmooth.linalg import (
     _rank_of_lists,
     _reduced,
     clear_denominators,
+    from_cleared_row,
     rank_of_vectors,
     solve,
 )
@@ -41,7 +43,7 @@ from ksmooth.polytope import (
     faces_meeting,
     minimal_face,
 )
-from ksmooth.scalars import FieldTag, INV_SQRT2, QuadScalar
+from ksmooth.scalars import FieldTag, INV_SQRT2, QuadScalar, parse, serialize
 from ksmooth.operators import paper_example_operator
 from ksmooth.spaces import (
     ell1,
@@ -87,7 +89,8 @@ def dual_vertices(points):
     field = points[0].field
     rows, tight, _ = polytope.dual_vertices(
         *clear_denominators((p.entries for p in points), field), field)
-    return [Vector(polytope._FIELD_OPS[field].vertex(z), field) for z in rows], tight
+    F, D = polytope._FIELD_OPS[field].common(rows)
+    return [from_cleared_row(f, D, field) for f in F], tight
 
 
 def test_square_to_cross_functionals():
@@ -363,7 +366,9 @@ def test_single_pass_rows_match_a_second_pass(monkeypatch):
         field = ball.field
         rows, _, _ = polytope.dual_vertices(
             *clear_denominators((v.entries for v in ball.vertices), field), field)
-        assert ball.functionals == tuple(map(polytope._FIELD_OPS[field].vertex, rows))
+        F, D = polytope._FIELD_OPS[field].common(rows)
+        assert (ball.F, ball.D) == (tuple(F), D)
+        assert ball.functionals == tuple(from_cleared_row(f, D, field) for f in F)
     assert len(kept) == len(builds)
     assert all(kept[:17])  # every builtin ball
     assert kept[17] is False  # cloud3.json's first point, a pivot, is not extreme
@@ -373,6 +378,57 @@ def test_single_pass_rows_match_a_second_pass(monkeypatch):
                 for where in ("front", "middle", "end")}
     assert not any(by_place["front"]) and all(by_place["end"]), by_place
     assert 0 < sum(by_place["middle"]) < len(by_place["middle"]), by_place
+
+
+def _documents():
+    """Space documents: builtin balls of both fields, ``paper-example``,
+    golden ``cloud3.json`` and seeded clouds of both fields with interior
+    points, all written as literals."""
+    docs = [space_to_document(space(n, f)) for n in range(2, 6) for f in (Q, K)
+            for space in (ell1, ellinf)]
+    docs.append(space_to_document(paper_example_space()))
+    docs.append(json.loads((Path(__file__).parent / "golden" / "cloud3.json").read_text()))
+    for field in (Q, K):
+        for seed in range(6):
+            rng = random.Random(f"file-route:{field.name}:{seed}")
+            dim = 2 + seed % 3
+            cloud = _cloud(rng, dim) if field is Q else _quad_cloud(rng, dim)
+            cloud = _with_interior_pairs(rng, cloud, ("front", "middle", "end")[seed % 3])
+            docs.append({"name": "cloud", "field": field.value, "dim": dim,
+                         "vertices": [[serialize(e) for e in p.entries] for p in cloud]})
+    return docs
+
+
+def test_file_route_matches_the_vector_route():
+    # a space file's literals go to integer rows and straight to the ball;
+    # from_vertices on the same points, parsed to vectors, gives the same ball
+    for doc in _documents():
+        field = FieldTag(doc["field"])
+        by_file = space_from_document(doc).ball
+        by_vectors = Polytope.from_vertices(
+            [Vector([parse(x, field) for x in row], field) for row in doc["vertices"]])
+        for name in ("F", "D", "functionals", "vertices", "vertex_active"):
+            assert getattr(by_file, name) == getattr(by_vectors, name), (doc["name"], name)
+        assert by_file._face_lattice() == by_vectors._face_lattice()
+
+
+def test_loading_a_space_file_builds_no_vector(monkeypatch):
+    built = []
+    real_init = Vector.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Vector, "__init__", counted)
+    ball = load_space(str(Path(__file__).parent / "golden" / "cloud3.json")).ball
+    assert built == []
+    ball.vertices
+    assert len(built) == len(ball.V)
+    ball.functionals
+    assert len(built) == len(ball.V) + len(ball.F)
+    ball.vertices, ball.functionals  # kept, not rebuilt
+    assert len(built) == len(ball.V) + len(ball.F)
 
 
 def test_ball_build_runs_one_pass_unless_a_non_extreme_point_shaped_it(monkeypatch):

@@ -169,3 +169,51 @@ def test_coerce_rejects_cross_field():
         Q.coerce(QuadScalar(1))
     assert K.coerce(Fraction(1, 2)) == QuadScalar(Fraction(1, 2), 0)
     assert Q.coerce(3) == Fraction(3)
+
+
+LONG_DIGITS = "9" * 5000  # more digits than CPython converts to int by default
+NOT_DECIMAL = "integer too long or not decimal"
+# literal -> (value or (position, reason) under the rational tag,
+#             the same under the quadratic tag); values are serialized
+LITERALS = {
+    # str.isdigit and int accept any Unicode decimal digit, so these parse
+    "٣": ("3", "3"), "1/٣": ("1/3", "1/3"), "١٢/٣٤": ("6/17", "6/17"),
+    # '²' passes isdigit but not int
+    "²": ((0, NOT_DECIMAL),) * 2,
+    "1/²": ((2, NOT_DECIMAL),) * 2,
+    LONG_DIGITS: ((0, NOT_DECIMAL),) * 2,
+    "-" + LONG_DIGITS: ((0, NOT_DECIMAL),) * 2,
+    "1/" + LONG_DIGITS: ((2, NOT_DECIMAL),) * 2,
+    "1/0": ((2, "zero denominator"),) * 2,
+    "-": ((1, "expected digits"),) * 2,
+    "-/1": ((1, "expected digits"),) * 2,
+    "1/": ((2, "expected denominator digits"),) * 2,
+    "3/-4": ((2, "expected denominator digits"),) * 2,
+    "+1": ((0, "expected digits"),) * 2,
+    "1_0": ((1, "expected '+' or '-'"),) * 2,
+    "0x1": ((1, "expected '+' or '-'"),) * 2,
+    "1 ": ((1, "whitespace inside literal"),) * 2,
+    "": ((0, "empty literal"),) * 2,
+    "-0": ("0", "0"), "0/5": ("0", "0"), "4/6": ("2/3", "2/3"), "-12/8": ("-3/2", "-3/2"),
+    # r2 forms: a zero r2 part is rational, so the rational tag takes it
+    "0*r2": ("0", "0"), "1+0*r2": ("1", "1"), "-2/4-0*r2": ("-1/2", "-1/2"),
+    "r2": ((0, RATIONAL_TAG), "r2"), "-r2": ((0, RATIONAL_TAG), "-r2"),
+    "2*r2": ((0, RATIONAL_TAG), "2*r2"), "1-r2": ((0, RATIONAL_TAG), "1-r2"),
+    "r2+1": ((0, RATIONAL_TAG), "1+r2"), "-r2-1/2": ((0, RATIONAL_TAG), "-1/2-r2"),
+    "1/2*r2-3": ((0, RATIONAL_TAG), "-3+1/2*r2"),
+    "-4/6*r2+2/4": ((0, RATIONAL_TAG), "1/2-2/3*r2"),
+    "r2+": ((3, "expected digits"),) * 2, "1/2+": ((4, "expected 'r2'"),) * 2,
+    "r2-r2": ((3, "expected digits"),) * 2, "1*r2*r2": ((4, "expected '+' or '-'"),) * 2,
+}
+
+
+@pytest.mark.parametrize("tag", [Q, K], ids=["rational", "quad"])
+@pytest.mark.parametrize("text", sorted(LITERALS), ids=lambda t: repr(t[:12]))
+def test_literal_grammar_table(text, tag):
+    expected = LITERALS[text][tag is K]
+    if isinstance(expected, tuple):
+        _assert_rejected(text, tag, *expected)
+    else:
+        value = parse(text, tag)
+        assert type(value) is (Fraction if tag is Q else QuadScalar)
+        assert serialize(value) == expected
