@@ -74,9 +74,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
-    return int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
+    return n
 
 
 def _vector_list(vs: Sequence[Vector]) -> list[str]:

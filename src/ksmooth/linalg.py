@@ -24,7 +24,7 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .scalars import FieldTag, QuadScalar, Scalar, serialize
+from .scalars import _FIELD_OPS, FieldTag, QuadScalar, Scalar, serialize
 
 
 class Vector:
@@ -228,8 +228,8 @@ def from_cleared(value: int | tuple[int, int], scale: int, field: FieldTag) -> S
 
 def from_cleared_row(row: tuple, scale: int, field: FieldTag) -> Vector:
     """The ``Vector`` ``row / scale`` of a cleared row."""
-    return Vector([from_cleared(value, scale, field) for value in
-                   (row if field is FieldTag.RATIONAL else zip(*row))], field)
+    return Vector([from_cleared(value, scale, field)
+                   for value in _FIELD_OPS[field].split(row)], field)
 
 
 def _eliminate(rows: list[Sequence[int]], ncols: int, full: bool) -> tuple[list[int], int]:
@@ -342,8 +342,7 @@ def _rank_of_lists(rows: Sequence[Sequence], field: FieldTag) -> int:
     """The rank of cleared ``rows``, each over any scale; 0 for none."""
     if not rows:
         return 0
-    return len(_reduced(rows, field, len(rows[0] if field is FieldTag.RATIONAL else rows[0][0]),
-                        False)[1])
+    return len(_reduced(rows, field, _FIELD_OPS[field].width(rows[0]), False)[1])
 
 
 def rank(m: Matrix) -> int:
@@ -378,13 +377,12 @@ def solve(a: Matrix, bs: Sequence[Vector], cleared: bool = False,
     width = len(rows[0]) - len(bs)
     if any(any(row[width:]) for row in rows if not any(row[:width])):
         return None
-    zero = 0 if field is FieldTag.RATIONAL else (0, 0)
-    solutions = [[zero] * a.cols for _ in bs]
+    ops = _FIELD_OPS[field]
+    solutions = [[ops.lift(0)] * a.cols for _ in bs]
     for k, j in enumerate(unknowns):
         for t, solution in enumerate(solutions):
             solution[j] = _entry(rows, k, width + t, field)
-    if field is FieldTag.QUAD_SQRT2:
-        solutions = [tuple(zip(*solution)) for solution in solutions]
+    solutions = [ops.row(solution) for solution in solutions]
     if cleared:
         return solutions, det
     return [from_cleared_row(solution, det, field) for solution in solutions]

@@ -16,8 +16,10 @@ becomes ``(p row - f pivot_row) / d``, an exact division, so the tableau
 is always ``d`` times the field tableau.  Bland's pivots are positive, so
 ``d`` is too, and every sign and every ratio comparison (cross-multiplied)
 is the field tableau's: the same pivots reach the same solution, read off
-at the end as one field scalar per basic column.  The regions are tiny
-(a few dozen variables): no sparsity, no factorization.
+at the end as one field scalar per basic column.  The tableau's ``sign``,
+``times``, ``minus`` and ``exact`` come from the field table of
+:mod:`ksmooth.scalars`.  The regions are tiny (a few dozen variables): no
+sparsity, no factorization.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import floordiv, mul, sub
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, InternalInconsistencyError
-from .scalars import FieldTag, QuadScalar, Scalar, quad_mul, quad_sign
+from .scalars import _FIELD_OPS, FieldTag, QuadScalar, Scalar, _FieldOps, quad_mul
 
 
 class LPStatus(Enum):
@@ -45,38 +46,10 @@ class LPResult:
     solution: Optional[tuple[Scalar, ...]] = None
 
 
-class _Ring(NamedTuple):
-    """The tableau's integers over one field: ``one``, the ``sign`` of an
-    entry, the product ``times`` and difference ``minus`` of two, and the
-    quotient ``exact(w, d)`` when ``d`` divides ``w``."""
-
-    one: object
-    sign: Callable
-    times: Callable
-    minus: Callable
-    exact: Callable
-
-
-def _quad_exact(w: tuple[int, int], d: tuple[int, int]) -> tuple[int, int]:
-    # w / d = w conj(d) / norm(d), and the integer norm divides both parts
-    if not d[1]:
-        return w[0] // d[0], w[1] // d[0]
-    a, b = quad_mul(w, (d[0], -d[1]))
-    norm = d[0] * d[0] - 2 * d[1] * d[1]
-    return a // norm, b // norm
-
-
-_RINGS = {
-    FieldTag.RATIONAL: _Ring(1, lambda x: (x > 0) - (x < 0), mul, sub, floordiv),
-    FieldTag.QUAD_SQRT2: _Ring((1, 0), quad_sign, quad_mul,
-                               lambda x, y: (x[0] - y[0], x[1] - y[1]), _quad_exact),
-}
-
-
-def _pivot(tableau: list[list], basis: list[int], row: int, col: int, prev, ring: _Ring):
+def _pivot(tableau: list[list], basis: list[int], row: int, col: int, prev, ops: _FieldOps):
     """Make ``col`` basic in ``row``: one fraction-free Gauss-Jordan step in
     place over the previous pivot ``prev``; returns the new pivot."""
-    times, minus, exact = ring.times, ring.minus, ring.exact
+    times, minus, exact = ops.times, ops.minus, ops.exact
     pivot_row = tableau[row]
     p = pivot_row[col]
     for i, other in enumerate(tableau):
@@ -88,13 +61,13 @@ def _pivot(tableau: list[list], basis: list[int], row: int, col: int, prev, ring
     return p
 
 
-def _run_simplex(tableau: list[list], basis: list[int], eligible: int, ring: _Ring):
+def _run_simplex(tableau: list[list], basis: list[int], eligible: int, ops: _FieldOps):
     """Minimize with Bland's rule; returns the last pivot.  The last row of
     ``tableau`` is the reduced-cost row, which each pivot updates with the
     others; columns ``>= eligible`` never enter."""
-    sign, times, minus = ring.sign, ring.times, ring.minus
+    sign, times, minus = ops.sign, ops.times, ops.minus
     rhs = len(tableau[0]) - 1
-    prev = ring.one
+    prev = ops.lift(1)
     while True:
         cost = tableau[-1]
         entering = next((j for j in range(eligible) if sign(cost[j]) < 0), -1)
@@ -114,7 +87,7 @@ def _run_simplex(tableau: list[list], basis: list[int], eligible: int, ring: _Ri
             leaving = i
         if leaving < 0:
             raise InternalInconsistencyError("phase 1 ended unbounded; it is always bounded")
-        prev = _pivot(tableau, basis, leaving, entering, prev, ring)
+        prev = _pivot(tableau, basis, leaving, entering, prev, ops)
 
 
 def _cleared(rows: Sequence[Sequence[object]], field: FieldTag) -> list[list]:
@@ -162,22 +135,22 @@ def solve_lp(a: Sequence[Sequence[object]], b: Sequence[object],
     n = len(a[0])
     if any(len(row) != n for row in a) or len(b) != m:
         raise DimensionMismatchError("LP shape mismatch")
-    ring = _RINGS[field]
-    zero = ring.minus(ring.one, ring.one)
+    ops = _FIELD_OPS[field]
+    one, zero = ops.lift(1), ops.lift(0)
     rows = _cleared([[*row, bi] for row, bi in zip(a, b)], field)
     for i, row in enumerate(rows):
-        if ring.sign(row[n]) < 0:
-            rows[i] = [ring.minus(zero, x) for x in row]
+        if ops.sign(row[n]) < 0:
+            rows[i] = [ops.minus(zero, x) for x in row]
 
     # artificial columns n..n+m-1 start basic; the cost row below the
     # constraints prices their sum
-    tableau = [row[:n] + [ring.one if k == i else zero for k in range(m)] + row[n:]
+    tableau = [row[:n] + [one if k == i else zero for k in range(m)] + row[n:]
                for i, row in enumerate(rows)]
-    cost = [reduce(ring.minus, column, zero) for column in zip(*rows)]
+    cost = [reduce(ops.minus, column, zero) for column in zip(*rows)]
     tableau.append(cost[:n] + [zero] * m + cost[n:])
     basis = [n + i for i in range(m)]
-    d = _run_simplex(tableau, basis, n, ring)
-    if ring.sign(tableau[-1][-1]):
+    d = _run_simplex(tableau, basis, n, ops)
+    if ops.sign(tableau[-1][-1]):
         return LPResult(LPStatus.INFEASIBLE)
 
     solution = [field.zero] * n

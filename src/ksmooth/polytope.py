@@ -40,21 +40,21 @@ reads the faces it meets from one pass's tight sets, without building the
 section as a ``Polytope``.
 
 A ``Polytope`` is held as both tuples cleared, ``V`` over ``E`` and ``F``
-over ``D``, read through the field table ``_FIELD_OPS``; ``vertices`` and
-``functionals`` are built on first read.  A ball built from points keeps
-``V`` over their scale, and as DD's facet rows ``(N_j, h_j)`` are
-primitive, the entries of ``N_j / h_j`` have lcm of denominators ``h_j``,
-so ``D = lcm_j h_j`` and ``F_j = N_j D / h_j`` (``_FieldOps.common``).
-``_row_max`` finds the rows tight at a cleared point: at the rows of ``V``
-for the incidence check of ``Polytope.__init__``, at one cleared point for
-``facets_at``, the only point scan, and at each integer image ``An V_k``
-for ``image_gauge_max``, the operators' attainment scan; ``images`` forms
-such products for the index of smoothness, and ``facet_rank`` ranks a set
-of facets on the rows of ``F``.  The Birkhoff-James witnesses of
-:mod:`ksmooth.orthogonality` are integer work on the same rows:
-``values_at`` evaluates facets at a point, ``witness_lp`` forms the LP rows
-``F_j . W_k``, and ``witness`` checks a convex combination of facets
-against ``V`` without the LP.
+over ``D``, read through the field table ``_FIELD_OPS`` of
+:mod:`ksmooth.scalars`; ``vertices`` and ``functionals`` are built on first
+read.  A ball built from points keeps ``V`` over their scale, and as DD's
+facet rows ``(N_j, h_j)`` are primitive, the entries of ``N_j / h_j`` have
+lcm of denominators ``h_j``, so ``D = lcm_j h_j`` and ``F_j = N_j D / h_j``
+(``_FieldOps.common``).  ``_row_max`` finds the rows tight at a cleared
+point: at the rows of ``V`` for the incidence check of ``Polytope.__init__``,
+at one cleared point for ``facets_at``, the only point scan, and at each
+integer image ``An V_k`` for ``image_gauge_max``, the operators' attainment
+scan; ``images`` forms such products for the index of smoothness, and
+``facet_rank`` ranks a set of facets on the rows of ``F``.  The
+Birkhoff-James witnesses of :mod:`ksmooth.orthogonality` are integer work on
+the same rows: ``values_at`` evaluates facets at a point, ``witness_lp``
+forms the LP rows ``F_j . W_k``, and ``witness`` checks a convex combination
+of facets against ``V`` without the LP.
 
 Faces are keyed by their full active set (the maximal set of facets
 containing them).  ``_minimal_face_of`` is the one face-dimension
@@ -69,10 +69,9 @@ import itertools
 import os
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from math import gcd, lcm
-from operator import mul, neg
-from typing import Callable, Iterable, NamedTuple, Sequence
+from functools import cached_property
+from operator import mul
+from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
@@ -96,7 +95,7 @@ from .linalg import (
     from_cleared_row,
 )
 from .lp import lp_feasible
-from .scalars import FieldTag, Scalar, quad_sign, serialize
+from .scalars import _FIELD_OPS, FieldTag, Scalar, _primitive, serialize
 
 DEFAULT_MAX_DIM = 6
 DEFAULT_MAX_VERTICES = 64
@@ -241,8 +240,8 @@ def dual_vertices(P: Sequence, scale: int,
     """
     if not P:
         raise NotFullDimensionalError("empty point set")
-    d = len(P[0] if field is FieldTag.RATIONAL else P[0][0])
     ops = _FIELD_OPS[field]
+    d = ops.width(P[0])
     negation = _negation_index(P, scale, field)
 
     # reduce the columns P^T with d unit right-hand sides: the pivots are the
@@ -329,16 +328,6 @@ def _members(mask: int) -> frozenset[int]:
     return frozenset(members)
 
 
-def _primitive(parts: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """The integer ``parts`` of a homogeneous row divided by the gcd of all
-    their entries; ``h``, the last entry of the first part, must be positive."""
-    if parts[0][-1] <= 0:
-        raise InternalInconsistencyError(
-            "double description made a vertex with h <= 0")
-    g = gcd(*itertools.chain.from_iterable(parts))
-    return tuple(tuple(x // g for x in part) for part in parts)
-
-
 def _corner(inverse: list, signs: tuple, scale: int, det: int, field: FieldTag) -> tuple:
     """The primitive homogeneous row ``(scale inverse signs, det)``, negated
     when ``det < 0``; ``inverse`` holds cleared values (pairs over Q(sqrt 2))."""
@@ -347,117 +336,6 @@ def _corner(inverse: list, signs: tuple, scale: int, det: int, field: FieldTag) 
         return _primitive([[c * sum(map(mul, signs, row)) for row in inverse] + [abs(det)]])[0]
     return _primitive([[c * sum(s * y[i] for s, y in zip(signs, row)) for row in inverse]
                        + [abs(det) * (1 - i)] for i in (0, 1)])
-
-
-def _rational_edge(a_u: int, u: tuple, a_w: int, w: tuple) -> tuple:
-    return _primitive([[a_u * y - a_w * x for x, y in zip(u, w)]])[0]
-
-
-def _quad_values(p: tuple, verts: list) -> list[tuple[int, int]]:
-    pa, pb = p
-    return [(sum(map(mul, pa, za)) + 2 * sum(map(mul, pb, zb)),
-             sum(map(mul, pa, zb)) + sum(map(mul, pb, za))) for za, zb in verts]
-
-
-def _quad_edge(a_u: tuple, u: tuple, a_w: tuple, w: tuple) -> tuple:
-    # a_u = x + y r2 and a_w = s + t r2 multiply the rows u and w
-    (x, y), (s, t) = a_u, a_w
-    (ua, ub), (wa, wb) = u, w
-    na = [x * p + 2 * y * q - s * m - 2 * t * n for p, q, m, n in zip(wa, wb, ua, ub)]
-    nb = [x * q + y * p - s * n - t * m for p, q, m, n in zip(wa, wb, ua, ub)]
-    ha, hb = na[-1], nb[-1]
-    if hb:
-        # times the conjugate of h, negated when h has negative norm, so
-        # that h becomes the positive integer |ha^2 - 2 hb^2|
-        if ha * ha < 2 * hb * hb:
-            ha, hb = -ha, -hb
-        na, nb = ([p * ha - 2 * q * hb for p, q in zip(na, nb)],
-                  [q * ha - p * hb for p, q in zip(na, nb)])
-    return _primitive([na, nb])
-
-
-def _rational_combine(c: tuple, rows: Sequence[tuple]) -> tuple:
-    return tuple(sum(map(mul, c, column)) for column in zip(*rows))
-
-
-def _quad_combine(c: tuple, rows: Sequence[tuple]) -> tuple:
-    # (x + y r2) times the parts (p, q) of each row, summed over the rows
-    x, y = c
-    columns = zip(zip(*(p for p, _ in rows)), zip(*(q for _, q in rows)))
-    return tuple(zip(*((sum(map(mul, x, p)) + 2 * sum(map(mul, y, q)),
-                        sum(map(mul, x, q)) + sum(map(mul, y, p))) for p, q in columns)))
-
-
-def _rational_common(rows: Sequence[tuple]) -> tuple[list[tuple], int]:
-    top = lcm(*{z[-1] for z in rows})
-    return [tuple([x * (top // z[-1]) for x in z[:-1]]) for z in rows], top
-
-
-def _quad_common(rows: Sequence[tuple]) -> tuple[list[tuple], int]:
-    top = lcm(*{z[0][-1] for z in rows})
-    return [tuple(tuple([x * (top // z[0][-1]) for x in part[:-1]]) for part in z)
-            for z in rows], top
-
-
-class _FieldOps(NamedTuple):
-    """What the readers of cleared rows do differently over each field.
-
-    ``entries(row, h)`` appends a homogenizing integer to a cleared row;
-    ``negate`` negates a cleared row;
-    ``values(p, rows)`` gives the value ``p.z`` at every row ``z``, and
-    ``row`` turns a list of values into a row, ``split`` a row into its
-    values; ``lift`` makes an integer a value and ``total`` sums values;
-    ``sign`` and ``max`` order values; ``edge(a_u, u, a_w, w)`` is the
-    primitive row ``a_u w - a_w u``; ``combine(c, rows)`` is the row
-    ``sum_i c_i rows_i`` for the values of the row ``c``, and ``common(rows)``
-    the points of primitive homogeneous ``rows`` cleared over ``lcm h``.
-    """
-
-    entries: Callable
-    negate: Callable
-    values: Callable
-    row: Callable
-    split: Callable
-    lift: Callable
-    total: Callable
-    sign: Callable
-    max: Callable
-    edge: Callable
-    combine: Callable
-    common: Callable
-
-
-# Over Q a row is a tuple of ints, a value an int.  Over Q(sqrt 2) a row is
-# the pair of int tuples (a, b), a value the pair (a, b); h is kept rational.
-_FIELD_OPS = {
-    FieldTag.RATIONAL: _FieldOps(
-        entries=lambda row, h: (*row, h),
-        negate=lambda row: tuple(map(neg, row)),
-        values=lambda p, rows: [sum(map(mul, p, z)) for z in rows],
-        row=tuple,
-        split=list,
-        lift=lambda n: n,
-        total=sum,
-        sign=lambda x: (x > 0) - (x < 0),
-        max=max,
-        edge=_rational_edge,
-        combine=_rational_combine,
-        common=_rational_common),
-    FieldTag.QUAD_SQRT2: _FieldOps(
-        entries=lambda row, h: ((*row[0], h), (*row[1], 0)),
-        negate=lambda row: (tuple(map(neg, row[0])), tuple(map(neg, row[1]))),
-        values=_quad_values,
-        row=lambda values: tuple(zip(*values)),
-        split=lambda row: list(zip(*row)),
-        lift=lambda n: (n, 0),
-        total=lambda values: tuple(map(sum, zip(*values))),
-        sign=quad_sign,
-        max=lambda values: reduce(
-            lambda x, y: y if quad_sign((y[0] - x[0], y[1] - x[1])) > 0 else x, values),
-        edge=_quad_edge,
-        combine=_quad_combine,
-        common=_quad_common),
-}
 
 
 def _row_max(rows: Sequence[tuple], point: tuple, field: FieldTag) -> tuple:
@@ -498,11 +376,11 @@ class Polytope:
     def __init__(self, V: Sequence, E: int, F: Sequence, D: int, field: FieldTag) -> None:
         if not V or not F:
             raise NotFullDimensionalError("empty representation")
-        d = len(V[0] if field is FieldTag.RATIONAL else V[0][0])
+        ops = _FIELD_OPS[field]
+        d = ops.width(V[0])
         for name, value in (("dim", d), ("field", field), ("F", tuple(F)), ("D", D),
                             ("V", tuple(V)), ("E", E)):
             object.__setattr__(self, name, value)
-        ops = _FIELD_OPS[field]
         rows = [ops.entries(row, -D) for row in F]  # f_j(v_k) - 1 = (F_j.V_k - D E) / D E
         incidence = []
         for row in V:
@@ -648,13 +526,14 @@ class Polytope:
         extreme rows over ``scale``, and ``F / D`` is cleared from DD's rows."""
         if not P:
             raise NotFullDimensionalError("empty point set")
-        dim = len(P[0] if field is FieldTag.RATIONAL else P[0][0])
+        ops = _FIELD_OPS[field]
+        dim = ops.width(P[0])
         check_guard(dim, 0)  # before canonicalize's double description
         V, facets = _extreme_points(P, scale, field)
         check_guard(dim, len(V))
         if facets is None:  # a non-extreme point shaped canonicalize's pass
             facets, _, _ = dual_vertices(V, scale, field)
-        return cls(V, scale, *_FIELD_OPS[field].common(facets), field)
+        return cls(V, scale, *ops.common(facets), field)
 
     def polar(self) -> "Polytope":
         """The polar dual: facet functionals become vertices and vice versa."""

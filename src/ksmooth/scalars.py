@@ -12,6 +12,12 @@ selected by a :class:`FieldTag`:
 There is no floating point anywhere in the core: comparisons of quadratic
 scalars are decided exactly by comparing ``a**2`` against ``2*b**2``.
 
+The integer loops of ``linalg``, ``lp`` and ``polytope`` hold values cleared
+of denominators: over Q an ``int``, and a row a tuple of them; over Q(sqrt 2)
+the pair ``(a, b)`` of ints for ``a + b r2``, and a row the pair of int
+tuples of its parts.  ``_FIELD_OPS`` is the one table of what those loops do
+differently over each field.
+
 Scalar literal grammar (:func:`scan` reads it to integers for :func:`parse`)::
 
     rational := '-'? digits ('/' digits)?
@@ -25,18 +31,20 @@ so serialized output round-trips through ``parse`` bit-exactly.
 
 from __future__ import annotations
 
+import itertools
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from functools import reduce
+from math import gcd, lcm
+from operator import floordiv, mul, neg, sub
+from typing import Callable, NamedTuple, Sequence, Union
 
-from .errors import FieldMismatchError, ScalarSyntaxError
+from .errors import FieldMismatchError, InternalInconsistencyError, ScalarSyntaxError
 
-def _fraction_sign(x: Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+
+def _sign(x: int | Fraction) -> int:
+    """The sign in {-1, 0, +1} of an ``int`` or a ``Fraction``."""
+    return (x > 0) - (x < 0)
 
 
 class QuadScalar:
@@ -76,8 +84,8 @@ class QuadScalar:
         When a and b have opposite signs it is ``quad_sign``'s, which
         takes Fraction parts too.
         """
-        sa = _fraction_sign(self.a)
-        sb = _fraction_sign(self.b)
+        sa = _sign(self.a.numerator)
+        sb = _sign(self.b.numerator)
         if sa == 0 and sb == 0:
             return 0
         if sa >= 0 and sb >= 0:
@@ -246,13 +254,15 @@ class FieldTag(Enum):
 
 def sign(x: Scalar) -> int:
     if isinstance(x, Fraction):
-        return _fraction_sign(x)
+        return _sign(x)
     if isinstance(x, QuadScalar):
         return x.sign()
     raise FieldMismatchError(f"not a scalar of a supported field: {x!r}")
 
 
-# Over Q(sqrt 2) a cleared value is the pair (a, b) of ints for a + b r2.
+# ---------------------------------------------------------------------------
+# cleared values and rows: the one field table
+# ---------------------------------------------------------------------------
 
 def quad_sign(x: tuple[int, int]) -> int:
     """The sign of the cleared value ``x = (a, b)``, that is of ``a + b r2``."""
@@ -266,6 +276,135 @@ def quad_sign(x: tuple[int, int]) -> int:
 def quad_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     """The product of two cleared values ``(a, b)``, read as ``a + b r2``."""
     return x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _quad_exact(w: tuple[int, int], d: tuple[int, int]) -> tuple[int, int]:
+    # w / d = w conj(d) / norm(d), and the integer norm divides both parts
+    if not d[1]:
+        return w[0] // d[0], w[1] // d[0]
+    a, b = quad_mul(w, (d[0], -d[1]))
+    norm = d[0] * d[0] - 2 * d[1] * d[1]
+    return a // norm, b // norm
+
+
+def _primitive(parts: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The integer ``parts`` of a homogeneous row divided by the gcd of all
+    their entries; ``h``, the last entry of the first part, must be positive."""
+    if parts[0][-1] <= 0:
+        raise InternalInconsistencyError(
+            "double description made a vertex with h <= 0")
+    g = gcd(*itertools.chain.from_iterable(parts))
+    return tuple(tuple(x // g for x in part) for part in parts)
+
+
+def _rational_edge(a_u: int, u: tuple, a_w: int, w: tuple) -> tuple:
+    return _primitive([[a_u * y - a_w * x for x, y in zip(u, w)]])[0]
+
+
+def _quad_values(p: tuple, verts: list) -> list[tuple[int, int]]:
+    pa, pb = p
+    return [(sum(map(mul, pa, za)) + 2 * sum(map(mul, pb, zb)),
+             sum(map(mul, pa, zb)) + sum(map(mul, pb, za))) for za, zb in verts]
+
+
+def _quad_edge(a_u: tuple, u: tuple, a_w: tuple, w: tuple) -> tuple:
+    # a_u = x + y r2 and a_w = s + t r2 multiply the rows u and w
+    (x, y), (s, t) = a_u, a_w
+    (ua, ub), (wa, wb) = u, w
+    na = [x * p + 2 * y * q - s * m - 2 * t * n for p, q, m, n in zip(wa, wb, ua, ub)]
+    nb = [x * q + y * p - s * n - t * m for p, q, m, n in zip(wa, wb, ua, ub)]
+    ha, hb = na[-1], nb[-1]
+    if hb:
+        # times the conjugate of h, negated when h has negative norm, so
+        # that h becomes the positive integer |ha^2 - 2 hb^2|
+        if ha * ha < 2 * hb * hb:
+            ha, hb = -ha, -hb
+        na, nb = ([p * ha - 2 * q * hb for p, q in zip(na, nb)],
+                  [q * ha - p * hb for p, q in zip(na, nb)])
+    return _primitive([na, nb])
+
+
+def _rational_combine(c: tuple, rows: Sequence[tuple]) -> tuple:
+    return tuple(sum(map(mul, c, column)) for column in zip(*rows))
+
+
+def _quad_combine(c: tuple, rows: Sequence[tuple]) -> tuple:
+    # (x + y r2) times the parts (p, q) of each row, summed over the rows
+    x, y = c
+    columns = zip(zip(*(p for p, _ in rows)), zip(*(q for _, q in rows)))
+    return tuple(zip(*((sum(map(mul, x, p)) + 2 * sum(map(mul, y, q)),
+                        sum(map(mul, x, q)) + sum(map(mul, y, p))) for p, q in columns)))
+
+
+def _rational_common(rows: Sequence[tuple]) -> tuple[list[tuple], int]:
+    top = lcm(*{z[-1] for z in rows})
+    return [tuple([x * (top // z[-1]) for x in z[:-1]]) for z in rows], top
+
+
+def _quad_common(rows: Sequence[tuple]) -> tuple[list[tuple], int]:
+    top = lcm(*{z[0][-1] for z in rows})
+    return [tuple(tuple([x * (top // z[0][-1]) for x in part[:-1]]) for part in z)
+            for z in rows], top
+
+
+class _FieldOps(NamedTuple):
+    """What the readers of cleared values and rows do differently over each field."""
+
+    width: Callable    # the number of entries of a row
+    entries: Callable  # entries(row, h): the row with the integer h appended (kept rational)
+    negate: Callable   # the negated row
+    values: Callable   # values(p, rows): the value p.z at every row z
+    row: Callable      # a list of values as a row
+    split: Callable    # a row as the list of its values
+    lift: Callable     # an integer as a value
+    total: Callable    # the sum of a list of values
+    sign: Callable     # the sign of a value
+    max: Callable      # the largest of a list of values
+    times: Callable    # the product of two values
+    minus: Callable    # the difference of two values
+    exact: Callable    # exact(w, d): w / d when d divides w
+    edge: Callable     # edge(a_u, u, a_w, w): the primitive row a_u w - a_w u
+    combine: Callable  # combine(c, rows): the row sum_i c_i rows_i for the values c_i of c
+    common: Callable   # primitive homogeneous rows (N, h) as points cleared over lcm h
+
+
+_FIELD_OPS = {
+    FieldTag.RATIONAL: _FieldOps(
+        width=len,
+        entries=lambda row, h: (*row, h),
+        negate=lambda row: tuple(map(neg, row)),
+        values=lambda p, rows: [sum(map(mul, p, z)) for z in rows],
+        row=tuple,
+        split=list,
+        lift=lambda n: n,
+        total=sum,
+        sign=_sign,
+        max=max,
+        times=mul,
+        minus=sub,
+        exact=floordiv,
+        edge=_rational_edge,
+        combine=_rational_combine,
+        common=_rational_common),
+    FieldTag.QUAD_SQRT2: _FieldOps(
+        width=lambda row: len(row[0]),
+        entries=lambda row, h: ((*row[0], h), (*row[1], 0)),
+        negate=lambda row: (tuple(map(neg, row[0])), tuple(map(neg, row[1]))),
+        values=_quad_values,
+        row=lambda values: tuple(zip(*values)),
+        split=lambda row: list(zip(*row)),
+        lift=lambda n: (n, 0),
+        total=lambda values: tuple(map(sum, zip(*values))),
+        sign=quad_sign,
+        max=lambda values: reduce(
+            lambda x, y: y if quad_sign((y[0] - x[0], y[1] - x[1])) > 0 else x, values),
+        times=quad_mul,
+        minus=lambda x, y: (x[0] - y[0], x[1] - y[1]),
+        exact=_quad_exact,
+        edge=_quad_edge,
+        combine=_quad_combine,
+        common=_quad_common),
+}
 
 
 # ---------------------------------------------------------------------------

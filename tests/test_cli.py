@@ -615,13 +615,15 @@ def test_bundled_sample_operators(capsys):
     assert "extreme contraction: yes" in out
 
 
-@pytest.mark.parametrize("cases", ["0", "-3"])
+@pytest.mark.parametrize("cases", ["0", "-3", "abc", "1.5"])
 def test_selftest_rejects_cases_below_one(capsys, cases):
-    # no case count below 1 runs: zero or negative checks must not read PASS
+    # no case count below 1 runs: zero or negative checks must not read PASS,
+    # and a count that is no integer is named in the user's terms
     assert main(["selftest", "--cases", cases]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: argument --cases:")
+    assert "_positive_int" not in captured.err
 
 
 def test_selftest_smoke(capsys):

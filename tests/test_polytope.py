@@ -34,6 +34,7 @@ from ksmooth.linalg import (
 import ksmooth.lp as lp
 from ksmooth.orthogonality import Subspace, bj_subspace_subspace, bj_subspace_vector
 import ksmooth.polytope as polytope
+import ksmooth.scalars as scalars
 from ksmooth.polytope import (
     FaceDescriptor,
     Polytope,
@@ -89,7 +90,7 @@ def dual_vertices(points):
     field = points[0].field
     rows, tight, _ = polytope.dual_vertices(
         *clear_denominators((p.entries for p in points), field), field)
-    F, D = polytope._FIELD_OPS[field].common(rows)
+    F, D = scalars._FIELD_OPS[field].common(rows)
     return [from_cleared_row(f, D, field) for f in F], tight
 
 
@@ -366,7 +367,7 @@ def test_single_pass_rows_match_a_second_pass(monkeypatch):
         field = ball.field
         rows, _, _ = polytope.dual_vertices(
             *clear_denominators((v.entries for v in ball.vertices), field), field)
-        F, D = polytope._FIELD_OPS[field].common(rows)
+        F, D = scalars._FIELD_OPS[field].common(rows)
         assert (ball.F, ball.D) == (tuple(F), D)
         assert ball.functionals == tuple(from_cleared_row(f, D, field) for f in F)
     assert len(kept) == len(builds)
@@ -767,8 +768,8 @@ def rank_adjacency_dual_vertices(P, scale, field):
     and two vertices adjacent iff the rows of ``P`` tight at both have rank
     d - 1.  Returns the rows, the tight sets and the number of pairs with at
     least d - 1 common tight rows that are not edges."""
-    d = len(P[0] if field is Q else P[0][0])
-    ops = polytope._FIELD_OPS[field]
+    ops = scalars._FIELD_OPS[field]
+    d = ops.width(P[0])
     negation = polytope._negation_index(P, scale, field)
     unit = [(0,) * t + (1,) + (0,) * (d - 1 - t) for t in range(d)]
     if field is Q:

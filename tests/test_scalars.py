@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from ksmooth.errors import FieldMismatchError, ScalarSyntaxError
 from ksmooth.scalars import (
+    _FIELD_OPS,
     FieldTag,
     QuadScalar,
     SQRT2,
@@ -217,3 +218,51 @@ def test_literal_grammar_table(text, tag):
         value = parse(text, tag)
         assert type(value) is (Fraction if tag is Q else QuadScalar)
         assert serialize(value) == expected
+
+
+# cleared values: an int over Q, the pair (a, b) of ints for a + b r2 over Q(sqrt 2)
+cleared_ints = st.integers(min_value=-10 ** 12, max_value=10 ** 12)
+CLEARED = {Q: cleared_ints, K: st.tuples(cleared_ints, cleared_ints)}
+
+
+@st.composite
+def cleared_cases(draw):
+    """A field, a few rows of cleared values of one width, and two more values."""
+    field = draw(st.sampled_from([Q, K]))
+    value = CLEARED[field]
+    width = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.lists(value, min_size=width, max_size=width),
+                         min_size=1, max_size=4))
+    return field, rows, draw(value), draw(value)
+
+
+@given(cleared_cases(), cleared_ints)
+def test_field_table_agrees_with_field_arithmetic(case, n):
+    # every entry of the one field table the integer loops share, on random
+    # cleared values and rows, against the same computation in Fraction or
+    # QuadScalar arithmetic
+    field, lists, x, y = case
+    ops = _FIELD_OPS[field]
+
+    def scalar(v):
+        return Fraction(v) if field is Q else QuadScalar(*v)
+
+    def dot(p, z):
+        return sum((scalar(a) * scalar(b) for a, b in zip(p, z)), field.zero)
+
+    rows = [ops.row(values) for values in lists]
+    for values, row in zip(lists, rows):
+        assert ops.split(row) == values and ops.row(ops.split(row)) == row
+        assert ops.width(row) == len(values)
+        assert [scalar(v) for v in ops.split(ops.negate(row))] == [-scalar(v) for v in values]
+        assert ops.split(ops.entries(row, n)) == values + [ops.lift(n)]
+    assert [scalar(v) for v in ops.values(rows[0], rows)] == [dot(lists[0], z) for z in lists]
+    values = lists[0]
+    assert scalar(ops.max(values)) == max(map(scalar, values))
+    assert scalar(ops.total(values)) == sum(map(scalar, values), field.zero)
+    assert ops.sign(x) == sign(scalar(x))
+    assert scalar(ops.times(x, y)) == scalar(x) * scalar(y)
+    assert scalar(ops.minus(x, y)) == scalar(x) - scalar(y)
+    assert scalar(ops.lift(n)) == n
+    if ops.sign(y):
+        assert ops.exact(ops.times(x, y), y) == x

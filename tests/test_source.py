@@ -72,6 +72,31 @@ def test_cleared_rows_and_double_description_stay_in_polytope():
 
 
 
+def test_one_field_table():
+    # how a cleared value is held over each field is decided in one table,
+    # scalars._FIELD_OPS, which linalg, lp and polytope read: no other
+    # module keys a dict by field tag, lp and polytope define no table class
+    # of their own, and no row width is read by branching on the field
+    found = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict) and name != "scalars.py" and any(
+                    key is not None and ast.unparse(key) == "FieldTag.RATIONAL"
+                    for key in node.keys):
+                found.append(f"{name}:{node.lineno}:table")
+            elif isinstance(node, ast.ClassDef) and name in ("lp.py", "polytope.py") and any(
+                    ast.unparse(base) == "NamedTuple" for base in node.bases):
+                found.append(f"{name}:{node.lineno}:{node.name}")
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "len"
+                  and node.args and isinstance(node.args[0], ast.IfExp)
+                  and "FieldTag" in ast.unparse(node.args[0].test)):
+                found.append(f"{name}:{node.lineno}:width")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "scalars"
+                  and "_FIELD_OPS" in {alias.name for alias in node.names}):
+                found.append(f"{name}:reads")
+    assert sorted(found) == ["linalg.py:reads", "lp.py:reads", "polytope.py:reads"], found
+
+
 def test_solve_is_called_once_per_matrix():
     # solve takes every right-hand side of a matrix at once; a call inside a
     # loop or comprehension would reduce the same matrix again
