@@ -14,9 +14,9 @@ Matrix rows are codomain coordinates; column j is the image of the j-th
 ambient basis vector.  ``dim`` must be a JSON integer (``true`` is
 rejected, not read as 1).  All scalars use the exact literal grammar of
 :mod:`ksmooth.scalars`, so files round-trip bit-exactly.  A space file's
-literals are scanned to integers and its points cleared over one scale,
-and ``Polytope.from_rows`` builds the ball from those rows: loading a
-space builds no field scalar.
+literals are scanned to integers and its points cleared over one scale
+(``scalars.clear_scanned``), and ``Polytope.from_rows`` builds the ball
+from those rows: loading a space builds no field scalar.
 
 Builtin space specs: ``ell1:n``, ``ellinf:n``, ``paper-example``; the
 builtin operator spec ``paper-example`` names the bundled example
@@ -30,14 +30,13 @@ import hashlib
 import json
 import re
 import sys
-from math import lcm
 from pathlib import Path
 
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import Matrix, Vector
 from .operators import LinearOperator, paper_example_operator
 from .polytope import Polytope
-from .scalars import FieldTag, parse, scan, serialize
+from .scalars import FieldTag, clear_scanned, parse, scan, serialize
 from .spaces import PolyhedralSpace, ell1, ellinf, paper_example_space
 
 _BUILTIN_RE = re.compile(r"^(ell1|ellinf):([1-9]\d*)$")
@@ -85,16 +84,6 @@ def _parse_rows(rows: list, dim: int, field: FieldTag, what: str, read=parse) ->
     return out
 
 
-def _cleared(points: list[list[tuple]], field: FieldTag) -> tuple[list[tuple], int]:
-    """Scanned points as ``clear_denominators`` rows over one positive scale."""
-    scale = lcm(*{den for point in points for _, q, _, s in point for den in (q, s)})
-    a = [tuple(p * (scale // q) for p, q, _, _ in point) for point in points]
-    if field is FieldTag.RATIONAL:
-        return a, scale
-    return [(row, tuple(r * (scale // s) for _, _, r, s in point))
-            for row, point in zip(a, points)], scale
-
-
 def load_space(spec: str, base_dir: Path | None = None) -> PolyhedralSpace:
     """Load a space from a builtin spec or a JSON file path."""
     if spec == "paper-example":
@@ -131,7 +120,7 @@ def space_from_document(doc: object, default_name: str = "custom") -> Polyhedral
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise ValidationError("'vertices' must be a nonempty list")
     points = _parse_rows(raw_vertices, dim, field, "vertices", scan)
-    ball = Polytope.from_rows(*_cleared(points, field), field)
+    ball = Polytope.from_rows(*clear_scanned(points, field), field)
     return PolyhedralSpace.from_ball(ball, str(doc.get("name", default_name)))
 
 

@@ -1,11 +1,10 @@
 """Exact vectors, matrices, rank, solving and independent subsets.
 
-``clear_denominators`` scales rows by one common positive integer and
-keeps only integers: a row of ``int``s over the rationals, the pair
-``(a, b)`` of ``int`` tuples of a row ``a + b r2`` over Q(sqrt 2).  The hot
-scans over a ball run on such rows, where a dot product is
-``sum(map(mul, a, b))``, and build at most one field scalar at the end
-(``from_cleared``); which rows are tight is decided in :mod:`ksmooth.polytope`.
+The hot scans over a ball run on rows cleared of denominators by the field
+table of :mod:`ksmooth.scalars` (``clear_denominators``), where a dot
+product is ``sum(map(mul, a, b))``, and build at most one field scalar at
+the end (``from_cleared_row``); which rows are tight is decided in
+:mod:`ksmooth.polytope`.
 
 Rank, ``solve``, ``nullspace`` and ``greedy_independent_subset`` run on
 one fraction-free kernel on ``int`` rows, ``_eliminate``, fed by
@@ -18,13 +17,11 @@ Matrices here are tiny: every query recomputes from scratch.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .scalars import _FIELD_OPS, FieldTag, QuadScalar, Scalar, serialize
+from .scalars import _FIELD_OPS, FieldTag, Scalar, serialize
 
 
 class Vector:
@@ -189,47 +186,17 @@ class Matrix:
         return f"Matrix({[list(r) for r in self.row_data]!r}, {self.field.name})"
 
 
-def _denominators(row: Sequence[Scalar], field: FieldTag) -> list[int]:
-    if field is FieldTag.RATIONAL:
-        return [x.denominator for x in row]
-    return [d for x in row for d in (x.a.denominator, x.b.denominator)]
-
-
-def _scaled(row: Sequence[Scalar], scale: int, field: FieldTag) -> tuple:
-    if field is FieldTag.RATIONAL:
-        return tuple(x.numerator * (scale // x.denominator) for x in row)
-    return (tuple(x.a.numerator * (scale // x.a.denominator) for x in row),
-            tuple(x.b.numerator * (scale // x.b.denominator) for x in row))
-
-
-def clear_denominators(rows: Iterable[Sequence[Scalar]],
-                       field: FieldTag) -> tuple[list[tuple], int]:
-    """Integral rows over one common positive scale: ``rows == cleared / scale``.
-
-    Over the rationals a cleared row is a tuple of ``int``s; over Q(sqrt 2)
-    it is the pair ``(a, b)`` of ``int`` tuples of the row ``a + b r2``.
-    """
-    rows = list(rows)
-    scale = lcm(*{d for row in rows for d in _denominators(row, field)})
-    return [_scaled(row, scale, field) for row in rows], scale
-
-
 def _cleared_rows(rows: Iterable[Sequence[Scalar]], field: FieldTag) -> list[tuple]:
     """Each row cleared on its own scale, which changes no span and no solution."""
-    return [_scaled(row, lcm(*_denominators(row, field)), field) for row in rows]
-
-
-def from_cleared(value: int | tuple[int, int], scale: int, field: FieldTag) -> Scalar:
-    """The field scalar ``value / scale`` for a cleared value (a pair over Q(sqrt 2))."""
-    if field is FieldTag.RATIONAL:
-        return Fraction(value, scale)
-    return QuadScalar(Fraction(value[0], scale), Fraction(value[1], scale))
+    clear = _FIELD_OPS[field].clear
+    return [clear([row])[0][0] for row in rows]
 
 
 def from_cleared_row(row: tuple, scale: int, field: FieldTag) -> Vector:
     """The ``Vector`` ``row / scale`` of a cleared row."""
-    return Vector([from_cleared(value, scale, field)
-                   for value in _FIELD_OPS[field].split(row)], field)
+    ops = _FIELD_OPS[field]
+    d = ops.lift(scale)
+    return Vector([ops.quotient(value, d) for value in ops.split(row)], field)
 
 
 def _eliminate(rows: list[Sequence[int]], ncols: int, full: bool) -> tuple[list[int], int]:
@@ -393,6 +360,8 @@ def nullspace(a: Matrix) -> list[Vector]:
     field = a.field
     rows, unknowns, det = _reduced(_cleared_rows(a.row_data, field), field, a.cols, True)
     step = len(rows[0]) // a.cols
+    ops = _FIELD_OPS[field]
+    d = ops.lift(det)
     basis = []
     for free in range(a.cols):
         if free in unknowns:
@@ -400,7 +369,7 @@ def nullspace(a: Matrix) -> list[Vector]:
         entries = [field.zero] * a.cols
         entries[free] = field.one
         for k, j in enumerate(unknowns):
-            entries[j] = -from_cleared(_entry(rows, k, step * free, field), det, field)
+            entries[j] = -ops.quotient(_entry(rows, k, step * free, field), d)
         basis.append(Vector(entries, field))
     return basis
 
@@ -420,21 +389,13 @@ def greedy_independent_subset(vs: Sequence[Vector]) -> list[int]:
 
 def primitive_rows(rows: Sequence[tuple], field: FieldTag) -> list[tuple]:
     """Each cleared row over the gcd of its entries (of both parts over Q(sqrt 2))."""
-    if field is FieldTag.RATIONAL:
-        return [tuple(x // g for x in row) for row in rows for g in [gcd(*row) or 1]]
-    return [tuple(tuple(x // g for x in part) for part in row)
-            for row in rows for g in [gcd(*row[0], *row[1]) or 1]]
+    return list(map(_FIELD_OPS[field].primitive, rows))
 
 
 def outer_rows(xs: Sequence[tuple], ys: Sequence[tuple], field: FieldTag) -> list[tuple]:
     """The products ``x[i] y[j]``, i-major, of the cleared rows ``x`` in ``xs``
     and ``y`` in ``ys`` taken in step, over the product of their scales."""
-    if field is FieldTag.RATIONAL:
-        return [tuple(a * b for a in x for b in y) for x, y in zip(xs, ys)]
-    # (p + q r2)(u + w r2) = (p u + 2 q w) + (p w + q u) r2
-    return [(tuple(p * u + 2 * q * w for p, q in zip(*x) for u, w in zip(*y)),
-             tuple(p * w + q * u for p, q in zip(*x) for u, w in zip(*y)))
-            for x, y in zip(xs, ys)]
+    return list(map(_FIELD_OPS[field].outer, xs, ys))
 
 
 def outer_product_rank(pairs: Sequence[tuple[Vector, Vector]]) -> int:

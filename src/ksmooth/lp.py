@@ -16,8 +16,9 @@ becomes ``(p row - f pivot_row) / d``, an exact division, so the tableau
 is always ``d`` times the field tableau.  Bland's pivots are positive, so
 ``d`` is too, and every sign and every ratio comparison (cross-multiplied)
 is the field tableau's: the same pivots reach the same solution, read off
-at the end as one field scalar per basic column.  The tableau's ``sign``,
-``times``, ``minus`` and ``exact`` come from the field table of
+at the end as one field scalar per basic column.  The clearing
+(``clear``), the tableau's ``sign``, ``times``, ``minus`` and ``exact``,
+and the way back (``quotient``) come from the field table of
 :mod:`ksmooth.scalars`.  The regions are tiny (a few dozen variables): no
 sparsity, no factorization.
 """
@@ -26,13 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import reduce
-from math import lcm
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, InternalInconsistencyError
-from .scalars import _FIELD_OPS, FieldTag, QuadScalar, Scalar, _FieldOps, quad_mul
+from .scalars import _FIELD_OPS, FieldTag, Scalar, _FieldOps
 
 
 class LPStatus(Enum):
@@ -90,45 +89,14 @@ def _run_simplex(tableau: list[list], basis: list[int], eligible: int, ops: _Fie
         prev = _pivot(tableau, basis, leaving, entering, prev, ops)
 
 
-def _cleared(rows: Sequence[Sequence[object]], field: FieldTag) -> list[list]:
-    """``rows`` times one common positive scale, as tableau integers.
-
-    An entry is anything ``field.coerce`` takes or, over Q(sqrt 2), an
-    ``int`` pair ``(a, b)``, already a tableau integer."""
-    if field is FieldTag.RATIONAL:
-        parts = [[x if isinstance(x, int) else field.coerce(x) for x in row] for row in rows]
-        scale = lcm(*{x.denominator for row in parts for x in row})
-        return [[x.numerator * (scale // x.denominator) for x in row] for row in parts]
-
-    def pair(x: object) -> tuple:
-        if isinstance(x, tuple):
-            return x
-        q = field.coerce(x)
-        return q.a, q.b
-
-    parts = [[pair(x) for x in row] for row in rows]
-    scale = lcm(*{y.denominator for row in parts for x in row for y in x})
-    return [[tuple(y.numerator * (scale // y.denominator) for y in x) for x in row]
-            for row in parts]
-
-
-def _quotient(value, d, field: FieldTag) -> Scalar:
-    """The field scalar ``value / d`` of two tableau integers."""
-    if field is FieldTag.RATIONAL:
-        return Fraction(value, d)
-    da, db = d
-    norm = da * da - 2 * db * db
-    a, b = quad_mul(value, (da, -db))
-    return QuadScalar(Fraction(a, norm), Fraction(b, norm))
-
-
 def solve_lp(a: Sequence[Sequence[object]], b: Sequence[object],
              field: FieldTag) -> LPResult:
     """A nonnegative solution of ``A z = b`` by phase 1 of the simplex.
 
-    Entries are field scalars, anything ``field.coerce`` takes or, over
-    Q(sqrt 2), cleared values ``(a, b)``; a common positive scale of all
-    of ``A`` and ``b`` changes nothing."""
+    Entries are what ``clear_denominators`` takes: ``int``s and
+    ``Fraction``s over Q, ``QuadScalar``s and cleared values ``(a, b)`` over
+    Q(sqrt 2); a common positive scale of all of ``A`` and ``b`` changes
+    nothing."""
     m = len(a)
     if m == 0:
         raise DimensionMismatchError("LP needs at least one constraint row")
@@ -137,7 +105,8 @@ def solve_lp(a: Sequence[Sequence[object]], b: Sequence[object],
         raise DimensionMismatchError("LP shape mismatch")
     ops = _FIELD_OPS[field]
     one, zero = ops.lift(1), ops.lift(0)
-    rows = _cleared([[*row, bi] for row, bi in zip(a, b)], field)
+    cleared, _ = ops.clear([[*row, bi] for row, bi in zip(a, b)])
+    rows = list(map(ops.split, cleared))
     for i, row in enumerate(rows):
         if ops.sign(row[n]) < 0:
             rows[i] = [ops.minus(zero, x) for x in row]
@@ -156,7 +125,7 @@ def solve_lp(a: Sequence[Sequence[object]], b: Sequence[object],
     solution = [field.zero] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            solution[bi] = _quotient(tableau[i][-1], d, field)
+            solution[bi] = ops.quotient(tableau[i][-1], d)
     return LPResult(LPStatus.FEASIBLE, tuple(solution))
 
 

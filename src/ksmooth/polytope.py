@@ -85,17 +85,17 @@ from .errors import (
     OriginNotInteriorError,
     ValidationError,
 )
-from .linalg import (
-    Vector,
-    _entry,
-    _rank_of_lists,
-    _reduced,
+from .linalg import Vector, _entry, _rank_of_lists, _reduced, from_cleared_row
+from .lp import lp_feasible
+from .scalars import (
+    _FIELD_OPS,
+    FieldTag,
+    Scalar,
+    _primitive,
     clear_denominators,
     from_cleared,
-    from_cleared_row,
+    serialize,
 )
-from .lp import lp_feasible
-from .scalars import _FIELD_OPS, FieldTag, Scalar, _primitive, serialize
 
 DEFAULT_MAX_DIM = 6
 DEFAULT_MAX_VERTICES = 64

@@ -16,9 +16,12 @@ The integer loops of ``linalg``, ``lp`` and ``polytope`` hold values cleared
 of denominators: over Q an ``int``, and a row a tuple of them; over Q(sqrt 2)
 the pair ``(a, b)`` of ints for ``a + b r2``, and a row the pair of int
 tuples of its parts.  ``_FIELD_OPS`` is the one table of what those loops do
-differently over each field.
+differently over each field, the clearing of field scalars over one scale
+(``clear_denominators``) and the way back (``quotient``, ``from_cleared``)
+included.
 
-Scalar literal grammar (:func:`scan` reads it to integers for :func:`parse`)::
+Scalar literal grammar (:func:`scan` reads it to integers for :func:`parse`,
+and :func:`clear_scanned` clears scanned points with no ``Fraction``)::
 
     rational := '-'? digits ('/' digits)?
     quad     := rational (('+'|'-') (rational '*')? 'r2')?
@@ -37,7 +40,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import floordiv, mul, neg, sub
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import FieldMismatchError, InternalInconsistencyError, ScalarSyntaxError
 
@@ -278,13 +281,30 @@ def quad_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _quad_exact(w: tuple[int, int], d: tuple[int, int]) -> tuple[int, int]:
-    # w / d = w conj(d) / norm(d), and the integer norm divides both parts
+def _over_norm(w: tuple[int, int], d: tuple[int, int]) -> tuple[int, int, int]:
+    """Integers ``(a, b, n)`` with ``w / d = (a + b r2) / n``: ``w`` times
+    the conjugate of ``d``, over the norm of ``d``."""
     if not d[1]:
-        return w[0] // d[0], w[1] // d[0]
+        return w[0], w[1], d[0]
     a, b = quad_mul(w, (d[0], -d[1]))
-    norm = d[0] * d[0] - 2 * d[1] * d[1]
-    return a // norm, b // norm
+    return a, b, d[0] * d[0] - 2 * d[1] * d[1]
+
+
+def _quad_exact(w: tuple[int, int], d: tuple[int, int]) -> tuple[int, int]:
+    # the integer norm divides both parts when d divides w
+    a, b, n = _over_norm(w, d)
+    return a // n, b // n
+
+
+def _quad_quotient(w: tuple[int, int], d: tuple[int, int]) -> QuadScalar:
+    a, b, n = _over_norm(w, d)
+    return QuadScalar(Fraction(a, n), Fraction(b, n))
+
+
+def _over_gcd(parts: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The integer ``parts`` of a row divided by the gcd of all their entries."""
+    g = gcd(*itertools.chain.from_iterable(parts)) or 1
+    return tuple(tuple(x // g for x in part) for part in parts)
 
 
 def _primitive(parts: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -293,8 +313,22 @@ def _primitive(parts: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     if parts[0][-1] <= 0:
         raise InternalInconsistencyError(
             "double description made a vertex with h <= 0")
-    g = gcd(*itertools.chain.from_iterable(parts))
-    return tuple(tuple(x // g for x in part) for part in parts)
+    return _over_gcd(parts)
+
+
+def _rational_clear(rows: Sequence[Sequence]) -> tuple[list[tuple], int]:
+    # an int has numerator and denominator too
+    scale = lcm(*{x.denominator for row in rows for x in row})
+    return [tuple([x.numerator * (scale // x.denominator) for x in row]) for row in rows], scale
+
+
+def _quad_clear(rows: Sequence[Sequence]) -> tuple[list[tuple], int]:
+    # the parts (a, b) of a + b r2; a cleared pair is its own
+    parts = [[x if isinstance(x, tuple) else (x.a, x.b) for x in row] for row in rows]
+    scale = lcm(*{y.denominator for row in parts for x in row for y in x})
+    return [(tuple([a.numerator * (scale // a.denominator) for a, _ in row]),
+             tuple([b.numerator * (scale // b.denominator) for _, b in row]))
+            for row in parts], scale
 
 
 def _rational_edge(a_u: int, u: tuple, a_w: int, w: tuple) -> tuple:
@@ -366,6 +400,10 @@ class _FieldOps(NamedTuple):
     edge: Callable     # edge(a_u, u, a_w, w): the primitive row a_u w - a_w u
     combine: Callable  # combine(c, rows): the row sum_i c_i rows_i for the values c_i of c
     common: Callable   # primitive homogeneous rows (N, h) as points cleared over lcm h
+    clear: Callable    # a list of rows of field scalars or cleared values as rows over one scale
+    quotient: Callable  # quotient(w, d): the field scalar w / d for a nonzero d
+    outer: Callable    # outer(x, y): the products x_i y_j, i-major, as a row
+    primitive: Callable  # the row over the gcd of its entries
 
 
 _FIELD_OPS = {
@@ -385,7 +423,11 @@ _FIELD_OPS = {
         exact=floordiv,
         edge=_rational_edge,
         combine=_rational_combine,
-        common=_rational_common),
+        common=_rational_common,
+        clear=_rational_clear,
+        quotient=Fraction,
+        outer=lambda x, y: tuple([a * b for a in x for b in y]),
+        primitive=lambda row: _over_gcd([row])[0]),
     FieldTag.QUAD_SQRT2: _FieldOps(
         width=lambda row: len(row[0]),
         entries=lambda row, h: ((*row[0], h), (*row[1], 0)),
@@ -403,8 +445,29 @@ _FIELD_OPS = {
         exact=_quad_exact,
         edge=_quad_edge,
         combine=_quad_combine,
-        common=_quad_common),
+        common=_quad_common,
+        clear=_quad_clear,
+        quotient=_quad_quotient,
+        outer=lambda x, y: tuple(zip(*[quad_mul(s, t) for s in zip(*x) for t in zip(*y)])),
+        primitive=_over_gcd),
 }
+
+
+def clear_denominators(rows: Iterable[Sequence], field: FieldTag) -> tuple[list[tuple], int]:
+    """Integral rows over one common positive scale: ``rows == cleared / scale``.
+
+    An entry is an ``int`` or a ``Fraction`` over Q, and a ``QuadScalar``
+    or a cleared pair ``(a, b)`` over Q(sqrt 2).  Over the rationals a
+    cleared row is a tuple of ``int``s; over Q(sqrt 2) it is the pair
+    ``(a, b)`` of ``int`` tuples of the row ``a + b r2``.
+    """
+    return _FIELD_OPS[field].clear(list(rows))
+
+
+def from_cleared(value: int | tuple[int, int], scale: int, field: FieldTag) -> Scalar:
+    """The field scalar ``value / scale`` for a cleared value (a pair over Q(sqrt 2))."""
+    ops = _FIELD_OPS[field]
+    return ops.quotient(value, ops.lift(scale))
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +556,17 @@ def scan(text: str, tag: FieldTag) -> tuple[int, int, int, int]:
     if tag is FieldTag.RATIONAL and b[0]:
         raise ScalarSyntaxError(text, 0, "quadratic literal under rational field tag")
     return (*a, *b)
+
+
+def clear_scanned(points: list[list[tuple]], field: FieldTag) -> tuple[list[tuple], int]:
+    """Points of ``scan``ned literals as ``clear_denominators`` rows over one
+    positive scale, with no ``Fraction`` built."""
+    scale = lcm(*{den for point in points for _, q, _, s in point for den in (q, s)})
+    a = [tuple([p * (scale // q) for p, q, _, _ in point]) for point in points]
+    if field is FieldTag.RATIONAL:
+        return a, scale
+    return [(row, tuple([r * (scale // s) for _, _, r, s in point]))
+            for row, point in zip(a, points)], scale
 
 
 def parse(text: str, tag: FieldTag) -> Scalar:

@@ -23,8 +23,6 @@ from ksmooth.linalg import (
     Matrix,
     Vector,
     _rank_of_lists,
-    clear_denominators,
-    from_cleared,
     from_cleared_row,
     greedy_independent_subset,
     nullspace,
@@ -35,7 +33,7 @@ from ksmooth.linalg import (
 from ksmooth.operators import LinearOperator, operator_norm_and_attainment, sign_canonical
 import ksmooth.polytope as polytope
 from ksmooth.polytope import Polytope, _tight, minimal_face
-from ksmooth.scalars import FieldTag, QuadScalar
+from ksmooth.scalars import FieldTag, QuadScalar, clear_denominators, from_cleared
 from ksmooth.spaces import (
     ell1,
     ellinf,
@@ -123,17 +121,34 @@ def cleared_values(crow, field):
 
 @pytest.mark.parametrize("field", [Q, K], ids=["rational", "quadratic"])
 def test_clear_denominators_round_trip(field):
+    # field scalars, and as the LP is handed them mixed with cleared values:
+    # ints over Q, (a, b) pairs over Q(sqrt 2)
     rng = random.Random(2)
-    for _ in range(30):
+    for k in range(60):
         rows = [[rand_scalar(rng, field) for _ in range(rng.randint(1, 4))]
                 for _ in range(rng.randint(1, 4))]
-        cleared, scale = clear_denominators(rows, field)
+        given = rows
+        if k % 2:
+            given = [[rand_cleared(rng, field) if rng.random() < 0.5 else x for x in row]
+                     for row in rows]
+            rows = [[x if isinstance(x, (Fraction, QuadScalar)) else cleared_scalar(x, field)
+                     for x in row] for row in given]
+        cleared, scale = clear_denominators(given, field)
         assert scale >= 1
         for row, crow in zip(rows, cleared):
             values = cleared_values(crow, field)
             assert [from_cleared(c, scale, field) for c in values] == row
             ints = values if field is Q else [x for pair in values for x in pair]
             assert all(type(x) is int for x in ints)
+
+
+def rand_cleared(rng, field):
+    a = rng.randint(-9, 9)
+    return a if field is Q else (a, rng.randint(-9, 9))
+
+
+def cleared_scalar(x, field):
+    return Fraction(x) if field is Q else QuadScalar(*x)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=IDS)

@@ -7,7 +7,6 @@ from ksmooth.errors import DimensionMismatchError, FieldMismatchError
 from ksmooth.linalg import (
     Matrix,
     Vector,
-    clear_denominators,
     from_cleared_row,
     greedy_independent_subset,
     nullspace,
@@ -17,7 +16,7 @@ from ksmooth.linalg import (
     rank_of_vectors,
     solve,
 )
-from ksmooth.scalars import FieldTag, INV_SQRT2, QuadScalar, SQRT2
+from ksmooth.scalars import FieldTag, INV_SQRT2, QuadScalar, SQRT2, clear_denominators
 
 Q = FieldTag.RATIONAL
 K = FieldTag.QUAD_SQRT2

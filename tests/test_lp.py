@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -136,15 +138,32 @@ def test_integer_tableau_takes_the_field_pivots(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(lp, "_pivot", counted)
+    # each LP is also solved in cleared form, as Polytope.witness_lp hands
+    # one over, which must change nothing
     rng = random.Random(20)
     seen = Counter()
     for k in range(3000):
         field = K if k % 3 == 2 else Q
         rows, b = _random_lp(rng, field)
         status, solution, expected_pivots = _field_solve_lp(rows, b, field)
-        pivots.clear()
-        result = solve_lp(rows, b, field)
-        assert (result.status, result.solution, len(pivots)) == (
-            status, solution, expected_pivots), (rows, b, field)
+        for given in ((rows, b), _cleared_lp(rows, b, field, k % 3 + 1)):
+            pivots.clear()
+            result = solve_lp(*given, field)
+            assert (result.status, result.solution, len(pivots)) == (
+                status, solution, expected_pivots), (given, field)
         seen[field, status] += 1
     assert min(seen.values()) >= 200, seen
+
+
+def _cleared_lp(rows, b, field, factor):
+    """``rows`` and ``b`` times ``factor`` and the lcm of their denominators:
+    ``int``s over Q, ``(a, b)`` pairs of ``int``s over Q(sqrt 2)."""
+    entries = [field.coerce(x) for x in (*itertools.chain(*rows), *b)]
+    parts = entries if field is Q else [p for x in entries for p in (x.a, x.b)]
+    scale = factor * math.lcm(*(p.denominator for p in parts))
+
+    def cleared(x):
+        x = field.coerce(x) * scale
+        return int(x) if field is Q else (int(x.a), int(x.b))
+
+    return [[cleared(x) for x in row] for row in rows], [cleared(x) for x in b]

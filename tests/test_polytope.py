@@ -26,7 +26,6 @@ from ksmooth.linalg import (
     _entry,
     _rank_of_lists,
     _reduced,
-    clear_denominators,
     from_cleared_row,
     rank_of_vectors,
     solve,
@@ -44,7 +43,14 @@ from ksmooth.polytope import (
     faces_meeting,
     minimal_face,
 )
-from ksmooth.scalars import FieldTag, INV_SQRT2, QuadScalar, parse, serialize
+from ksmooth.scalars import (
+    FieldTag,
+    INV_SQRT2,
+    QuadScalar,
+    clear_denominators,
+    parse,
+    serialize,
+)
 from ksmooth.operators import paper_example_operator
 from ksmooth.spaces import (
     ell1,

@@ -264,5 +264,29 @@ def test_field_table_agrees_with_field_arithmetic(case, n):
     assert scalar(ops.times(x, y)) == scalar(x) * scalar(y)
     assert scalar(ops.minus(x, y)) == scalar(x) - scalar(y)
     assert scalar(ops.lift(n)) == n
-    if ops.sign(y):
-        assert ops.exact(ops.times(x, y), y) == x
+    # 1 + r2 and -1 + 2 r2 have norms -1 and -7
+    for d in [y] + ([(1, 1), (-1, 2)] if field is K else [-3]):
+        if ops.sign(d):
+            assert ops.exact(ops.times(x, d), d) == x
+            assert ops.quotient(x, d) == scalar(x) / scalar(d)
+
+    # clearing takes field scalars and, as the LP is handed them, rows of
+    # cleared values; every entry comes back as its cleared value over the scale
+    fields = [[scalar(v) / (abs(n) + k + 1) for k, v in enumerate(values)] for values in lists]
+    cleared, scale = ops.clear([values] + fields)
+    assert scale >= 1
+    assert all(type(e) is int for row in cleared for e in ints(row, field))
+    assert [[scalar(v) / scale for v in ops.split(row)] for row in cleared] == (
+        [[scalar(v) for v in values]] + fields)
+
+    assert [scalar(v) for v in ops.split(ops.outer(rows[0], rows[-1]))] == [
+        scalar(a) * scalar(b) for a in lists[0] for b in lists[-1]]
+    primitive = ops.primitive(rows[0])
+    g = math.gcd(*ints(rows[0], field)) or 1
+    assert math.gcd(*ints(primitive, field)) in (0, 1)
+    assert [scalar(v) for v in ops.split(primitive)] == [scalar(v) / g for v in values]
+
+
+def ints(row, field):
+    """The integers of a cleared row: the row over Q, both parts over Q(sqrt 2)."""
+    return list(row) if field is Q else [*row[0], *row[1]]

@@ -50,14 +50,14 @@ def test_core_names_no_float():
 
 
 def test_cleared_rows_and_double_description_stay_in_polytope():
-    # only polytope.py (and linalg.py, which defines the clearing) knows the
+    # only polytope.py (and scalars.py, which defines the clearing) knows the
     # cleared rows F/D/V/E or runs double description and the face lattice;
     # the package does not re-export dual_vertices, whose rows are internal
     names = {"clear_denominators", "from_cleared",
              "dual_vertices", "intersection_closure", "_face_lattice"}
     rows = {"F", "D", "V", "E"}
     found = []
-    for name, tree in _trees(skip=("polytope.py", "linalg.py")):
+    for name, tree in _trees(skip=("polytope.py", "scalars.py")):
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 used = {a.name for a in node.names} & names
@@ -95,6 +95,31 @@ def test_one_field_table():
                   and "_FIELD_OPS" in {alias.name for alias in node.names}):
                 found.append(f"{name}:reads")
     assert sorted(found) == ["linalg.py:reads", "lp.py:reads", "polytope.py:reads"], found
+
+
+def test_one_clearing():
+    # field scalars become cleared integers, and cleared integers field
+    # scalars, only in scalars: no other module imports lcm, linalg and lp
+    # name no Fraction or QuadScalar, and outside scalars a branch on the
+    # field is left only in the algorithms' own row layouts
+    found = [f"{name}:{node.lineno}:lcm" for name, tree in _trees(skip=("scalars.py",))
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             and "lcm" in {alias.name for alias in node.names}]
+    for name, tree in _trees():
+        if name in ("linalg.py", "lp.py"):
+            found += [f"{name}:{node.lineno}:{used}" for node in ast.walk(tree)
+                      if (used := getattr(node, "id", None) or getattr(node, "name", None))
+                      in ("Fraction", "QuadScalar")]
+    assert found == [], found
+    branches = []
+    for name, tree in _trees(skip=("scalars.py",)):
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                branches += [f"{name}:{function.name}" for node in ast.walk(function)
+                             if isinstance(node, (ast.If, ast.IfExp))
+                             and ast.unparse(node.test).startswith("field is FieldTag.")]
+    assert sorted(branches) == ["linalg.py:_entry", "linalg.py:_reduced",
+                                "polytope.py:_corner", "polytope.py:dual_vertices"], branches
 
 
 def test_solve_is_called_once_per_matrix():
@@ -159,17 +184,21 @@ def _function(tree, name, owner=None):
 
 
 def test_cleared_kernels_stay_on_integers():
-    # the elimination kernel, its clearing helpers, the rank front and the
-    # tight-row scans read only cleared integer rows: no field scalar, field
-    # division, field-entry size or field pivot inside them, and the Q(sqrt 2)
-    # rank runs the same loop once, not by calling itself
-    # (`bench/spans.py` wraps `_rank_of_lists`, so a recursive call counts twice)
+    # the elimination kernel, the clearing routines of the field table, the
+    # rank front and the tight-row scans read only cleared integer rows: no
+    # field scalar, field division, field-entry size or field pivot inside
+    # them, and the Q(sqrt 2) rank runs the same loop once, not by calling
+    # itself (`bench/spans.py` wraps `_rank_of_lists`, so a recursive call
+    # counts twice)
     linalg = ast.parse((SOURCE / "linalg.py").read_text(encoding="utf-8"))
     polytope = ast.parse((SOURCE / "polytope.py").read_text(encoding="utf-8"))
+    scalars = ast.parse((SOURCE / "scalars.py").read_text(encoding="utf-8"))
     bodies = [_function(linalg, "_rank_of_lists"), _function(polytope, "_row_max"),
               _function(polytope, "image_gauge_max", owner="Polytope")]
     bodies += [_function(linalg, name) for name in ("_eliminate", "_forward", "_reduced", "_entry",
-                                                    "_cleared_rows", "_scaled", "_denominators")]
+                                                    "_cleared_rows")]
+    bodies += [_function(scalars, name) for name in ("clear_denominators", "_rational_clear",
+                                                     "_quad_clear", "clear_scanned")]
     banned = {"QuadScalar", "Fraction", "truediv", "_scalar_size", "pivot_on"}
     found = []
     for body in bodies:
