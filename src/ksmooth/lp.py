@@ -9,18 +9,19 @@ artificials at value 0, so the basic original columns already give a
 solution.
 
 The tableau holds ``A`` and ``b`` cleared over one common positive scale,
-``int``s over Q and pairs ``(a, b)`` for ``a + b r2`` over Q(sqrt 2).  A
+``int``s over Q and pairs ``(a, b)`` for ``a + b r2`` over Q(sqrt 2), and
+``solve_lp`` takes them so, as ``Polytope.witness_lp`` hands them over.  A
 pivot (``_pivot``) is the fraction-free Gauss-Jordan step of Edmonds
 (1967): with ``p`` the new pivot and ``d`` the one before, every other row
 becomes ``(p row - f pivot_row) / d``, an exact division, so the tableau
 is always ``d`` times the field tableau.  Bland's pivots are positive, so
 ``d`` is too, and every sign and every ratio comparison (cross-multiplied)
-is the field tableau's: the same pivots reach the same solution, read off
-at the end as one field scalar per basic column.  The clearing
-(``clear``), the tableau's ``sign``, ``times``, ``minus`` and ``exact``,
-and the way back (``quotient``) come from the field table of
-:mod:`ksmooth.scalars`.  The regions are tiny (a few dozen variables): no
-sparsity, no factorization.
+is the field tableau's: the same pivots reach the same solution, returned
+as cleared values over the last pivot.  ``lp_feasible`` is the front on
+field scalars: it clears them (``clear``) and divides the solution back
+(``quotient``).  The tableau's ``sign``, ``times``, ``minus`` and ``exact``
+come from the field table of :mod:`ksmooth.scalars`.  The regions are tiny
+(a few dozen variables): no sparsity, no factorization.
 """
 
 from __future__ import annotations
@@ -41,8 +42,11 @@ class LPStatus(Enum):
 
 @dataclass(frozen=True)
 class LPResult:
+    """``solution`` holds cleared values over the positive cleared value ``pivot``."""
+
     status: LPStatus
-    solution: Optional[tuple[Scalar, ...]] = None
+    solution: Optional[tuple] = None
+    pivot: object = None
 
 
 def _pivot(tableau: list[list], basis: list[int], row: int, col: int, prev, ops: _FieldOps):
@@ -93,10 +97,10 @@ def solve_lp(a: Sequence[Sequence[object]], b: Sequence[object],
              field: FieldTag) -> LPResult:
     """A nonnegative solution of ``A z = b`` by phase 1 of the simplex.
 
-    Entries are what ``clear_denominators`` takes: ``int``s and
-    ``Fraction``s over Q, ``QuadScalar``s and cleared values ``(a, b)`` over
+    Entries are cleared values, ``int``s over Q and pairs ``(a, b)`` over
     Q(sqrt 2); a common positive scale of all of ``A`` and ``b`` changes
-    nothing."""
+    nothing.  A feasible result holds ``z`` as cleared values over the last
+    pivot."""
     m = len(a)
     if m == 0:
         raise DimensionMismatchError("LP needs at least one constraint row")
@@ -105,11 +109,8 @@ def solve_lp(a: Sequence[Sequence[object]], b: Sequence[object],
         raise DimensionMismatchError("LP shape mismatch")
     ops = _FIELD_OPS[field]
     one, zero = ops.lift(1), ops.lift(0)
-    cleared, _ = ops.clear([[*row, bi] for row, bi in zip(a, b)])
-    rows = list(map(ops.split, cleared))
-    for i, row in enumerate(rows):
-        if ops.sign(row[n]) < 0:
-            rows[i] = [ops.minus(zero, x) for x in row]
+    rows = [[*row, bi] if ops.sign(bi) >= 0 else [ops.minus(zero, x) for x in (*row, bi)]
+            for row, bi in zip(a, b)]
 
     # artificial columns n..n+m-1 start basic; the cost row below the
     # constraints prices their sum
@@ -122,14 +123,24 @@ def solve_lp(a: Sequence[Sequence[object]], b: Sequence[object],
     if ops.sign(tableau[-1][-1]):
         return LPResult(LPStatus.INFEASIBLE)
 
-    solution = [field.zero] * n
+    solution = [zero] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            solution[bi] = ops.quotient(tableau[i][-1], d)
-    return LPResult(LPStatus.FEASIBLE, tuple(solution))
+            solution[bi] = tableau[i][-1]
+    return LPResult(LPStatus.FEASIBLE, tuple(solution), d)
 
 
 def lp_feasible(a: Sequence[Sequence[object]], b: Sequence[object],
                 field: FieldTag) -> Optional[tuple[Scalar, ...]]:
-    """A nonnegative solution of ``A z = b``, or ``None`` when none exists."""
-    return solve_lp(a, b, field).solution
+    """A nonnegative solution of ``A z = b`` on field scalars, or ``None``
+    when none exists: ``int``s and ``Fraction``s over Q, ``QuadScalar``s
+    over Q(sqrt 2), cleared for ``solve_lp`` and its solution divided back."""
+    if len(b) != len(a):  # zip would drop the rows past the shorter
+        raise DimensionMismatchError("LP shape mismatch")
+    ops = _FIELD_OPS[field]
+    cleared, _ = ops.clear([[*row, bi] for row, bi in zip(a, b)])
+    rows = list(map(ops.split, cleared))
+    result = solve_lp([row[:-1] for row in rows], [row[-1] for row in rows], field)
+    if result.solution is None:
+        return None
+    return tuple(ops.quotient(x, result.pivot) for x in result.solution)

@@ -5,15 +5,19 @@ for every scalar ``t``; equivalently some norm-one functional supports
 ``x`` and vanishes on ``y``.  Over a polyhedral ball the support set
 ``J(x)`` is the convex hull of the facet functionals active at ``x``, so
 every test below reduces to exact linear algebra or an exact feasibility
-LP over those extreme functionals, named by their facet indices: the ball
-(``Polytope.values_at``, ``witness_lp`` and ``witness``) evaluates them
-on its cleared integer rows, and the LP pivots on integers too.
+LP over those extreme functionals, named by their facet indices.  Every
+witness is found and checked on the ball's cleared integer rows: the ball
+clears points and targets once (``Polytope.clear``), ``Polytope.bracket``
+and the LP (``solve_lp`` on ``Polytope.witness_lp``'s rows) give cleared
+weights over a cleared divisor, and ``Polytope.witness`` checks them and
+builds the field scalars of the witness returned.
 
 Subspace-level tests iterate the proper faces of the ball: the support
 set is constant on the relative interior of a face, so each face whose
 relative interior meets the subspace contributes a single check.
 ``polytope.faces_meeting`` yields those faces, read off the section of
-the ball by the subspace, with a point of each.
+the ball by the subspace, with a point of each, cleared; the targets are
+cleared once per walk.
 
 Every positive verdict carries one witness functional per contributing
 face, built from its convex-combination coefficients over the extreme
@@ -36,8 +40,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import Matrix, Vector, rank_of_vectors, solve
-from .lp import lp_feasible
-from .polytope import FaceDescriptor, faces_meeting
+from .lp import lp_feasible, solve_lp
+from .polytope import Cleared, FaceDescriptor, faces_meeting
 from .scalars import Scalar
 from .spaces import PolyhedralSpace, norm, support_facets
 
@@ -92,64 +96,56 @@ class BJVerdict:
         return self.holds
 
 
-def _verify_witness(space: PolyhedralSpace, point: Vector, facets: Sequence[int],
-                    coefficients: Sequence[Scalar], vanish_on: Sequence[Vector]) -> Witness:
-    """The witness ``sum c_j f_j`` over the listed facets, checked exactly by
+def _verify_witness(space: PolyhedralSpace, point: Cleared, facets: Sequence[int],
+                    weights: Sequence, divisor: object, vanish_on: Cleared) -> Witness:
+    """The witness ``sum c_j f_j`` over the listed facets, ``c`` the cleared
+    ``weights`` over the cleared ``divisor``, checked exactly by
     ``Polytope.witness`` on the ball's integer rows (it supports ``point``,
     has norm one and vanishes on ``vanish_on``, and the coefficients are
-    convex weights), whichever route found the coefficients."""
-    functional = space.ball.witness(facets, coefficients, point, vanish_on)
+    convex weights), whichever route found the weights."""
+    functional, coefficients = space.ball.witness(facets, weights, divisor, point, vanish_on)
     extremes = tuple(map(space.ball.functionals.__getitem__, facets))
-    return Witness(point, functional, extremes, tuple(coefficients))
+    return Witness(point.vectors[0], functional, extremes, coefficients)
 
 
-def _bracket_witness(space: PolyhedralSpace, point: Vector,
-                     facets: Sequence[int], y: Vector) -> Optional[Witness]:
+def _bracket_witness(space: PolyhedralSpace, point: Cleared,
+                     facets: Sequence[int], y: Cleared) -> Optional[Witness]:
     """A functional in the hull of the listed facet functionals vanishing
-    at ``y``, if any.
+    at the one target of ``y``, if any.
 
     Exists iff the values ``f(y)`` over the facets bracket zero.
     """
-    zero, one = space.field.zero, space.field.one
-    values = space.ball.values_at(facets, y)
-    coeffs = [zero] * len(facets)
-    for i, val in enumerate(values):
-        if val == zero:
-            coeffs[i] = one
-            return _verify_witness(space, point, facets, coeffs, [y])
-    pos = next(((i, v) for i, v in enumerate(values) if v > zero), None)
-    neg = next(((i, v) for i, v in enumerate(values) if v < zero), None)
-    if pos is None or neg is None:
+    found = space.ball.bracket(facets, y)
+    if found is None:
         return None
-    (ip, vp), (iq, vn) = pos, neg
-    gap = vp - vn
-    coeffs[ip] = -vn / gap
-    coeffs[iq] = vp / gap
-    return _verify_witness(space, point, facets, coeffs, [y])
+    return _verify_witness(space, point, facets, *found, y)
 
 
 def bj_vector_vector(space: PolyhedralSpace, x: Vector, y: Vector) -> BJVerdict:
     """Whether the unit vector x is Birkhoff-James orthogonal to y."""
-    witness = _bracket_witness(space, x, support_facets(space, x), y)
+    facets = support_facets(space, x)
+    witness = _bracket_witness(space, space.ball.clear([x]), facets, space.ball.clear([y]))
     if witness is None:
         return BJVerdict(False, counterexample_point=x)
     return BJVerdict(True, (witness,))
 
 
-def _annihilating_witness(space: PolyhedralSpace, point: Vector, facets: Sequence[int],
-                          targets: Sequence[Vector]) -> Optional[Witness]:
+def _annihilating_witness(space: PolyhedralSpace, point: Cleared, facets: Sequence[int],
+                          targets: Cleared) -> Optional[Witness]:
     """A convex combination of the listed facet functionals vanishing on
     all ``targets``: one feasibility LP on the ball's integer rows."""
     rows, rhs = space.ball.witness_lp(facets, targets)
-    coefficients = lp_feasible(rows, rhs, space.field)
-    if coefficients is None:
+    result = solve_lp(rows, rhs, space.field)
+    if result.solution is None:
         return None
-    return _verify_witness(space, point, facets, coefficients, targets)
+    return _verify_witness(space, point, facets, result.solution, result.pivot, targets)
 
 
 def bj_vector_subspace(space: PolyhedralSpace, x: Vector, w: Subspace) -> BJVerdict:
     """Whether some functional of J(x) annihilates the whole subspace w."""
-    witness = _annihilating_witness(space, x, support_facets(space, x), w.basis)
+    facets = support_facets(space, x)
+    witness = _annihilating_witness(space, space.ball.clear([x]), facets,
+                                    space.ball.clear(w.basis))
     if witness is None:
         return BJVerdict(False, counterexample_point=x)
     return BJVerdict(True, (witness,))
@@ -195,16 +191,17 @@ def _relint_sample(space: PolyhedralSpace, face: FaceDescriptor,
     return y.scale(one / functionals[active[0]].dot(y))
 
 
-def _walk_faces(space: PolyhedralSpace, v: Subspace,
-                witness: Callable[..., Optional[Witness]], target: object) -> BJVerdict:
-    """``witness(space, point, facets, target)`` on each face of the ball
-    meeting v, ``facets`` its sorted active set; the first face without a
-    witness gives the counterexample."""
+def _walk_faces(space: PolyhedralSpace, v: Subspace, witness: Callable[..., Optional[Witness]],
+                targets: Sequence[Vector]) -> BJVerdict:
+    """``witness(space, point, facets, cleared)`` on each face of the ball
+    meeting v, ``facets`` its sorted active set and ``cleared`` the targets,
+    cleared once; the first face without a witness gives the counterexample."""
+    cleared = space.ball.clear(targets)
     witnesses = []
     for face, point in faces_meeting(space.ball, v.basis):
-        found = witness(space, point, sorted(face.active_set), target)
+        found = witness(space, point, sorted(face.active_set), cleared)
         if found is None:
-            return BJVerdict(False, counterexample_point=point)
+            return BJVerdict(False, counterexample_point=point.vectors[0])
         witnesses.append(found)
     return BJVerdict(True, tuple(witnesses))
 
@@ -216,7 +213,7 @@ def bj_subspace_vector(space: PolyhedralSpace, v: Subspace, z: Vector) -> BJVerd
     each face meeting v contributes one bracketing test over its active
     functionals.
     """
-    return _walk_faces(space, v, _bracket_witness, z)
+    return _walk_faces(space, v, _bracket_witness, [z])
 
 
 def bj_subspace_subspace(space: PolyhedralSpace, v: Subspace, w: Subspace) -> BJVerdict:

@@ -52,9 +52,11 @@ integer image ``An V_k`` for ``image_gauge_max``, the operators' attainment
 scan; ``images`` forms such products for the index of smoothness, and
 ``facet_rank`` ranks a set of facets on the rows of ``F``.  The
 Birkhoff-James witnesses of :mod:`ksmooth.orthogonality` are integer work on
-the same rows: ``values_at`` evaluates facets at a point, ``witness_lp``
-forms the LP rows ``F_j . W_k``, and ``witness`` checks a convex combination
-of facets against ``V`` without the LP.
+the same rows, with points and targets cleared once (``clear``, or the
+barycentre row ``faces_meeting`` hands on): ``bracket`` reads the signs of
+``F_j . Y`` at one target, ``witness_lp`` forms the LP rows ``F_j . W_k``,
+and ``witness`` checks a convex combination of facets against ``V``
+without the LP, building field scalars only for the witness returned.
 
 Faces are keyed by their full active set (the maximal set of facets
 containing them).  ``_minimal_face_of`` is the one face-dimension
@@ -135,6 +137,16 @@ class FaceDescriptor:
 
     active_set: frozenset[int]
     dim: int
+
+
+@dataclass(frozen=True)
+class Cleared:
+    """Points held both ways: the ``vectors`` and their entries cleared to
+    the integer ``rows`` over one positive ``scale``."""
+
+    vectors: tuple[Vector, ...]
+    rows: list
+    scale: int
 
 
 def _negation_index(rows: Sequence, scale: int, field: FieldTag) -> list[int]:
@@ -432,16 +444,39 @@ class Polytope:
         """The rank of the listed facet functionals, on their cleared rows."""
         return _rank_of_lists([self.F[j] for j in facets], self.field)
 
-    def values_at(self, facets: Sequence[int], x: Vector) -> list[Scalar]:
-        """``f_j(x)`` for the listed facets ``j``: one integer dot product
-        and one field scalar each."""
-        self._check_point(x)
-        [cleared], e = clear_denominators([x.entries], self.field)
-        return [from_cleared(value, self.D * e, self.field) for value in
-                _FIELD_OPS[self.field].values(cleared, [self.F[j] for j in facets])]
+    def clear(self, points: Sequence[Vector]) -> Cleared:
+        """The points, checked against this polytope, cleared over one scale."""
+        for x in points:
+            self._check_point(x)
+        return Cleared(tuple(points), *clear_denominators((x.entries for x in points),
+                                                          self.field))
 
-    def witness_lp(self, facets: Sequence[int],
-                   targets: Sequence[Vector]) -> tuple[list[list], list]:
+    def bracket(self, facets: Sequence[int], target: Cleared) -> tuple[list, object] | None:
+        """Convex weights over the listed facets of a functional vanishing
+        at the one target ``y``, as cleared values over a positive cleared
+        divisor, or None when the values ``f_j(y)`` do not bracket zero.
+
+        The signs are those of the integers ``V_j = F_j . Y``: the first
+        facet with ``V_j = 0`` takes weight 1, and otherwise the first
+        positive ``V_p`` and first negative ``V_n`` take ``-V_n`` and ``V_p``
+        over the gap ``V_p - V_n``.
+        """
+        ops = _FIELD_OPS[self.field]
+        [y] = target.rows
+        values = ops.values(y, [self.F[j] for j in facets])
+        signs = list(map(ops.sign, values))
+        zero, one = ops.lift(0), ops.lift(1)
+        weights = [zero] * len(facets)
+        if 0 in signs:
+            weights[signs.index(0)] = one
+            return weights, one
+        if 1 not in signs or -1 not in signs:
+            return None
+        p, n = signs.index(1), signs.index(-1)
+        weights[p], weights[n] = ops.minus(zero, values[n]), values[p]
+        return weights, ops.minus(values[p], values[n])
+
+    def witness_lp(self, facets: Sequence[int], targets: Cleared) -> tuple[list[list], list]:
         """The rows and right-hand side of the LP for convex weights ``c`` over
         the listed facets with ``sum_j c_j f_j`` vanishing on each target.
 
@@ -449,45 +484,42 @@ class Polytope:
         all times ``D w`` for the targets cleared over ``w``: row ``k`` holds
         the integers ``F_j . W_k`` and row 0 the value ``D w`` throughout.
         """
-        for w in targets:
-            self._check_point(w)
         ops = _FIELD_OPS[self.field]
-        cleared, w = clear_denominators((t.entries for t in targets), self.field)
-        rows = [ops.values(target, [self.F[j] for j in facets]) for target in cleared]
-        one = ops.lift(self.D * w)
+        rows = [ops.values(target, [self.F[j] for j in facets]) for target in targets.rows]
+        one = ops.lift(self.D * targets.scale)
         return [[one] * len(facets)] + rows, [one] + [ops.lift(0)] * len(rows)
 
-    def witness(self, facets: Sequence[int], coefficients: Sequence[Scalar],
-                point: Vector, targets: Sequence[Vector]) -> Vector:
-        """The functional ``f = sum_j c_j f_j`` over the listed facets,
-        checked on integers: it is 1 at ``point``, has maximum 1 over the
-        vertices and vanishes on ``targets``, and the ``c_j`` are convex
-        weights.  With the ``c_j`` cleared over ``q`` and ``f`` cleared to
-        the row ``C.F`` over ``q D``: ``C.F . X = q D s`` at the point
+    def witness(self, facets: Sequence[int], weights: Sequence, divisor: object,
+                point: Cleared, targets: Cleared) -> tuple[Vector, tuple[Scalar, ...]]:
+        """The functional ``f = sum_j c_j f_j`` over the listed facets and
+        its coefficients ``c_j``, the cleared ``weights`` over the nonzero
+        cleared ``divisor``, checked on integers: ``f`` is 1 at ``point``,
+        has maximum 1 over the vertices and vanishes on ``targets``, and
+        the ``c_j`` are convex weights.  With the ``c_j`` as the row ``C``
+        over a positive integer ``q`` (``_FieldOps.over``) and ``f`` cleared
+        to the row ``C.F`` over ``q D``: ``C.F . X = q D s`` at the point
         cleared over ``s``, ``max_k C.F . V_k = q D E``, ``C.F . W = 0`` at
         each cleared target, every ``C_j >= 0`` and ``sum_j C_j = q``.
         InternalInconsistencyError names the first check that fails.
         """
         field = self.field
         ops = _FIELD_OPS[field]
-        for x in (point, *targets):
-            self._check_point(x)
-        [c], q = clear_denominators([coefficients], field)
+        c, q = ops.over(weights, divisor)
         row = ops.combine(c, [self.F[j] for j in facets])
-        [x], s = clear_denominators([point.entries], field)
-        if ops.values(row, [x])[0] != ops.lift(q * self.D * s):
+        [x] = point.rows
+        if ops.values(row, [x])[0] != ops.lift(q * self.D * point.scale):
             raise InternalInconsistencyError("witness functional does not support its point")
         if _row_max(self.V, row, field)[0] != ops.lift(q * self.D * self.E):
             raise InternalInconsistencyError("witness functional is not norm one")
-        cleared, _ = clear_denominators((t.entries for t in targets), field)
-        if any(map(ops.sign, ops.values(row, cleared))):
+        if any(map(ops.sign, ops.values(row, targets.rows))):
             raise InternalInconsistencyError("witness functional fails to vanish")
-        weights = ops.split(c)
-        if any(ops.sign(weight) < 0 for weight in weights):
+        cleared = ops.split(c)
+        if any(ops.sign(weight) < 0 for weight in cleared):
             raise InternalInconsistencyError("witness coefficients not convex")
-        if ops.total(weights) != ops.lift(q):
+        if ops.total(cleared) != ops.lift(q):
             raise InternalInconsistencyError("witness coefficients do not sum to one")
-        return from_cleared_row(row, q * self.D, field)
+        return (from_cleared_row(row, q * self.D, field),
+                tuple(from_cleared(weight, q, field) for weight in cleared))
 
     def image_gauge_max(self, target: "Polytope", rows: Sequence[Sequence[Scalar]],
                         ) -> tuple[Scalar, dict[int, list[int]]]:
@@ -595,7 +627,8 @@ def intersection_closure(generators: Sequence[frozenset[int]]) -> list[frozenset
 
 def faces_meeting(p: Polytope, basis: Sequence[Vector]):
     """The faces of ``p`` whose relative interior meets span(basis), each
-    with a point of that meeting, by dimension and then by sorted active set.
+    with a point of that meeting held both ways (``Cleared``), by dimension
+    and then by sorted active set.
 
     In the coordinates of the basis, the section of ``p`` by the span is
     the polytope cut out by the restricted facet functionals
@@ -611,7 +644,8 @@ def faces_meeting(p: Polytope, basis: Sequence[Vector]):
     section vertices lies in its relative interior: the section vertices
     are homogeneous rows ``(N, h)``, so it is the sum of their rows cleared
     over one ``h`` (``_FieldOps.common``), over ``h`` times their number,
-    mapped by the cleared basis, with one field scalar per entry.
+    mapped by the cleared basis, with one field scalar per entry of the
+    vector.
     """
     field = p.field
     ops = _FIELD_OPS[field]
@@ -638,8 +672,8 @@ def faces_meeting(p: Polytope, basis: Sequence[Vector]):
     for face in faces:
         on_face, h = ops.common([z for z, a in zip(rows, active) if face.active_set <= a])
         total = ops.row([ops.total(column) for column in zip(*map(ops.split, on_face))])
-        yield face, from_cleared_row(ops.row(ops.values(total, columns)),
-                                     t * h * len(on_face), field)
+        row, scale = ops.row(ops.values(total, columns)), t * h * len(on_face)
+        yield face, Cleared((from_cleared_row(row, scale, field),), [row], scale)
 
 
 def minimal_face(p: Polytope, x: Vector) -> FaceDescriptor:

@@ -63,8 +63,9 @@ class QuadScalar:
     __slots__ = ("a", "b")
 
     def __init__(self, a: Union[Fraction, int] = 0, b: Union[Fraction, int] = 0) -> None:
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        # a Fraction part is kept as it is: re-wrapping it costs most of a build
+        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
+        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QuadScalar is immutable")
@@ -301,6 +302,18 @@ def _quad_quotient(w: tuple[int, int], d: tuple[int, int]) -> QuadScalar:
     return QuadScalar(Fraction(a, n), Fraction(b, n))
 
 
+def _rational_over(values: Sequence[int], d: int) -> tuple[tuple, int]:
+    return (tuple(values), d) if d > 0 else (tuple(map(neg, values)), -d)
+
+
+def _quad_over(values: Sequence[tuple[int, int]], d: tuple[int, int]) -> tuple[tuple, int]:
+    # each w / d is (a + b r2) / n with n the norm of d; all are negated
+    # when n is negative, so that the scale is positive
+    a, b, n = zip(*[_over_norm(w, d) for w in values])
+    s = 1 if n[0] > 0 else -1
+    return (tuple([s * x for x in a]), tuple([s * x for x in b])), s * n[0]
+
+
 def _over_gcd(parts: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """The integer ``parts`` of a row divided by the gcd of all their entries."""
     g = gcd(*itertools.chain.from_iterable(parts)) or 1
@@ -402,6 +415,7 @@ class _FieldOps(NamedTuple):
     common: Callable   # primitive homogeneous rows (N, h) as points cleared over lcm h
     clear: Callable    # a list of rows of field scalars or cleared values as rows over one scale
     quotient: Callable  # quotient(w, d): the field scalar w / d for a nonzero d
+    over: Callable     # over(values, d): the w / d, d nonzero, as a row over a positive integer
     outer: Callable    # outer(x, y): the products x_i y_j, i-major, as a row
     primitive: Callable  # the row over the gcd of its entries
 
@@ -426,6 +440,7 @@ _FIELD_OPS = {
         common=_rational_common,
         clear=_rational_clear,
         quotient=Fraction,
+        over=_rational_over,
         outer=lambda x, y: tuple([a * b for a in x for b in y]),
         primitive=lambda row: _over_gcd([row])[0]),
     FieldTag.QUAD_SQRT2: _FieldOps(
@@ -448,6 +463,7 @@ _FIELD_OPS = {
         common=_quad_common,
         clear=_quad_clear,
         quotient=_quad_quotient,
+        over=_quad_over,
         outer=lambda x, y: tuple(zip(*[quad_mul(s, t) for s in zip(*x) for t in zip(*y)])),
         primitive=_over_gcd),
 }

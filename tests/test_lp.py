@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from ksmooth import lp
 from ksmooth.lp import LPStatus, lp_feasible, solve_lp
-from ksmooth.scalars import FieldTag, QuadScalar
+from ksmooth.scalars import _FIELD_OPS, FieldTag, QuadScalar
 
 Q = FieldTag.RATIONAL
 K = FieldTag.QUAD_SQRT2
@@ -43,9 +43,9 @@ def test_degenerate_cycling_terminates():
         [0, 0, 1, 0, 0, 0, 1],
     ]
     b = [0, 0, 1]
-    result = solve_lp(rows, b, Q)
+    result = solve_lp(*_cleared_lp(rows, b, Q, 1), Q)
     assert result.status is LPStatus.FEASIBLE
-    z = result.solution
+    z = _divided(result, Q)
     assert all(zj >= 0 for zj in z)
     assert [sum(a * zj for a, zj in zip(row, z)) for row in rows] == b
 
@@ -138,21 +138,35 @@ def test_integer_tableau_takes_the_field_pivots(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(lp, "_pivot", counted)
-    # each LP is also solved in cleared form, as Polytope.witness_lp hands
-    # one over, which must change nothing
+    # solve_lp takes each LP cleared, over the lcm of its denominators and
+    # over a multiple of it, as Polytope.witness_lp hands one over, and
+    # lp_feasible takes it on field scalars; none of this changes anything
     rng = random.Random(20)
     seen = Counter()
     for k in range(3000):
         field = K if k % 3 == 2 else Q
         rows, b = _random_lp(rng, field)
         status, solution, expected_pivots = _field_solve_lp(rows, b, field)
-        for given in ((rows, b), _cleared_lp(rows, b, field, k % 3 + 1)):
+        for factor in (1, k % 3 + 1):
+            given = _cleared_lp(rows, b, field, factor)
             pivots.clear()
             result = solve_lp(*given, field)
-            assert (result.status, result.solution, len(pivots)) == (
+            assert (result.status, _divided(result, field), len(pivots)) == (
                 status, solution, expected_pivots), (given, field)
+        pivots.clear()
+        assert (lp_feasible(rows, b, field), len(pivots)) == (solution, expected_pivots)
         seen[field, status] += 1
     assert min(seen.values()) >= 200, seen
+
+
+def _divided(result, field):
+    """The solution of a ``solve_lp`` result as field scalars; the last
+    pivot it is cleared over must be positive."""
+    if result.solution is None:
+        return None
+    ops = _FIELD_OPS[field]
+    assert ops.sign(result.pivot) > 0, result.pivot
+    return tuple(ops.quotient(x, result.pivot) for x in result.solution)
 
 
 def _cleared_lp(rows, b, field, factor):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,13 @@ from ksmooth.errors import (
     NotUnitNormError,
     SubspaceMembershipError,
 )
+from ksmooth import polytope
 from ksmooth.linalg import Vector, rank_of_vectors
+from ksmooth.lp import lp_feasible
 from ksmooth.orthogonality import (
     Subspace,
+    _annihilating_witness,
+    _bracket_witness,
     _relint_sample,
     _verify_witness,
     bj_subspace_subspace,
@@ -23,9 +28,17 @@ from ksmooth.orthogonality import (
     is_strong_auerbach,
 )
 from ksmooth.polytope import enumerate_faces, faces_meeting, minimal_face
-from ksmooth.scalars import FieldTag, QuadScalar
+from ksmooth.scalars import _FIELD_OPS, FieldTag, QuadScalar, clear_denominators
 from ksmooth.selftest import _bj_breakpoint_oracle
-from ksmooth.spaces import ell1, ellinf, norm, normalized, paper_example_space, random_space
+from ksmooth.spaces import (
+    ell1,
+    ellinf,
+    norm,
+    normalized,
+    paper_example_space,
+    random_space,
+    support_facets,
+)
 
 Q = FieldTag.RATIONAL
 K = FieldTag.QUAD_SQRT2
@@ -154,14 +167,18 @@ def test_witnesses_verified_exactly():
 def test_witness_check_rejects_each_failure(point, named, weights, message):
     # each combination passes every check before the one it breaks; the
     # check reads only the ball, so a wrong LP answer cannot pass it
+    # weights are handed over cleared, as integers over their lcm denominator
     space = ell1(2)
-    facet = {name: space.ball.functionals.index(qv(*f)) for name, f in
+    ball = space.ball
+    facet = {name: ball.functionals.index(qv(*f)) for name, f in
              zip("abcd", [(1, 1), (1, -1), (-1, 1), (-1, -1)])}
+    [cleared], q = clear_denominators([[Fraction(c) for c in weights]], Q)
     with pytest.raises(InternalInconsistencyError, match=message):
-        _verify_witness(space, qv(*point), [facet[n] for n in named],
-                        [Fraction(c) for c in weights], [qv(0, 1)])
-    assert _verify_witness(space, qv(1, 0), [facet["a"], facet["b"]],
-                           [Fraction(1, 2)] * 2, [qv(0, 1)]).functional == qv(1, 0)
+        _verify_witness(space, ball.clear([qv(*point)]), [facet[n] for n in named],
+                        cleared, q, ball.clear([qv(0, 1)]))
+    [half], q = clear_denominators([[Fraction(1, 2)] * 2], Q)
+    assert _verify_witness(space, ball.clear([qv(1, 0)]), [facet["a"], facet["b"]],
+                           half, q, ball.clear([qv(0, 1)])).functional == qv(1, 0)
 
 
 def test_subspace_of_another_space_is_rejected():
@@ -296,7 +313,7 @@ def _section_cases():
 
 def test_section_walk_matches_lp_route():
     for space, sub in _section_cases():
-        walk = list(faces_meeting(space.ball, sub.basis))
+        walk = [(face, at.vectors[0]) for face, at in faces_meeting(space.ball, sub.basis)]
         reference = list(_lp_faces_meeting(space, sub))
         assert [face for face, _ in walk] == [face for face, _ in reference]
         if len(sub.basis) == 1:
@@ -348,3 +365,189 @@ def test_witnesses_pinned():
     e = [Vector.basis(i, 3, K) for i in range(3)]
     verdict = bj_vector_subspace(space, e[2], Subspace.span(space, [e[0]]))
     assert _pinned(verdict) == PINNED_WITNESSES["quad"]
+
+
+# The field-arithmetic references of the integer witness routes: the
+# bracket on field values f_j(y) with field division, the LP on field rows
+# through lp_feasible, and the witness combined and checked on field vectors.
+
+def _field_bracket(space, facets, y):
+    zero, one = space.field.zero, space.field.one
+    values = [space.ball.functionals[j].dot(y) for j in facets]
+    coeffs = [zero] * len(facets)
+    for i, val in enumerate(values):
+        if val == zero:
+            coeffs[i] = one
+            return coeffs
+    pos = next(((i, v) for i, v in enumerate(values) if v > zero), None)
+    neg = next(((i, v) for i, v in enumerate(values) if v < zero), None)
+    if pos is None or neg is None:
+        return None
+    (ip, vp), (iq, vn) = pos, neg
+    coeffs[ip] = -vn / (vp - vn)
+    coeffs[iq] = vp / (vp - vn)
+    return coeffs
+
+
+def _field_lp(space, facets, targets):
+    field, functionals = space.field, space.ball.functionals
+    rows = [[field.one] * len(facets)] + [[functionals[j].dot(w) for j in facets]
+                                          for w in targets]
+    return lp_feasible(rows, [field.one] + [field.zero] * len(targets), field)
+
+
+def _field_witness(space, point, facets, coefficients, targets):
+    zero, one = space.field.zero, space.field.one
+    functional = Vector.zero(space.dim, space.field)
+    for c, j in zip(coefficients, facets, strict=True):
+        functional = functional + space.ball.functionals[j].scale(c)
+    assert functional.dot(point) == one
+    assert max(functional.dot(v) for v in space.ball.vertices) == one
+    assert all(functional.dot(w) == zero for w in targets)
+    assert all(c >= zero for c in coefficients) and sum(coefficients, zero) == one
+    return functional
+
+
+def _draw(rng, field, dim):
+    def entry():
+        a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        b = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        return a if field is Q else QuadScalar(a, b)
+    return Vector([entry() for _ in range(dim)], field)
+
+
+def _reference_cases():
+    """Seeded (space, face, point on its relative interior) triples."""
+    rng = random.Random(97)
+    spaces = [make(d) for make in (ell1, ellinf) for d in (2, 3, 4)]
+    spaces += [random_space(6100 + k, 2 + k % 3, 5) for k in range(4)]
+    spaces.append(paper_example_space())
+    for space in spaces:
+        ball = space.ball
+        faces = [face for dim in range(space.dim) for face in enumerate_faces(ball, dim)]
+        for face in rng.sample(faces, min(len(faces), 14)):
+            verts = ball.face_vertices(face)
+            point = sum(verts[1:], verts[0]).scale(space.field.one / len(verts))
+            yield rng, space, face, point
+
+
+def _matches(found, point, facets, expected, space, targets):
+    """Whether an integer-route witness (or None) is the reference one."""
+    if expected is None:
+        return found is None
+    functional = _field_witness(space, point, facets, expected, targets)
+    return (found.point, found.functional, found.coefficients) == (
+        point, functional, tuple(expected))
+
+
+def test_integer_witness_routes_match_field_references():
+    # every face gets a target in the face's own directions (a witness of
+    # weight one or a zero-valued bracket) and random targets, over Q and
+    # Q(sqrt 2); both verdicts must occur on both routes
+    verdicts = Counter()
+    for rng, space, face, point in _reference_cases():
+        ball, field = space.ball, space.field
+        facets = sorted(face.active_set)
+        verts = ball.face_vertices(face)
+        along = verts[0] - verts[-1] if len(verts) > 1 else Vector.zero(space.dim, field)
+        for y in (along, _draw(rng, field, space.dim), _draw(rng, field, space.dim)):
+            found = _bracket_witness(space, ball.clear([point]), facets, ball.clear([y]))
+            expected = _field_bracket(space, facets, y)
+            assert _matches(found, point, facets, expected, space, [y]), (space.name, face, y)
+            verdicts["bracket", expected is not None] += 1
+        for targets in ([along], [_draw(rng, field, space.dim)],
+                        [_draw(rng, field, space.dim) for _ in range(2)]):
+            found = _annihilating_witness(space, ball.clear([point]), facets,
+                                          ball.clear(targets))
+            expected = _field_lp(space, facets, targets)
+            assert _matches(found, point, facets, expected, space, targets), (space.name, face)
+            verdicts["lp", expected is not None] += 1
+    assert min(verdicts.values()) >= 20 and len(verdicts) == 4, verdicts
+
+
+def _walk_cases():
+    # random lines and targets, which mostly fail, and coordinate lines and
+    # targets, which hold on every face
+    rng = random.Random(98)
+    for space in (ell1(3), ellinf(3), random_space(6200, 3, 5), paper_example_space()):
+        for _ in range(6):
+            yield (space, Subspace.span(space, [_draw(rng, space.field, space.dim)]),
+                   [_draw(rng, space.field, space.dim)])
+        e = [Vector.basis(i, space.dim, space.field) for i in range(space.dim)]
+        if not space.name.startswith("random"):
+            yield space, Subspace.span(space, e[2:]), [e[0]]
+            yield space, Subspace.span(space, e[:2]), [e[2]]
+
+
+def test_walk_verdicts_match_field_references():
+    # the subspace walks against the same references run on faces_meeting
+    verdicts = Counter()
+    for space, v, targets in _walk_cases():
+        for walk, route, target in ((bj_subspace_vector, _field_bracket, targets[0]),
+                                    (bj_subspace_subspace, _field_lp, targets)):
+            verdict = walk(space, v, target if route is _field_bracket
+                           else Subspace.span(space, targets))
+            expected = []
+            for face, at in faces_meeting(space.ball, v.basis):
+                point, facets = at.vectors[0], sorted(face.active_set)
+                coefficients = route(space, facets, target)
+                if coefficients is None:
+                    assert not verdict and verdict.counterexample_point == point
+                    break
+                functional = _field_witness(space, point, facets, coefficients, targets)
+                expected.append((point, functional, tuple(coefficients)))
+            else:
+                assert verdict
+                assert [(w.point, w.functional, w.coefficients)
+                        for w in verdict.witnesses] == expected
+            verdicts[route.__name__, bool(verdict)] += 1
+    assert min(verdicts.values()) >= 4 and len(verdicts) == 4, verdicts
+
+
+def test_negative_norm_divisor_gives_a_positive_scale():
+    # over Q(sqrt 2) a positive divisor such as -1 + r2 has negative norm:
+    # its weights are taken times its conjugate and negated with the norm,
+    # so the scale of the coefficient row comes out positive
+    ops = _FIELD_OPS[K]
+    w = (-1, 1)
+    values = [(1, 0), (0, 1), (-3, 2), (0, 0)]
+    row, scale = ops.over(values, w)
+    assert scale > 0
+    assert [ops.quotient(x, ops.lift(scale)) for x in ops.split(row)] == \
+        [ops.quotient(x, w) for x in values]
+    # the pinned witness (1/2, 1/2) of e3 against e1, handed over as
+    # (w, w) over 2w = -2 + 2 r2 (norm -4)
+    space = paper_example_space()
+    e = [Vector.basis(i, 3, K) for i in range(3)]
+    facets = support_facets(space, e[2])
+    weights = [w, w] + [(0, 0)] * (len(facets) - 2)
+    found = _verify_witness(space, space.ball.clear([e[2]]), facets, weights, (-2, 2),
+                            space.ball.clear([e[0]]))
+    assert (found.functional, found.coefficients[:2]) == (e[2], (K.one / 2, K.one / 2))
+
+
+def test_negative_norm_divisors_from_both_routes_verify(monkeypatch):
+    # a bracket gap and a last LP pivot of negative norm met on the bundled
+    # example: the verdicts hold and their witnesses verify
+    divisors = []
+    original = polytope.Polytope.witness
+
+    def recorded(self, facets, weights, divisor, point, targets):
+        divisors.append(divisor)
+        return original(self, facets, weights, divisor, point, targets)
+
+    monkeypatch.setattr(polytope.Polytope, "witness", recorded)
+    space = paper_example_space()
+    f = Fraction
+    line = Subspace.span(space, [Vector([QuadScalar(-3, 1), f(3, 2), 0], K)])
+    z = Vector([QuadScalar(1, -2), QuadScalar(3, 2), QuadScalar(f(1, 2), 3)], K)
+    assert bj_subspace_vector(space, line, z)
+    x = normalized(space, Vector([QuadScalar(f(-27, 41), f(-4, 41)), 0,
+                                  QuadScalar(f(14, 41), f(-4, 41))], K))
+    w = Vector([f(3, 2), QuadScalar(3, 1), QuadScalar(1, f(1, 2))], K)
+    verdict = bj_vector_subspace(space, x, Subspace.span(space, [w]))
+    assert verdict
+    assert verdict.witnesses[0].coefficients == tuple(_field_lp(
+        space, support_facets(space, x), [w]))
+    negative = [d for d in divisors if d[0] * d[0] < 2 * d[1] * d[1]]
+    assert len(negative) >= 2 and divisors[-1] in negative, divisors

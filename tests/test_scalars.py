@@ -30,6 +30,14 @@ def test_mul_mixed_signs():
     assert x * y == QuadScalar(Fraction(1, 2), 0)
 
 
+def test_quad_parts_are_fractions():
+    # int parts are wrapped, Fraction parts kept as they are
+    half = Fraction(1, 2)
+    x = QuadScalar(half, 3)
+    assert x.a is half and type(x.b) is Fraction and x.b == 3
+    assert type(QuadScalar().a) is Fraction and QuadScalar() == 0
+
+
 def test_rational_add():
     assert Fraction(3, 4) + Fraction(1, 4) == 1
 
@@ -269,6 +277,11 @@ def test_field_table_agrees_with_field_arithmetic(case, n):
         if ops.sign(d):
             assert ops.exact(ops.times(x, d), d) == x
             assert ops.quotient(x, d) == scalar(x) / scalar(d)
+            # a row over a positive integer, whatever the sign of d or its norm
+            row, q = ops.over(values, d)
+            assert type(q) is int and q > 0
+            assert [scalar(v) / q for v in ops.split(row)] == [
+                scalar(v) / scalar(d) for v in values]
 
     # clearing takes field scalars and, as the LP is handed them, rows of
     # cleared values; every entry comes back as its cleared value over the scale

@@ -122,6 +122,19 @@ def test_one_clearing():
                                 "polytope.py:_corner", "polytope.py:dual_vertices"], branches
 
 
+def test_witness_routes_stay_on_integers():
+    # both BJ witness routes find their weights on the ball's cleared rows:
+    # no field values of the facets, no LP on field scalars and no field
+    # dot product between the ball's rows and the witness returned
+    tree = ast.parse((SOURCE / "orthogonality.py").read_text(encoding="utf-8"))
+    found = [f"{name}:{node.lineno}:{used}"
+             for name in ("_bracket_witness", "_annihilating_witness")
+             for node in ast.walk(_function(tree, name))
+             if (used := getattr(node, "id", None) or getattr(node, "attr", None))
+             in ("values_at", "lp_feasible", "dot")]
+    assert found == [], found
+
+
 def test_solve_is_called_once_per_matrix():
     # solve takes every right-hand side of a matrix at once; a call inside a
     # loop or comprehension would reduce the same matrix again
