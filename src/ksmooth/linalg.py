@@ -13,12 +13,19 @@ solution entry is one ``Fraction`` over the kernel's ``det``, built at the
 end unless the caller goes on on integers; as the reduced row echelon form
 is unique, every result is the one Gauss-Jordan in field arithmetic gives.
 Matrices here are tiny: every query recomputes from scratch.
+
+Points already held cleared (``Cleared``: rows over one positive scale, as
+the balls of :mod:`ksmooth.polytope` hold theirs) are solved against and
+picked from on their rows, with no field scalar: ``solve_rows`` and
+``independent_rows`` work on the coordinates of the points, each divided by
+the gcd of its entries, so a large common scale never reaches the kernel.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatchError, FieldMismatchError
 from .scalars import _FIELD_OPS, FieldTag, Scalar, serialize
@@ -186,6 +193,37 @@ class Matrix:
         return f"Matrix({[list(r) for r in self.row_data]!r}, {self.field.name})"
 
 
+class Cleared:
+    """Points held as the integer ``rows`` of ``clear_denominators`` over one
+    positive ``scale``.  ``vectors``, the points as field vectors, are built
+    on first read: each by ``read`` of its index when that is given, else
+    from its row."""
+
+    __slots__ = ("rows", "scale", "field", "_read", "_vectors")
+
+    def __init__(self, rows: list, scale: int, field: FieldTag,
+                 read: Optional[Callable[[int], Vector]] = None) -> None:
+        self.rows, self.scale, self.field, self._read = rows, scale, field, read
+        self._vectors: Optional[tuple[Vector, ...]] = None
+
+    def _vector(self, i: int) -> Vector:
+        if self._read is not None:
+            return self._read(i)
+        return from_cleared_row(self.rows[i], self.scale, self.field)
+
+    @property
+    def vectors(self) -> tuple[Vector, ...]:
+        # kept by hand: a cached_property takes a lock on every first read
+        if self._vectors is None:
+            self._vectors = tuple(map(self._vector, range(len(self.rows))))
+        return self._vectors
+
+    def subset(self, indices: Sequence[int]) -> "Cleared":
+        """The listed points, over the same scale."""
+        return Cleared([self.rows[i] for i in indices], self.scale, self.field,
+                       lambda t: self._vector(indices[t]))
+
+
 def _cleared_rows(rows: Iterable[Sequence[Scalar]], field: FieldTag) -> list[tuple]:
     """Each row cleared on its own scale, which changes no span and no solution."""
     clear = _FIELD_OPS[field].clear
@@ -323,6 +361,25 @@ def rank_of_vectors(vs: Sequence[Vector]) -> int:
     return _rank_of_lists(_cleared_rows((v.entries for v in vs), vs[0].field), vs[0].field)
 
 
+def _solutions(equations: list, width: int, count: int,
+               field: FieldTag) -> Optional[tuple[list[tuple], int]]:
+    """The cleared solutions ``X`` of the cleared ``equations``, whose first
+    ``width`` values multiply the unknowns and whose last ``count`` are
+    right-hand sides, and the kernel's ``det`` (of either sign), each
+    solution being ``X_t / det``; None when some right-hand side is
+    inconsistent.  Free unknowns are fixed at zero."""
+    rows, unknowns, det = _reduced(equations, field, width, True)
+    columns = len(rows[0]) - count
+    if any(any(row[columns:]) for row in rows if not any(row[:columns])):
+        return None
+    ops = _FIELD_OPS[field]
+    solutions = [[ops.lift(0)] * width for _ in range(count)]
+    for k, j in enumerate(unknowns):
+        for t, solution in enumerate(solutions):
+            solution[j] = _entry(rows, k, columns + t, field)
+    return [ops.row(solution) for solution in solutions], det
+
+
 def solve(a: Matrix, bs: Sequence[Vector], cleared: bool = False,
           ) -> Optional[list[Vector] | tuple[list[tuple], int]]:
     """Exact solutions of ``a x = b`` for each ``b`` in ``bs``, or ``None``
@@ -340,19 +397,45 @@ def solve(a: Matrix, bs: Sequence[Vector], cleared: bool = False,
         if b.dim != a.rows:
             raise DimensionMismatchError(f"solve: {a.rows} rows vs rhs dim {b.dim}")
     aug = [row + tuple(b[i] for b in bs) for i, row in enumerate(a.row_data)]
-    rows, unknowns, det = _reduced(_cleared_rows(aug, field), field, a.cols, True)
-    width = len(rows[0]) - len(bs)
-    if any(any(row[width:]) for row in rows if not any(row[:width])):
-        return None
+    found = _solutions(_cleared_rows(aug, field), a.cols, len(bs), field)
+    if found is None or cleared:
+        return found
+    rows, det = found
+    return [from_cleared_row(row, det, field) for row in rows]
+
+
+def _coordinates(rows: Sequence[tuple], field: FieldTag) -> list[tuple]:
+    """Entry ``i`` of every cleared row, as one cleared row over the gcd of
+    its entries: the equations, or the columns, that the rows make."""
     ops = _FIELD_OPS[field]
-    solutions = [[ops.lift(0)] * a.cols for _ in bs]
-    for k, j in enumerate(unknowns):
-        for t, solution in enumerate(solutions):
-            solution[j] = _entry(rows, k, width + t, field)
-    solutions = [ops.row(solution) for solution in solutions]
-    if cleared:
-        return solutions, det
-    return [from_cleared_row(solution, det, field) for solution in solutions]
+    return [ops.primitive(ops.row(values)) for values in zip(*map(ops.split, rows))]
+
+
+def solve_rows(columns: Cleared, targets: Cleared) -> Optional[Cleared]:
+    """``solve`` on points held cleared: the ``x`` with ``sum_j x_j c_j = b``,
+    the ``c_j`` being the points of ``columns``, for each point ``b`` of
+    ``targets``, as points over one positive scale, or None when some ``b``
+    is outside their span.  The equations are the coordinates of the rows,
+    so none carries a common scale; with ``X / det`` solving them, the
+    solutions are ``X s / (det t)`` for ``columns`` over ``s`` and
+    ``targets`` over ``t``."""
+    field = columns.field
+    if not targets.rows:
+        return Cleared([], 1, field)
+    found = _solutions(_coordinates(columns.rows + targets.rows, field),
+                       len(columns.rows), len(targets.rows), field)
+    if found is None:
+        return None
+    rows, det = found
+    g = gcd(columns.scale, targets.scale)
+    m, scale = columns.scale // g, det * (targets.scale // g)
+    if scale < 0:
+        m, scale = -m, -scale
+    if m != 1:
+        ops = _FIELD_OPS[field]
+        c = ops.lift(m)
+        rows = [ops.row([ops.times(c, value) for value in ops.split(row)]) for row in rows]
+    return Cleared(rows, scale, field)
 
 
 def nullspace(a: Matrix) -> list[Vector]:
@@ -387,6 +470,15 @@ def greedy_independent_subset(vs: Sequence[Vector]) -> list[int]:
     return _reduced(columns, vs[0].field, len(vs), False)[1]
 
 
+def independent_rows(points: Cleared) -> list[int]:
+    """``greedy_independent_subset`` of points held cleared, on the columns
+    their coordinates make."""
+    if not points.rows:
+        return []
+    return _reduced(_coordinates(points.rows, points.field), points.field,
+                    len(points.rows), False)[1]
+
+
 def primitive_rows(rows: Sequence[tuple], field: FieldTag) -> list[tuple]:
     """Each cleared row over the gcd of its entries (of both parts over Q(sqrt 2))."""
     return list(map(_FIELD_OPS[field].primitive, rows))
@@ -396,17 +488,3 @@ def outer_rows(xs: Sequence[tuple], ys: Sequence[tuple], field: FieldTag) -> lis
     """The products ``x[i] y[j]``, i-major, of the cleared rows ``x`` in ``xs``
     and ``y`` in ``ys`` taken in step, over the product of their scales."""
     return list(map(_FIELD_OPS[field].outer, xs, ys))
-
-
-def outer_product_rank(pairs: Sequence[tuple[Vector, Vector]]) -> int:
-    """The rank of the products ``x[i] y[j]``, i-major, over the ``(x, y)``
-    in ``pairs``, formed on integers: each ``x`` and ``y`` is cleared on its
-    own scale, which multiplies its product by a positive integer."""
-    if not pairs:
-        return 0
-    field = pairs[0][0].field
-    if any(v.field is not field for pair in pairs for v in pair):
-        raise FieldMismatchError("mixed fields in coefficient product")
-    xs = _cleared_rows((x.entries for x, _ in pairs), field)
-    ys = _cleared_rows((y.entries for _, y in pairs), field)
-    return _rank_of_lists(outer_rows(xs, ys, field), field)

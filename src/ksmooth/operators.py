@@ -15,7 +15,18 @@ report cross-asserts that they agree:
   the rank of the coefficient tuples ``((alpha_i beta_j))``, on integers;
 
 * the oracle route works in ambient coordinates: it takes the rank of the
-  flattened ``x (x) y*`` over the (vertex, facet) pairs the scan returns.
+  flattened ``x (x) y*`` over the (vertex, facet) pairs the scan returns,
+  on the pairs' gcd-primitive rows.
+
+The index route is one route on the balls' cleared rows, for ``op order``
+and ``op index`` alike.  R is cleared once and located among the domain's
+vertices by its rows, its unit norm read only at members that are no
+vertex; an explicit basis is cleared once, and the matrix once for the
+images ``An V_k`` of the attaining vertices.  The support sets are read at
+those integer images, the bases are picked and the coefficients solved on
+the rows of R, ``V`` and ``F`` (``linalg.solve_rows``, each equation over
+the gcd of its entries), and field vectors are built only for what the
+report holds, one row at a time by index.
 
 A mismatch is a kernel bug and is surfaced as an internal inconsistency,
 never patched.
@@ -46,19 +57,17 @@ from .errors import (
     ZeroOperatorError,
 )
 from .linalg import (
+    Cleared,
     Matrix,
     Vector,
     _rank_of_lists,
-    from_cleared_row,
-    greedy_independent_subset,
-    outer_product_rank,
+    independent_rows,
     outer_rows,
     primitive_rows,
     rank,
-    rank_of_vectors,
-    solve,
+    solve_rows,
 )
-from .polytope import FaceDescriptor, check_guard, images
+from .polytope import FaceDescriptor, Polytope, check_guard
 from .scalars import FieldTag, QuadScalar, Scalar, serialize, sign
 from .spaces import (
     PolyhedralSpace,
@@ -123,12 +132,15 @@ class LinearOperator:
 
 @dataclass(frozen=True)
 class AttainmentSet:
-    """Norm, attaining extreme points (one per +/- pair), facets tight at each image."""
+    """Norm, attaining extreme points (one per +/- pair) and the scan's
+    (vertex, facet) pairs as rows of the balls, each over the gcd of its
+    entries: for each representative, the vertex the scan met first of its
+    +/- pair with each codomain facet tight at its image."""
 
     operator_norm: Scalar
     attaining_vertices: tuple[Vector, ...]
     basis_indices: tuple[int, ...]
-    image_facets: tuple[tuple[Vector, ...], ...]
+    pairs: tuple[tuple[tuple, tuple], ...]
 
 
 @dataclass(frozen=True)
@@ -170,46 +182,37 @@ def operator_norm_and_attainment(t: LinearOperator) -> AttainmentSet:
     Valid because ``x -> ||Tx||`` is convex, so its maximum over the ball
     is attained at an extreme point.  Attaining vertices are deduplicated
     to one lexicographically positive representative per +/- pair, in
-    vertex-list order, each with the codomain facets tight at its image.
+    vertex-list order, each with the scan's pair; vectors are built for the
+    representatives only.
     """
     ball, target = t.domain.ball, t.codomain.ball
     best, attaining = ball.image_gauge_max(target, t.matrix.row_data)
     if not best:
         raise ZeroOperatorError("the zero operator attains no norm")
-    pairs = {}
+    met: dict[int, tuple[int, list[int]]] = {}
     for k, tight in attaining.items():
-        v = ball.vertices[k]
-        c = sign_canonical(v)
-        if c.entries not in pairs:
-            facets = list(map(target.functionals.__getitem__, tight))
-            pairs[c.entries] = (c, tuple(facets if c is v else [-f for f in facets]))
-    reps, image_facets = zip(*pairs.values())
-    return AttainmentSet(best, reps, tuple(greedy_independent_subset(reps)), image_facets)
+        met.setdefault(ball.canonical_vertex(k), (k, tight))
+    reps, field = list(met), ball.field
+    xs = ball.vertex_rows([k for k, tight in met.values() for _ in tight])
+    ys = target.facet_rows([j for _, tight in met.values() for j in tight])
+    pairs = zip(primitive_rows(xs.rows, field), primitive_rows(ys.rows, field))
+    return AttainmentSet(best, tuple(map(ball.vertex, reps)),
+                         tuple(independent_rows(ball.vertex_rows(reps))), tuple(pairs))
 
 
-def _extreme_members(t: LinearOperator, r: Sequence[Vector]) -> list[Vector]:
-    """Members of r that are ball vertices, one per +/- pair, input order."""
-    reps: list[Vector] = []
-    seen = set()
-    for x in r:
-        if t.domain.ball.has_vertex(x):
-            c = sign_canonical(x)
-            if c.entries not in seen:
-                seen.add(c.entries)
-                reps.append(c)
-    return reps
-
-
-def _basis(given: Optional[Sequence[Vector]], members: list[Vector], name: str,
-           spanned: str) -> list[Vector]:
+def _basis(given: Optional[Sequence[Vector]], members: Cleared, ball: Polytope, name: str,
+           spanned: str) -> Cleared:
     """A greedy basis of the span of ``members`` in input order, or the
-    ``given`` one once it is checked to be a basis of that span."""
+    ``given`` one, cleared by ``ball``, once it is checked to be a basis of
+    that span."""
     if given is None:
-        return [members[i] for i in greedy_independent_subset(members)]
-    basis = list(given)
-    if rank_of_vectors(basis) != len(basis):
+        return members.subset(independent_rows(members))
+    basis = ball.clear(given)
+    field = ball.field
+    rows = primitive_rows(basis.rows, field)
+    if _rank_of_lists(rows, field) != len(rows):
         raise NotIndependentError(f"explicit {name} basis is dependent")
-    if rank_of_vectors(basis + members) != len(basis):
+    if _rank_of_lists(rows + primitive_rows(members.rows, field), field) != len(rows):
         raise ValidationError(f"explicit {name} basis does not span {spanned}")
     return basis
 
@@ -220,41 +223,46 @@ def _index_computation(t: LinearOperator, r: Sequence[Vector],
                        ) -> IndexComputation:
     if not r:
         raise ValidationError("R must be nonempty")
-    field = t.domain.field
-    for x in r:
-        if norm(t.domain, x) != field.one:
-            raise NotUnitNormError(f"R member {x} is not unit norm")
-    reps = _extreme_members(t, r)
+    ball, target = t.domain.ball, t.codomain.ball
+    members = ball.clear(r)
+    where, off = ball.locate(members)
+    if off:
+        raise NotUnitNormError(f"R member {r[off[0]]} is not unit norm")
+    reps = list(dict.fromkeys(k for k in where if k is not None))
     if not reps:
         raise EmptyExtremeIntersectionError(
             "R contains no extreme point of the domain ball")
-    chosen = _basis(vector_basis, list(r), "vector", "R")
+    chosen = _basis(vector_basis, members, ball, "vector", "R")
 
     supports = []
-    collected: list[Vector] = []
-    for v, image in zip(reps, images(t.matrix.row_data, reps)):
-        if image.is_zero():
+    for k, image in zip(reps, ball.images(t.matrix.row_data, reps)):
+        if image is None:
             raise ValidationError(
-                f"image of extreme point {v} is zero; support set undefined")
-        sup = support_functionals_at(t.codomain, image)
-        supports.append(sup)
-        collected.extend(sup.extreme_functionals)
-    f_basis = _basis(functional_basis, collected, "functional", "the support functionals")
+                f"image of extreme point {ball.vertex(k)} is zero; support set undefined")
+        supports.append(support_functionals_at(t.codomain, image))
+    # support sets share facets: each is solved for once
+    facets = [j for sup in supports for j in sup.facets]
+    distinct = list(dict.fromkeys(facets))
+    collected = target.facet_rows(distinct)
+    f_basis = _basis(functional_basis, collected, target, "functional",
+                     "the support functionals")
 
-    alphas = solve(Matrix.from_columns(chosen), reps, cleared=True)
+    alphas = solve_rows(chosen, ball.vertex_rows(reps))
     if alphas is None:
         raise SpanViolationError("an attaining vector is outside the collected span")
-    betas = solve(Matrix.from_columns(f_basis), collected, cleared=True)
+    betas = solve_rows(f_basis, collected)
     if betas is None:
         raise SpanViolationError("a support functional is outside the collected span")
-    # the coefficient tuples on integers, over the product of the two dets,
-    # ranked gcd-primitive: the dets' products reach thousands of bits
-    (alphas, a), (betas, b) = alphas, betas
-    rows = outer_rows([alpha for alpha, sup in zip(alphas, supports)
-                       for _ in sup.extreme_functionals], betas, field)
-    generators = [from_cleared_row(row, a * b, field) for row in rows]
-    return IndexComputation(tuple(reps), tuple(supports), tuple(chosen), tuple(f_basis),
-                            tuple(generators), _rank_of_lists(primitive_rows(rows, field), field))
+    # the coefficient tuples on integers, over the product of the two scales,
+    # ranked gcd-primitive: the scales' products reach thousands of bits
+    field = ball.field
+    beta = dict(zip(distinct, betas.rows))
+    rows = outer_rows([alpha for alpha, sup in zip(alphas.rows, supports) for _ in sup.facets],
+                      [beta[j] for j in facets], field)
+    generators = Cleared(rows, alphas.scale * betas.scale, field)
+    return IndexComputation(tuple(map(ball.vertex, reps)), tuple(supports), chosen.vectors,
+                            f_basis.vectors, generators.vectors,
+                            _rank_of_lists(primitive_rows(rows, field), field))
 
 
 def index_of_smoothness(t: LinearOperator, r: Sequence[Vector],
@@ -271,10 +279,11 @@ def index_of_smoothness(t: LinearOperator, r: Sequence[Vector],
 
 
 def _pair_rank(att: AttainmentSet) -> int:
-    """Rank of the flattened ``x (x) y*`` over the scan's (vertex, facet) pairs."""
-    return outer_product_rank([(x, y_star)
-                               for x, facets in zip(att.attaining_vertices, att.image_facets)
-                               for y_star in facets])
+    """Rank of the flattened ``x (x) y*`` over the scan's (vertex, facet)
+    pairs, on their rows: a vertex met as ``-x`` has ``-y*`` tight at its
+    image, and the signs cancel."""
+    field = att.attaining_vertices[0].field
+    return _rank_of_lists(outer_rows(*zip(*att.pairs), field), field)
 
 
 def oracle_order_of_smoothness(t: LinearOperator) -> int:
@@ -401,7 +410,7 @@ def face_operator_and_order(x_space: PolyhedralSpace, face: FaceDescriptor,
     face_vertices = x_space.ball.face_vertices(face)
     total = Vector.zero(x_space.dim, field)
     for j in sorted(face.active_set):
-        total = total + x_space.ball.functionals[j]
+        total = total + x_space.ball.functional(j)
     avg = total.scale(field.one / field.from_int(len(face.active_set)))
     for v in face_vertices:
         if avg.dot(v) != field.one:

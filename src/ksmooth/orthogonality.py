@@ -39,9 +39,9 @@ from .errors import (
     SubspaceMembershipError,
     ValidationError,
 )
-from .linalg import Matrix, Vector, rank_of_vectors, solve
+from .linalg import Cleared, Matrix, Vector, rank_of_vectors, solve
 from .lp import lp_feasible, solve_lp
-from .polytope import Cleared, FaceDescriptor, faces_meeting
+from .polytope import FaceDescriptor, faces_meeting
 from .scalars import Scalar
 from .spaces import PolyhedralSpace, norm, support_facets
 
@@ -104,7 +104,7 @@ def _verify_witness(space: PolyhedralSpace, point: Cleared, facets: Sequence[int
     has norm one and vanishes on ``vanish_on``, and the coefficients are
     convex weights), whichever route found the weights."""
     functional, coefficients = space.ball.witness(facets, weights, divisor, point, vanish_on)
-    extremes = tuple(map(space.ball.functionals.__getitem__, facets))
+    extremes = tuple(map(space.ball.functional, facets))
     return Witness(point.vectors[0], functional, extremes, coefficients)
 
 

@@ -42,15 +42,20 @@ section as a ``Polytope``.
 A ``Polytope`` is held as both tuples cleared, ``V`` over ``E`` and ``F``
 over ``D``, read through the field table ``_FIELD_OPS`` of
 :mod:`ksmooth.scalars`; ``vertices`` and ``functionals`` are built on first
-read.  A ball built from points keeps ``V`` over their scale, and as DD's
-facet rows ``(N_j, h_j)`` are primitive, the entries of ``N_j / h_j`` have
-lcm of denominators ``h_j``, so ``D = lcm_j h_j`` and ``F_j = N_j D / h_j``
-(``_FieldOps.common``).  ``_row_max`` finds the rows tight at a cleared
-point: at the rows of ``V`` for the incidence check of ``Polytope.__init__``,
-at one cleared point for ``facets_at``, the only point scan, and at each
-integer image ``An V_k`` for ``image_gauge_max``, the operators' attainment
-scan; ``images`` forms such products for the index of smoothness, and
-``facet_rank`` ranks a set of facets on the rows of ``F``.  The
+read, and ``vertex`` and ``functional`` build one of them by index, so a
+reader of a few rows builds only those (``vertex_rows`` and ``facet_rows``
+hand rows on as ``linalg.Cleared`` points).  A ball built from points
+keeps ``V`` over their scale, and as DD's facet rows ``(N_j, h_j)`` are
+primitive, the entries of ``N_j / h_j`` have lcm of denominators ``h_j``,
+so ``D = lcm_j h_j`` and ``F_j = N_j D / h_j`` (``_FieldOps.common``).
+``_row_max`` finds the rows tight at a cleared point: at the rows of ``V``
+for the incidence check of ``Polytope.__init__``, at one point for the
+point scans (``facets_at`` of a vector, ``support_at`` of a point held
+cleared), and at each integer image ``An V_k`` for ``image_gauge_max``,
+the operators' attainment scan; ``images`` forms such products for the
+index of smoothness, ``locate`` finds cleared points among the vertices
+by their primitive homogeneous rows, and ``facet_rank`` ranks a set of
+facets on the rows of ``F``.  The
 Birkhoff-James witnesses of :mod:`ksmooth.orthogonality` are integer work on
 the same rows, with points and targets cleared once (``clear``, or the
 barycentre row ``faces_meeting`` hands on): ``bracket`` reads the signs of
@@ -87,7 +92,7 @@ from .errors import (
     OriginNotInteriorError,
     ValidationError,
 )
-from .linalg import Vector, _entry, _rank_of_lists, _reduced, from_cleared_row
+from .linalg import Cleared, Vector, _entry, _rank_of_lists, _reduced, from_cleared_row
 from .lp import lp_feasible
 from .scalars import (
     _FIELD_OPS,
@@ -137,16 +142,6 @@ class FaceDescriptor:
 
     active_set: frozenset[int]
     dim: int
-
-
-@dataclass(frozen=True)
-class Cleared:
-    """Points held both ways: the ``vectors`` and their entries cleared to
-    the integer ``rows`` over one positive ``scale``."""
-
-    vectors: tuple[Vector, ...]
-    rows: list
-    scale: int
 
 
 def _negation_index(rows: Sequence, scale: int, field: FieldTag) -> list[int]:
@@ -367,17 +362,6 @@ def _tight(rows: Sequence[tuple], scale: int, x: Vector) -> tuple[object, int, l
     return top, scale * e, tight
 
 
-def images(rows: Sequence[Sequence[Scalar]], points: Sequence[Vector]) -> list[Vector]:
-    """The images ``A x`` of the ``points`` for the matrix ``A`` with the
-    given rows, on integers: with ``A`` cleared to ``An`` over ``a`` and the
-    points to ``X`` over ``e``, each image is ``An X_k`` over ``a e``."""
-    field = points[0].field
-    ops = _FIELD_OPS[field]
-    an, a = clear_denominators(rows, field)
-    cleared, e = clear_denominators((x.entries for x in points), field)
-    return [from_cleared_row(ops.row(ops.values(x, an)), a * e, field) for x in cleared]
-
-
 class Polytope:
     """Immutable vertices and facet functionals held as the cleared rows
     ``V / E`` and ``F / D``, with eager vertex-facet incidence."""
@@ -404,7 +388,7 @@ class Polytope:
                 raise NotOnBoundaryError(f"vertex {v} is not on the boundary")
             incidence.append(frozenset(tight))
         object.__setattr__(self, "vertex_active", tuple(incidence))
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_cache", {"vertex": {}, "functional": {}})
         if _rank_of_lists(V, field) < d:
             raise NotFullDimensionalError("vertex set does not span")
         for row, active in zip(V, incidence):
@@ -415,12 +399,36 @@ class Polytope:
     @cached_property
     def vertices(self) -> tuple[Vector, ...]:
         """The vertices ``V / E``, built on first read."""
-        return tuple(from_cleared_row(row, self.E, self.field) for row in self.V)
+        return tuple(map(self.vertex, range(len(self.V))))
 
     @cached_property
     def functionals(self) -> tuple[Vector, ...]:
         """The facet functionals ``F / D``, built on first read."""
-        return tuple(from_cleared_row(row, self.D, self.field) for row in self.F)
+        return tuple(map(self.functional, range(len(self.F))))
+
+    def vertex(self, k: int) -> Vector:
+        """The vertex ``V_k / E``, built on first read of it."""
+        built = self._cache["vertex"]
+        if k not in built:
+            built[k] = from_cleared_row(self.V[k], self.E, self.field)
+        return built[k]
+
+    def functional(self, j: int) -> Vector:
+        """The facet functional ``F_j / D``, built on first read of it."""
+        built = self._cache["functional"]
+        if j not in built:
+            built[j] = from_cleared_row(self.F[j], self.D, self.field)
+        return built[j]
+
+    def vertex_rows(self, indices: Sequence[int]) -> Cleared:
+        """The listed vertices, held as their rows of ``V`` over ``E``."""
+        return Cleared([self.V[k] for k in indices], self.E, self.field,
+                       lambda t: self.vertex(indices[t]))
+
+    def facet_rows(self, indices: Sequence[int]) -> Cleared:
+        """The listed facet functionals, held as their rows of ``F`` over ``D``."""
+        return Cleared([self.F[j] for j in indices], self.D, self.field,
+                       lambda t: self.functional(indices[t]))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polytope is immutable")
@@ -441,15 +449,85 @@ class Polytope:
         return from_cleared(top, scale, self.field), tight
 
     def facet_rank(self, facets: Iterable[int]) -> int:
-        """The rank of the listed facet functionals, on their cleared rows."""
-        return _rank_of_lists([self.F[j] for j in facets], self.field)
+        """The rank of the listed facet functionals, on their rows of ``F``
+        each over the gcd of its entries, so that the common scale ``D``
+        (thousands of bits on large balls) never reaches the kernel."""
+        if "primitive facets" not in self._cache:
+            self._cache["primitive facets"] = list(map(_FIELD_OPS[self.field].primitive, self.F))
+        rows = self._cache["primitive facets"]
+        return _rank_of_lists([rows[j] for j in facets], self.field)
 
     def clear(self, points: Sequence[Vector]) -> Cleared:
         """The points, checked against this polytope, cleared over one scale."""
         for x in points:
             self._check_point(x)
-        return Cleared(tuple(points), *clear_denominators((x.entries for x in points),
-                                                          self.field))
+        points = tuple(points)
+        return Cleared(*clear_denominators((x.entries for x in points), self.field),
+                       self.field, points.__getitem__)
+
+    def locate(self, points: Cleared) -> tuple[list[int | None], list[int]]:
+        """For each cleared point, the vertex it is up to sign, as the index of
+        the one of the pair whose first nonzero entry is positive (None when
+        it is no vertex), and the positions of the points whose gauge is not
+        1.  A point ``X / s`` is keyed by its primitive homogeneous row
+        ``(X, s)``, as each vertex ``(V_k, E)`` is; the gauge is read only at
+        points that are no vertex: ``max_j F_j . X = D s``."""
+        ops = _FIELD_OPS[self.field]
+        if "vertex keys" not in self._cache:
+            self._cache["vertex keys"] = {ops.primitive(ops.entries(row, self.E)): k
+                                          for k, row in enumerate(self.V)}
+        keys = self._cache["vertex keys"]
+        where = [keys.get(ops.primitive(ops.entries(row, points.scale))) for row in points.rows]
+        one = ops.lift(self.D * points.scale)
+        off = [i for i, (row, k) in enumerate(zip(points.rows, where))
+               if k is None and _row_max(self.F, row, self.field)[0] != one]
+        return [None if k is None else self.canonical_vertex(k) for k in where], off
+
+    def _negation(self, kind: str) -> list[int]:
+        """For each ``"vertex"`` or ``"facet"``, the index of its negation."""
+        key = kind + " negation"
+        if key not in self._cache:
+            rows, scale = (self.V, self.E) if kind == "vertex" else (self.F, self.D)
+            self._cache[key] = _negation_index(rows, scale, self.field)
+        return self._cache[key]
+
+    def canonical_vertex(self, k: int) -> int:
+        """The index of the vertex of the pair ``+/- v_k`` whose first nonzero
+        entry is positive."""
+        if "canonical" not in self._cache:
+            ops, negation = _FIELD_OPS[self.field], self._negation("vertex")
+            leading = (next(s for s in map(ops.sign, ops.split(row)) if s) for row in self.V)
+            self._cache["canonical"] = [k if s > 0 else negation[k] for k, s in enumerate(leading)]
+        return self._cache["canonical"][k]
+
+    def images(self, rows: Sequence[Sequence[Scalar]],
+               vertices: Sequence[int]) -> list[Cleared | None]:
+        """The images ``A v_k`` of the listed vertices for the matrix ``A``
+        with the given rows, each a one-point ``Cleared``, or None when it is
+        zero: with ``A`` cleared once to ``An`` over ``a``, ``An V_k`` over
+        ``a E``."""
+        ops = _FIELD_OPS[self.field]
+        an, a = clear_denominators(rows, self.field)
+        found = []
+        for k in vertices:
+            values = ops.values(self.V[k], an)
+            found.append(Cleared([ops.row(values)], a * self.E, self.field)
+                         if any(map(ops.sign, values)) else None)
+        return found
+
+    def support_at(self, point: Cleared) -> tuple[Vector, list[int]]:
+        """``y / ||y||`` for the one nonzero cleared point ``y = Y / s``, and
+        the facets attaining its gauge: with ``top = max_j F_j . Y`` the
+        gauge is ``top / D s``, so ``y / ||y|| = D Y / top``, built from the
+        integers with no field division."""
+        ops = _FIELD_OPS[self.field]
+        [row] = point.rows
+        top, tight = _row_max(self.F, row, self.field)
+        if not ops.sign(top):
+            raise ValidationError("cannot normalize the zero vector")
+        d = ops.lift(self.D)
+        unit, q = ops.over([ops.times(d, value) for value in ops.split(row)], top)
+        return from_cleared_row(unit, q, self.field), tight
 
     def bracket(self, facets: Sequence[int], target: Cleared) -> tuple[list, object] | None:
         """Convex weights over the listed facets of a functional vanishing
@@ -530,13 +608,22 @@ class Polytope:
         With ``A`` cleared to ``An`` over ``a``, ``_row_max`` of ``target.F``
         at each cleared image ``An V_k`` gives its largest value and tight
         facets; the maximum over ``k`` is one quotient by ``target.D * a * E``.
+        Both balls are symmetric, so only the first vertex of each +/- pair
+        is scanned: the image of its negation has the same gauge, attained
+        at the negations of its tight facets.
         """
         ops = _FIELD_OPS[self.field]
         an, scale = clear_denominators(rows, self.field)
-        scans = [_row_max(target.F, ops.row(ops.values(v, an)), self.field) for v in self.V]
-        top = ops.max([value for value, _ in scans])
-        return (from_cleared(top, target.D * scale * self.E, self.field),
-                {k: tight for k, (value, tight) in enumerate(scans) if value == top})
+        negation, flip = self._negation("vertex"), target._negation("facet")
+        scans = {k: _row_max(target.F, ops.row(ops.values(v, an)), self.field)
+                 for k, v in enumerate(self.V) if k < negation[k]}
+        top = ops.max([value for value, _ in scans.values()])
+        attaining = {}
+        for k, m in enumerate(negation):
+            value, tight = scans[min(k, m)]
+            if value == top:
+                attaining[k] = tight if k < m else sorted(map(flip.__getitem__, tight))
+        return from_cleared(top, target.D * scale * self.E, self.field), attaining
 
     @classmethod
     def from_vectors(cls, vertices: Sequence[Vector],
@@ -571,15 +658,9 @@ class Polytope:
         """The polar dual: facet functionals become vertices and vice versa."""
         return Polytope(self.F, self.D, self.V, self.E, self.field)
 
-    def has_vertex(self, x: Vector) -> bool:
-        """Whether ``x`` is one of the vertices (the entry set is built once)."""
-        if "vertex_entries" not in self._cache:
-            self._cache["vertex_entries"] = frozenset(v.entries for v in self.vertices)
-        return x.entries in self._cache["vertex_entries"]
-
     def face_vertices(self, face: FaceDescriptor) -> list[Vector]:
         """Vertices lying on the face (those whose active set contains it)."""
-        return [v for v, act in zip(self.vertices, self.vertex_active)
+        return [self.vertex(k) for k, act in enumerate(self.vertex_active)
                 if face.active_set <= act]
 
     def _face_lattice(self) -> dict[frozenset[int], int]:
@@ -673,7 +754,7 @@ def faces_meeting(p: Polytope, basis: Sequence[Vector]):
         on_face, h = ops.common([z for z, a in zip(rows, active) if face.active_set <= a])
         total = ops.row([ops.total(column) for column in zip(*map(ops.split, on_face))])
         row, scale = ops.row(ops.values(total, columns)), t * h * len(on_face)
-        yield face, Cleared((from_cleared_row(row, scale, field),), [row], scale)
+        yield face, Cleared([row], scale, field)
 
 
 def minimal_face(p: Polytope, x: Vector) -> FaceDescriptor:

@@ -224,6 +224,11 @@ class FieldTag(Enum):
     RATIONAL = "rational"
     QUAD_SQRT2 = "quad-sqrt2"
 
+    # members are singletons compared by identity, so identity hashing
+    # agrees with ``==``; ``Enum.__hash__`` is a Python-level call paid on
+    # every ``_FIELD_OPS[field]`` lookup
+    __hash__ = object.__hash__
+
     @property
     def zero(self) -> Scalar:
         return Fraction(0) if self is FieldTag.RATIONAL else QuadScalar(0, 0)
@@ -318,6 +323,12 @@ def _over_gcd(parts: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """The integer ``parts`` of a row divided by the gcd of all their entries."""
     g = gcd(*itertools.chain.from_iterable(parts)) or 1
     return tuple(tuple(x // g for x in part) for part in parts)
+
+
+def _rational_primitive(row: tuple[int, ...]) -> tuple[int, ...]:
+    # most rows are primitive already: no new row then
+    g = gcd(*row)
+    return row if g <= 1 else tuple([x // g for x in row])
 
 
 def _primitive(parts: list[list[int]]) -> tuple[tuple[int, ...], ...]:
@@ -442,7 +453,7 @@ _FIELD_OPS = {
         quotient=Fraction,
         over=_rational_over,
         outer=lambda x, y: tuple([a * b for a in x for b in y]),
-        primitive=lambda row: _over_gcd([row])[0]),
+        primitive=_rational_primitive),
     FieldTag.QUAD_SQRT2: _FieldOps(
         width=lambda row: len(row[0]),
         entries=lambda row, h: ((*row[0], h), (*row[1], 0)),

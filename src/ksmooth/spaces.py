@@ -7,7 +7,11 @@ represented by its extreme points: the facet functionals active at ``x``.
 ``norm``, ``support_set``, ``support_functionals_at`` and
 ``point_smoothness`` each read them and the gauge from one scan of the
 ball, ``Polytope.facets_at``, and ``Polytope.facet_rank`` ranks them on the
-ball's cleared rows.
+ball's cleared rows.  ``support_functionals_at`` also takes a point the
+caller holds cleared (the index of smoothness hands on its images so), and
+then ``Polytope.support_at`` scans its row and builds the normalised base
+point from integers.  A support set names its functionals by their facet
+indices as well, so that a caller can carry on with the ball's rows.
 
 The smoothness order of a unit vector is the rank of its active
 functionals; it always equals the ambient dimension minus the dimension
@@ -34,7 +38,7 @@ from .errors import (
     NotUnitNormError,
     ValidationError,
 )
-from .linalg import Vector, rank_of_vectors
+from .linalg import Cleared, Vector, rank_of_vectors
 from .polytope import Polytope, _minimal_face_of, check_guard
 from .scalars import FieldTag, INV_SQRT2, QuadScalar, Scalar
 
@@ -59,11 +63,13 @@ class PolyhedralSpace:
 
 @dataclass(frozen=True)
 class SupportSet:
-    """Ext(J(x)) for a unit vector x: the facet functionals active at x."""
+    """Ext(J(x)) for a unit vector x: the facet functionals active at x,
+    with their indices among the ball's facets (``facets``)."""
 
     base_point: Vector
     extreme_functionals: tuple[Vector, ...]
     smoothness_order: int
+    facets: tuple[int, ...] = ()
 
 
 def norm(space: PolyhedralSpace, x: Vector) -> Scalar:
@@ -89,7 +95,7 @@ def support_facets(space: PolyhedralSpace, x: Vector) -> list[int]:
 
 
 def _supports(ball: Polytope, x: Vector, tight: list[int]) -> SupportSet:
-    return SupportSet(x, tuple(map(ball.functionals.__getitem__, tight)), ball.facet_rank(tight))
+    return SupportSet(x, tuple(map(ball.functional, tight)), ball.facet_rank(tight), tuple(tight))
 
 
 def support_set(space: PolyhedralSpace, x: Vector) -> SupportSet:
@@ -97,13 +103,16 @@ def support_set(space: PolyhedralSpace, x: Vector) -> SupportSet:
     return _supports(space.ball, x, support_facets(space, x))
 
 
-def support_functionals_at(space: PolyhedralSpace, y: Vector) -> SupportSet:
-    """Support set of a nonzero (not necessarily unit) vector.
+def support_functionals_at(space: PolyhedralSpace, y: Vector | Cleared) -> SupportSet:
+    """Support set of a nonzero (not necessarily unit) vector, given as a
+    ``Vector`` or as one point cleared over the ball's field.
 
     The support functionals at ``y`` are those of ``y/||y||``: the facets
     attaining the gauge of ``y``, read from the same scan that gives the
     norm.  The base point recorded in the result is the normalized vector.
     """
+    if isinstance(y, Cleared):
+        return _supports(space.ball, *space.ball.support_at(y))
     n, tight = space.ball.facets_at(y)
     if not n:
         raise ValidationError("cannot normalize the zero vector")

@@ -5,16 +5,20 @@ import pytest
 
 from ksmooth.errors import DimensionMismatchError, FieldMismatchError
 from ksmooth.linalg import (
+    Cleared,
     Matrix,
     Vector,
+    _rank_of_lists,
     from_cleared_row,
     greedy_independent_subset,
+    independent_rows,
     nullspace,
-    outer_product_rank,
     outer_rows,
+    primitive_rows,
     rank,
     rank_of_vectors,
     solve,
+    solve_rows,
 )
 from ksmooth.scalars import FieldTag, INV_SQRT2, QuadScalar, SQRT2, clear_denominators
 
@@ -291,9 +295,10 @@ def test_outer_flatten_independence():
         assert rank_of_vectors(products) == 4
 
 
-def test_outer_product_rank_matches_field_products():
-    # the integer products of separately cleared x and y* have the rank of
-    # the field products, zero and 40-digit entries included
+def test_outer_rows_of_primitive_rows_match_field_products():
+    # the integer products of x and y* cleared each over the gcd of its own
+    # entries have the rank of the field products, zero and 40-digit entries
+    # included: the oracle ranks the attainment scan's pairs so
     rng = random.Random(41)
     for field in (Q, K):
         for trial in range(24):
@@ -306,10 +311,37 @@ def test_outer_product_rank_matches_field_products():
                 ys[1] = Vector([e + field.coerce(big) for e in ys[1].entries], field)
             pairs = [(rng.choice(xs), rng.choice(ys)) for _ in range(rng.randint(1, 8))]
             expected = rank_of_vectors([kron_coeff_vector(x, y) for x, y in pairs])
-            assert outer_product_rank(pairs) == expected
-    assert outer_product_rank([]) == 0
-    with pytest.raises(FieldMismatchError):
-        outer_product_rank([(qv(1, 0), Vector([1], K))])
+            rows = [primitive_rows(clear_denominators([v.entries for v in vs], field)[0], field)
+                    for vs in zip(*pairs)]
+            assert _rank_of_lists(outer_rows(*rows, field), field) == expected
+
+
+def test_solve_rows_and_independent_rows_match_the_vector_routes():
+    # points held cleared, over scales of any size, are solved against and
+    # picked from as solve and greedy_independent_subset do on the vectors
+    rng = random.Random(43)
+    for field in (Q, K):
+        for trial in range(30):
+            n = rng.randint(1, 4)
+            columns = low_rank_set(rng, field, n, rng.randint(1, 4), rng.randint(1, n))
+            targets = [Vector([rand_scalar(rng, field) for _ in range(n)], field)
+                       for _ in range(rng.randint(0, 3))]
+            if trial % 2:
+                big = field.coerce(Fraction(rng.randrange(10 ** 29, 10 ** 30), 7))
+                columns[0] = columns[0].scale(big)
+            if trial % 3:
+                m = Matrix.from_columns(columns)
+                targets = [m.matvec(Vector([rand_scalar(rng, field) for _ in columns], field))
+                           for _ in targets]
+            c, t = (Cleared(*clear_denominators([v.entries for v in vs], field), field)
+                    for vs in (columns, targets))
+            assert c.vectors == tuple(columns)
+            assert independent_rows(c) == greedy_independent_subset(columns)
+            found = solve_rows(c, t)
+            expected = solve(Matrix.from_columns(columns), targets)
+            assert (found if found is None else list(found.vectors)) == expected
+            if found is not None:
+                assert found.scale > 0
 
 
 def test_vector_field_mismatch():

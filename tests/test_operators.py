@@ -8,13 +8,23 @@ import pytest
 from ksmooth.errors import (
     EmptyExtremeIntersectionError,
     InternalInconsistencyError,
+    NotIndependentError,
     NotProperFaceError,
     NotUnitNormError,
+    SpanViolationError,
     ValidationError,
     ZeroOperatorError,
 )
 import ksmooth.operators as operators
-from ksmooth.linalg import Matrix, Vector, nullspace, rank_of_vectors, solve
+from ksmooth import scalars
+from ksmooth.linalg import (
+    Matrix,
+    Vector,
+    greedy_independent_subset,
+    nullspace,
+    rank_of_vectors,
+    solve,
+)
 from ksmooth.operators import (
     LinearOperator,
     _index_computation,
@@ -36,10 +46,12 @@ from ksmooth.spaces import (
     SupportSet,
     ell1,
     ellinf,
+    norm,
     paper_example_space,
     point_smoothness,
     product_space,
     random_space,
+    support_functionals_at,
 )
 
 Q = FieldTag.RATIONAL
@@ -178,6 +190,164 @@ def _recombined(rng, basis):
     c = _random_invertible(rng, len(basis), basis[0].field)
     m = c.matmul(Matrix.from_rows(list(basis)))
     return [m.row(i) for i in range(m.rows)]
+
+
+def _reference_basis(given, members, name, spanned):
+    if given is None:
+        return [members[i] for i in greedy_independent_subset(members)]
+    basis = list(given)
+    if rank_of_vectors(basis) != len(basis):
+        raise NotIndependentError(f"explicit {name} basis is dependent")
+    if rank_of_vectors(basis + members) != len(basis):
+        raise ValidationError(f"explicit {name} basis does not span {spanned}")
+    return basis
+
+
+def reference_index_computation(t, r, vector_basis=None, functional_basis=None):
+    """The index of smoothness on field vectors: unit norms read one member
+    at a time, images and support sets of ``Vector``s, solves and products
+    in field arithmetic."""
+    if not r:
+        raise ValidationError("R must be nonempty")
+    field = t.domain.field
+    for x in r:
+        if norm(t.domain, x) != field.one:
+            raise NotUnitNormError(f"R member {x} is not unit norm")
+    vertices = {v.entries for v in t.domain.ball.vertices}
+    reps = []
+    for x in r:
+        if x.entries in vertices and sign_canonical(x) not in reps:
+            reps.append(sign_canonical(x))
+    if not reps:
+        raise EmptyExtremeIntersectionError("R contains no extreme point of the domain ball")
+    chosen = _reference_basis(vector_basis, list(r), "vector", "R")
+    supports, collected = [], []
+    for v in reps:
+        image = t.apply(v)
+        if image.is_zero():
+            raise ValidationError(f"image of extreme point {v} is zero; support set undefined")
+        supports.append(support_functionals_at(t.codomain, image))
+        collected += supports[-1].extreme_functionals
+    f_basis = _reference_basis(functional_basis, collected, "functional",
+                               "the support functionals")
+    alphas = solve(Matrix.from_columns(chosen), reps)
+    if alphas is None:
+        raise SpanViolationError("an attaining vector is outside the collected span")
+    betas = solve(Matrix.from_columns(f_basis), collected)
+    if betas is None:
+        raise SpanViolationError("a support functional is outside the collected span")
+    betas = iter(betas)
+    generators = [kron_coeff_vector(alpha, next(betas))
+                  for alpha, sup in zip(alphas, supports) for _ in sup.extreme_functionals]
+    return operators.IndexComputation(tuple(reps), tuple(supports), tuple(chosen),
+                                      tuple(f_basis), tuple(generators),
+                                      rank_of_vectors(generators))
+
+
+def _unit_non_vertices(rng, space):
+    """Midpoints of two vertices on one facet: unit vectors that are no vertex."""
+    ball = space.ball
+    found = []
+    for face in rng.sample(enumerate_faces(ball, space.dim - 1), 2):
+        v, w = ball.face_vertices(face)[:2]
+        found.append((v + w).scale(space.field.one / space.field.from_int(2)))
+    return found
+
+
+def _both_routes(t, *args):
+    """The index computation by the integer route and by the reference,
+    or the type and message of the error each raises."""
+    results = []
+    for route in (_index_computation, reference_index_computation):
+        try:
+            results.append(route(t, *args))
+        except Exception as error:
+            results.append((type(error), str(error)))
+    return results
+
+
+def assert_routes_agree(t, *args):
+    comp, expected = _both_routes(t, *args)
+    if isinstance(expected, tuple):
+        assert comp == expected
+        return
+    assert comp.rep_vertices == expected.rep_vertices
+    assert len(comp.image_supports) == len(expected.image_supports)
+    for got, want in zip(comp.image_supports, expected.image_supports):
+        assert got.base_point == want.base_point
+        assert got.extreme_functionals == want.extreme_functionals
+        assert got.smoothness_order == want.smoothness_order
+    assert comp.vector_basis == expected.vector_basis
+    assert comp.functional_basis == expected.functional_basis
+    assert comp.z_generators == expected.z_generators
+    assert comp.index == expected.index
+
+
+@pytest.mark.parametrize("field", [Q, K], ids=["rational", "quadratic"])
+def test_index_route_matches_the_vector_route(field):
+    # every field of the index computation, and every error, as the route
+    # on field vectors gives them: R with non-extreme unit members, +/-
+    # duplicates and members with zero images, default and explicit bases
+    rng = random.Random(f"reference:{field.name}")
+    if field is Q:
+        spaces = [random_space(rng.randrange(2 ** 30), d, d + rng.randint(0, 2))
+                  for d in (2, 3, 3, 4)]
+    else:
+        spaces = [paper_example_space(), ellinf(3, K), ell1(3, K), ell1(2, K)]
+    for trial in range(16):
+        x, y = rng.choice(spaces), rng.choice(spaces)
+        t = (_random_rank1_operator if trial % 3 == 0 else _random_unit_operator)(rng, x, y)
+        reps = list(t.attainment.attaining_vertices)
+        others = rng.sample(x.ball.vertices, 2)
+        r = reps + [-reps[0], reps[-1]] + _unit_non_vertices(rng, x)
+        assert_routes_agree(t, r)
+        assert_routes_agree(t, rng.sample(r, len(r)) + others)
+        comp = _index_computation(t, r)
+        vector_basis = _recombined(rng, comp.vector_basis)
+        functional_basis = _recombined(rng, comp.functional_basis)
+        assert_routes_agree(t, r, vector_basis, functional_basis)
+        assert_routes_agree(t, r, None, functional_basis)
+        # errors: an empty, non-unit or non-extreme R, dependent or
+        # non-spanning explicit bases
+        assert_routes_agree(t, [])
+        assert_routes_agree(t, r + [reps[0].scale(field.from_int(2))])
+        assert_routes_agree(t, _unit_non_vertices(rng, x))
+        assert_routes_agree(t, r, vector_basis + [vector_basis[0]])
+        assert_routes_agree(t, r, None, functional_basis + [-functional_basis[-1]])
+        if len(vector_basis) > 1:
+            assert_routes_agree(t, r, vector_basis[1:])
+        if len(functional_basis) > 1:
+            assert_routes_agree(t, r, None, functional_basis[:-1])
+    # an extreme member whose image is zero
+    t = LinearOperator(ell1(2, field), ellinf(2, field), Matrix([[1, 0], [1, 0]], field))
+    e0, e1 = Vector.basis(0, 2, field), Vector.basis(1, 2, field)
+    for r in ([e0, e1], [-e0, e0, e1], [e1]):
+        assert_routes_agree(t.normalized(), r)
+
+
+def test_order_query_clears_each_matrix_once(monkeypatch):
+    # an order query clears R and the operator's matrix once each, and an
+    # explicit basis once more each: the support sets, solves, ranks and
+    # products all run on rows already cleared
+    calls = []
+    for tag, ops in list(scalars._FIELD_OPS.items()):
+        def counting(rows, clear=ops.clear):
+            calls.append(rows)
+            return clear(rows)
+        monkeypatch.setitem(scalars._FIELD_OPS, tag, ops._replace(clear=counting))
+    rng = random.Random(5)
+    pairs = [(random_space(rng.randrange(2 ** 30), 3, 5), random_space(rng.randrange(2 ** 30), 3, 4)),
+             (paper_example_space(), ellinf(3, K))]
+    for x, y in pairs:
+        for _ in range(4):
+            t = _random_unit_operator(rng, x, y)
+            del calls[:]
+            report = order_of_smoothness(t)
+            assert len(calls) == 2
+            r = list(report.attainment.attaining_vertices)
+            del calls[:]
+            index_of_smoothness(t, r, list(report.vector_basis), list(report.functional_basis))
+            assert len(calls) == 4
 
 
 def test_zero_image_leaves_the_support_set_undefined():

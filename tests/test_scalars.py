@@ -180,6 +180,17 @@ def test_coerce_rejects_cross_field():
     assert Q.coerce(3) == Fraction(3)
 
 
+def test_field_tag_hashes_by_identity():
+    # every _FIELD_OPS[field] lookup hashes the tag: identity hashing is a
+    # C slot, where Enum.__hash__ is a Python call; it agrees with ==, as
+    # the members are singletons, and the table still finds both rows
+    assert FieldTag.__hash__ is object.__hash__
+    for tag in FieldTag:
+        assert hash(tag) == object.__hash__(tag)
+        assert FieldTag(tag.value) is tag and {tag: 1}[FieldTag[tag.name]] == 1
+    assert set(_FIELD_OPS) == set(FieldTag)
+
+
 LONG_DIGITS = "9" * 5000  # more digits than CPython converts to int by default
 NOT_DECIMAL = "integer too long or not decimal"
 # literal -> (value or (position, reason) under the rational tag,
