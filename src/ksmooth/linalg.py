@@ -1,16 +1,17 @@
 """Exact vectors, matrices, rank, solving and independent subsets.
 
 The hot scans over a ball run on rows cleared of denominators by the field
-table of :mod:`ksmooth.scalars` (``clear_denominators``), where a dot
-product is ``sum(map(mul, a, b))``, and build at most one field scalar at
-the end (``from_cleared_row``); which rows are tight is decided in
-:mod:`ksmooth.polytope`.
+table of :mod:`ksmooth.scalars`, where a dot product is
+``sum(map(mul, a, b))``, and build at most one field scalar at the end
+(``from_cleared_row``); which rows are tight is decided in
+:mod:`ksmooth.polytope`.  Field vectors become cleared rows only through
+``Cleared.of``, which checks each vector's field and dimension.
 
 Rank, ``solve``, ``nullspace`` and ``greedy_independent_subset`` run on
 one fraction-free kernel on ``int`` rows, ``_eliminate``, fed by
-``_reduced``; ``_rank_of_lists`` is the rank front on cleared rows.  A
-solution entry is one ``Fraction`` over the kernel's ``det``, built at the
-end unless the caller goes on on integers; as the reduced row echelon form
+``_reduced``, which take gcd-primitive rows of one clearing;
+``_rank_of_lists`` is the rank front on cleared rows.  A solution entry is
+one ``Fraction`` over the kernel's ``det``; as the reduced row echelon form
 is unique, every result is the one Gauss-Jordan in field arithmetic gives.
 Matrices here are tiny: every query recomputes from scratch.
 
@@ -218,16 +219,23 @@ class Cleared:
             self._vectors = tuple(map(self._vector, range(len(self.rows))))
         return self._vectors
 
+    @classmethod
+    def of(cls, vectors: Sequence[Vector], field: FieldTag, dim: int) -> "Cleared":
+        """The vectors, each checked to be over ``field`` with ``dim`` entries
+        (a scan of rows would truncate a ragged one), cleared over one scale."""
+        for v in vectors:
+            if v.field is not field:
+                raise FieldMismatchError(f"point field {v.field} vs space field {field}")
+            if v.dim != dim:
+                raise DimensionMismatchError(f"point dim {v.dim} vs space dim {dim}")
+        vectors = tuple(vectors)
+        return cls(*_FIELD_OPS[field].clear([v.entries for v in vectors]), field,
+                   vectors.__getitem__)
+
     def subset(self, indices: Sequence[int]) -> "Cleared":
         """The listed points, over the same scale."""
         return Cleared([self.rows[i] for i in indices], self.scale, self.field,
                        lambda t: self._vector(indices[t]))
-
-
-def _cleared_rows(rows: Iterable[Sequence[Scalar]], field: FieldTag) -> list[tuple]:
-    """Each row cleared on its own scale, which changes no span and no solution."""
-    clear = _FIELD_OPS[field].clear
-    return [clear([row])[0][0] for row in rows]
 
 
 def from_cleared_row(row: tuple, scale: int, field: FieldTag) -> Vector:
@@ -350,15 +358,22 @@ def _rank_of_lists(rows: Sequence[Sequence], field: FieldTag) -> int:
     return len(_reduced(rows, field, _FIELD_OPS[field].width(rows[0]), False)[1])
 
 
+def _equations(rows: Sequence[Sequence[Scalar]], field: FieldTag) -> list[tuple]:
+    """Field-scalar rows cleared once, each then over the gcd of its entries."""
+    return primitive_rows(_FIELD_OPS[field].clear(list(rows))[0], field)
+
+
 def rank(m: Matrix) -> int:
     """Exact rank by fraction-free elimination."""
-    return _rank_of_lists(_cleared_rows(m.row_data, m.field), m.field)
+    return _rank_of_lists(_equations(m.row_data, m.field), m.field)
 
 
 def rank_of_vectors(vs: Sequence[Vector]) -> int:
+    """The rank of vectors that share the field and dimension of the first."""
     if not vs:
         return 0
-    return _rank_of_lists(_cleared_rows((v.entries for v in vs), vs[0].field), vs[0].field)
+    points = Cleared.of(vs, vs[0].field, vs[0].dim)
+    return _rank_of_lists(primitive_rows(points.rows, points.field), points.field)
 
 
 def _solutions(equations: list, width: int, count: int,
@@ -380,15 +395,12 @@ def _solutions(equations: list, width: int, count: int,
     return [ops.row(solution) for solution in solutions], det
 
 
-def solve(a: Matrix, bs: Sequence[Vector], cleared: bool = False,
-          ) -> Optional[list[Vector] | tuple[list[tuple], int]]:
+def solve(a: Matrix, bs: Sequence[Vector]) -> Optional[list[Vector]]:
     """Exact solutions of ``a x = b`` for each ``b`` in ``bs``, or ``None``
     when some ``b`` is inconsistent, from one reduction of ``a`` augmented
     with every ``b``.  Pivots are searched in ``a``'s columns only, so each
     solution is the one its ``b`` alone gives: unique when ``a`` has full
     column rank, otherwise with free variables fixed at zero.
-    With ``cleared``, returns cleared rows ``X`` and the kernel's ``det``
-    (an integer of either sign) instead, each solution being ``X_t / det``.
     """
     field = a.field
     for b in bs:
@@ -397,9 +409,9 @@ def solve(a: Matrix, bs: Sequence[Vector], cleared: bool = False,
         if b.dim != a.rows:
             raise DimensionMismatchError(f"solve: {a.rows} rows vs rhs dim {b.dim}")
     aug = [row + tuple(b[i] for b in bs) for i, row in enumerate(a.row_data)]
-    found = _solutions(_cleared_rows(aug, field), a.cols, len(bs), field)
-    if found is None or cleared:
-        return found
+    found = _solutions(_equations(aug, field), a.cols, len(bs), field)
+    if found is None:
+        return None
     rows, det = found
     return [from_cleared_row(row, det, field) for row in rows]
 
@@ -441,7 +453,7 @@ def solve_rows(columns: Cleared, targets: Cleared) -> Optional[Cleared]:
 def nullspace(a: Matrix) -> list[Vector]:
     """Deterministic basis of the kernel of ``a`` (one vector per free column)."""
     field = a.field
-    rows, unknowns, det = _reduced(_cleared_rows(a.row_data, field), field, a.cols, True)
+    rows, unknowns, det = _reduced(_equations(a.row_data, field), field, a.cols, True)
     step = len(rows[0]) // a.cols
     ops = _FIELD_OPS[field]
     d = ops.lift(det)
@@ -462,12 +474,12 @@ def greedy_independent_subset(vs: Sequence[Vector]) -> list[int]:
 
     A vector is kept iff it is not in the span of the vectors before it;
     the result spans the span of the whole input.  These are exactly the
-    pivot columns of the matrix whose columns are ``vs``.
+    pivot columns of the matrix whose columns are ``vs``, which must share
+    the field and dimension of the first.
     """
     if not vs:
         return []
-    columns = _cleared_rows(([v[i] for v in vs] for i in range(vs[0].dim)), vs[0].field)
-    return _reduced(columns, vs[0].field, len(vs), False)[1]
+    return independent_rows(Cleared.of(vs, vs[0].field, vs[0].dim))
 
 
 def independent_rows(points: Cleared) -> list[int]:

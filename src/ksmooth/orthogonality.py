@@ -32,14 +32,13 @@ from typing import Callable, Optional, Sequence
 
 from .errors import (
     DimensionMismatchError,
-    FieldMismatchError,
     InternalInconsistencyError,
     NotIndependentError,
     NotUnitNormError,
     SubspaceMembershipError,
     ValidationError,
 )
-from .linalg import Cleared, Matrix, Vector, rank_of_vectors, solve
+from .linalg import Cleared, Matrix, Vector, _rank_of_lists, rank_of_vectors, solve
 from .lp import lp_feasible, solve_lp
 from .polytope import FaceDescriptor, faces_meeting
 from .scalars import Scalar
@@ -58,10 +57,8 @@ class Subspace:
             raise ValidationError("subspace needs at least one basis vector")
         if len(self.basis) > self.ambient.dim:
             raise DimensionMismatchError("more basis vectors than ambient dimensions")
-        for b in self.basis:
-            if b.field is not self.ambient.field or b.dim != self.ambient.dim:
-                raise FieldMismatchError("basis vector outside the ambient space")
-        if rank_of_vectors(list(self.basis)) != len(self.basis):
+        rows = self.ambient.ball.clear(self.basis).rows
+        if _rank_of_lists(rows, self.ambient.field) != len(rows):
             raise NotIndependentError("subspace basis is linearly dependent")
 
     @classmethod

@@ -48,14 +48,16 @@ hand rows on as ``linalg.Cleared`` points).  A ball built from points
 keeps ``V`` over their scale, and as DD's facet rows ``(N_j, h_j)`` are
 primitive, the entries of ``N_j / h_j`` have lcm of denominators ``h_j``,
 so ``D = lcm_j h_j`` and ``F_j = N_j D / h_j`` (``_FieldOps.common``).
-``_row_max`` finds the rows tight at a cleared point: at the rows of ``V``
-for the incidence check of ``Polytope.__init__``, at one point for the
-point scans (``facets_at`` of a vector, ``support_at`` of a point held
-cleared), and at each integer image ``An V_k`` for ``image_gauge_max``,
-the operators' attainment scan; ``images`` forms such products for the
-index of smoothness, ``locate`` finds cleared points among the vertices
-by their primitive homogeneous rows, and ``facet_rank`` ranks a set of
-facets on the rows of ``F``.  The
+Field vectors become rows through ``linalg.Cleared.of``: ``clear`` checks
+them against the ball, the builders against the first point.  ``_row_max``
+finds the rows tight at a cleared point: at the rows of ``V`` for the
+incidence check of ``Polytope.__init__``, at one point for the point scan
+``_tight`` (``facets_at`` of a vector the ball clears, ``support_at`` of a
+point held cleared), and at each integer image ``An V_k`` for
+``image_gauge_max``, the operators' attainment scan; ``images`` forms such
+products for the index of smoothness, ``locate`` finds cleared points
+among the vertices by their primitive homogeneous rows, and
+``facet_rank`` ranks a set of facets on the rows of ``F``.  The
 Birkhoff-James witnesses of :mod:`ksmooth.orthogonality` are integer work on
 the same rows, with points and targets cleared once (``clear``, or the
 barycentre row ``faces_meeting`` hands on): ``bracket`` reads the signs of
@@ -82,7 +84,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatchError,
-    FieldMismatchError,
     GuardExceededError,
     InternalInconsistencyError,
     NotFullDimensionalError,
@@ -200,10 +201,17 @@ def canonicalize(points: Sequence[Vector]) -> tuple[Vector, ...]:
     not repaired), and a point set that does not span raises
     ``NotFullDimensionalError``.
     """
-    field = points[0].field if points else FieldTag.RATIONAL
-    cleared, scale = clear_denominators((p.entries for p in points), field)
-    first = dict(zip(reversed(cleared), reversed(points)))  # each row's first point
-    return tuple(first[row] for row in _extreme_points(cleared, scale, field)[0])
+    P, scale, field = _clear_points(points)
+    first = dict(zip(reversed(P), reversed(points)))  # each row's first point
+    return tuple(first[row] for row in _extreme_points(P, scale, field)[0])
+
+
+def _clear_points(points: Sequence[Vector]) -> tuple[list[tuple], int, FieldTag]:
+    """The rows, scale and field of the points, each checked against the first."""
+    if not points:
+        raise NotFullDimensionalError("empty point set")
+    cleared = Cleared.of(points, points[0].field, points[0].dim)
+    return cleared.rows, cleared.scale, cleared.field
 
 
 def _extreme_points(P: Sequence, scale: int,
@@ -354,12 +362,12 @@ def _row_max(rows: Sequence[tuple], point: tuple, field: FieldTag) -> tuple:
     return top, [j for j, value in enumerate(values) if value == top]
 
 
-def _tight(rows: Sequence[tuple], scale: int, x: Vector) -> tuple[object, int, list[int]]:
-    """The largest value of the rows ``rows / scale`` at ``x``, cleared over the
-    positive integer returned, and the rows attaining it; no scalar is built."""
-    [cleared], e = clear_denominators([x.entries], x.field)
-    top, tight = _row_max(rows, cleared, x.field)
-    return top, scale * e, tight
+def _tight(rows: Sequence[tuple], scale: int, point: Cleared) -> tuple[object, int, list[int]]:
+    """The largest value of the rows ``rows / scale`` at the one cleared point,
+    over the positive integer returned, and the rows attaining it."""
+    [row] = point.rows
+    top, tight = _row_max(rows, row, point.field)
+    return top, scale * point.scale, tight
 
 
 class Polytope:
@@ -433,19 +441,9 @@ class Polytope:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polytope is immutable")
 
-    def _check_point(self, x: Vector) -> None:
-        """FieldMismatchError unless ``x`` has this polytope's field and
-        DimensionMismatchError unless it has its dimension: the cleared-row
-        scans would silently truncate it."""
-        if x.field is not self.field:
-            raise FieldMismatchError(f"point field {x.field} vs space field {self.field}")
-        if x.dim != self.dim:
-            raise DimensionMismatchError(f"point dim {x.dim} vs space dim {self.dim}")
-
     def facets_at(self, x: Vector) -> tuple[Scalar, list[int]]:
         """``max_j f_j(x)`` (the gauge of ``x``) and the facets attaining it."""
-        self._check_point(x)
-        top, scale, tight = _tight(self.F, self.D, x)
+        top, scale, tight = _tight(self.F, self.D, self.clear([x]))
         return from_cleared(top, scale, self.field), tight
 
     def facet_rank(self, facets: Iterable[int]) -> int:
@@ -459,11 +457,7 @@ class Polytope:
 
     def clear(self, points: Sequence[Vector]) -> Cleared:
         """The points, checked against this polytope, cleared over one scale."""
-        for x in points:
-            self._check_point(x)
-        points = tuple(points)
-        return Cleared(*clear_denominators((x.entries for x in points), self.field),
-                       self.field, points.__getitem__)
+        return Cleared.of(points, self.field, self.dim)
 
     def locate(self, points: Cleared) -> tuple[list[int | None], list[int]]:
         """For each cleared point, the vertex it is up to sign, as the index of
@@ -521,12 +515,11 @@ class Polytope:
         gauge is ``top / D s``, so ``y / ||y|| = D Y / top``, built from the
         integers with no field division."""
         ops = _FIELD_OPS[self.field]
-        [row] = point.rows
-        top, tight = _row_max(self.F, row, self.field)
+        top, _, tight = _tight(self.F, self.D, point)
         if not ops.sign(top):
             raise ValidationError("cannot normalize the zero vector")
         d = ops.lift(self.D)
-        unit, q = ops.over([ops.times(d, value) for value in ops.split(row)], top)
+        unit, q = ops.over([ops.times(d, value) for value in ops.split(point.rows[0])], top)
         return from_cleared_row(unit, q, self.field), tight
 
     def bracket(self, facets: Sequence[int], target: Cleared) -> tuple[list, object] | None:
@@ -629,15 +622,14 @@ class Polytope:
     def from_vectors(cls, vertices: Sequence[Vector],
                      functionals: Sequence[Vector]) -> "Polytope":
         """The polytope with the given vertices and facet functionals."""
-        field = vertices[0].field if vertices else FieldTag.RATIONAL
-        return cls(*clear_denominators((v.entries for v in vertices), field),
-                   *clear_denominators((f.entries for f in functionals), field), field)
+        V, E, field = _clear_points(vertices)
+        F = Cleared.of(functionals, field, vertices[0].dim)
+        return cls(V, E, F.rows, F.scale, field)
 
     @classmethod
     def from_vertices(cls, points: Sequence[Vector]) -> "Polytope":
         """The convex hull of the points, a symmetric ball."""
-        field = points[0].field if points else FieldTag.RATIONAL
-        return cls.from_rows(*clear_denominators((p.entries for p in points), field), field)
+        return cls.from_rows(*_clear_points(points))
 
     @classmethod
     def from_rows(cls, P: Sequence, scale: int, field: FieldTag) -> "Polytope":
@@ -730,16 +722,14 @@ def faces_meeting(p: Polytope, basis: Sequence[Vector]):
     """
     field = p.field
     ops = _FIELD_OPS[field]
-    for b in basis:
-        p._check_point(b)
+    cleared = p.clear(basis)
     lattice = p._face_lattice()
-    cleared, s = clear_denominators((b.entries for b in basis), field)
     facets_of: dict[tuple, list[int]] = {}
     for j, f in enumerate(p.F):
-        values = ops.values(f, cleared)
+        values = ops.values(f, cleared.rows)
         if any(map(ops.sign, values)):
             facets_of.setdefault(ops.row(values), []).append(j)
-    rows, tight, _ = dual_vertices(list(facets_of), p.D * s, field)
+    rows, tight, _ = dual_vertices(list(facets_of), p.D * cleared.scale, field)
     groups = list(facets_of.values())
     active = [frozenset(j for k in members for j in groups[k]) for members in tight]
     faces = []
@@ -749,12 +739,11 @@ def faces_meeting(p: Polytope, basis: Sequence[Vector]):
                 "a face of the subspace section is not a face of the ball")
         faces.append(FaceDescriptor(a, lattice[a]))
     faces.sort(key=lambda face: (face.dim, tuple(sorted(face.active_set))))
-    columns, t = clear_denominators(zip(*(b.entries for b in basis)), field)
     for face in faces:
         on_face, h = ops.common([z for z, a in zip(rows, active) if face.active_set <= a])
         total = ops.row([ops.total(column) for column in zip(*map(ops.split, on_face))])
-        row, scale = ops.row(ops.values(total, columns)), t * h * len(on_face)
-        yield face, Cleared([row], scale, field)
+        row = ops.combine(total, cleared.rows)
+        yield face, Cleared([row], cleared.scale * h * len(on_face), field)
 
 
 def minimal_face(p: Polytope, x: Vector) -> FaceDescriptor:

@@ -6,12 +6,12 @@ functionals of the ball, so the support set ``J(x)`` of a unit vector is
 represented by its extreme points: the facet functionals active at ``x``.
 ``norm``, ``support_set``, ``support_functionals_at`` and
 ``point_smoothness`` each read them and the gauge from one scan of the
-ball, ``Polytope.facets_at``, and ``Polytope.facet_rank`` ranks them on the
-ball's cleared rows.  ``support_functionals_at`` also takes a point the
-caller holds cleared (the index of smoothness hands on its images so), and
-then ``Polytope.support_at`` scans its row and builds the normalised base
-point from integers.  A support set names its functionals by their facet
-indices as well, so that a caller can carry on with the ball's rows.
+ball, and ``Polytope.facet_rank`` ranks them on the ball's cleared rows.
+``support_functionals_at`` reads a point held cleared: the ball clears a
+``Vector`` (``Polytope.clear``), and the index of smoothness hands on its
+images so; ``Polytope.support_at`` scans its row and builds the normalised
+base point from integers.  A support set names its functionals by their
+facet indices as well, so that a caller can carry on with the ball's rows.
 
 The smoothness order of a unit vector is the rank of its active
 functionals; it always equals the ambient dimension minus the dimension
@@ -109,14 +109,12 @@ def support_functionals_at(space: PolyhedralSpace, y: Vector | Cleared) -> Suppo
 
     The support functionals at ``y`` are those of ``y/||y||``: the facets
     attaining the gauge of ``y``, read from the same scan that gives the
-    norm.  The base point recorded in the result is the normalized vector.
+    norm.  A ``Vector`` is cleared by the ball first, and the base point
+    recorded in the result, the normalized vector, is built from integers.
     """
-    if isinstance(y, Cleared):
-        return _supports(space.ball, *space.ball.support_at(y))
-    n, tight = space.ball.facets_at(y)
-    if not n:
-        raise ValidationError("cannot normalize the zero vector")
-    return _supports(space.ball, y.scale(space.field.one / n), tight)
+    if isinstance(y, Vector):
+        y = space.ball.clear([y])
+    return _supports(space.ball, *space.ball.support_at(y))
 
 
 def point_smoothness(space: PolyhedralSpace, x: Vector) -> int:

@@ -20,15 +20,16 @@ from ksmooth.errors import (
 )
 import ksmooth.linalg as linalg
 from ksmooth.linalg import (
+    Cleared,
     Matrix,
     Vector,
     _rank_of_lists,
-    from_cleared_row,
     greedy_independent_subset,
     nullspace,
     rank,
     rank_of_vectors,
     solve,
+    solve_rows,
 )
 from ksmooth.operators import LinearOperator, operator_norm_and_attainment, sign_canonical
 import ksmooth.polytope as polytope
@@ -183,7 +184,8 @@ def test_norm_support_set_and_face_match_fraction_route(space):
             == [space.ball.functionals[j] for j in sorted(active)]
         assert minimal_face(space.ball, unit).active_set == active
         f = space.ball.functionals[0]
-        top, scale, tight = _tight(space.ball.V, space.ball.E, f)
+        top, scale, tight = _tight(space.ball.V, space.ball.E,
+                                   Cleared.of([f], space.field, space.dim))
         top = from_cleared(top, scale, space.field)
         assert top == max(f.dot(v) for v in space.ball.vertices)
         assert tight == [i for i, v in enumerate(space.ball.vertices) if f.dot(v) == top]
@@ -490,10 +492,10 @@ def test_solve_matches_gauss_jordan(field, kind):
         expected = reference_solve(m, bs, field)
         inconsistent += expected is None
         assert solve(a, bs) == expected
-        # the cleared return holds the same solutions over its det
-        cleared = solve(a, bs, cleared=True)
-        assert (cleared if cleared is None else
-                [from_cleared_row(row, cleared[1], field) for row in cleared[0]]) == expected
+        # solve_rows on the matrix columns holds the same solutions over its scale
+        cleared = solve_rows(Cleared.of([a.column(j) for j in range(a.cols)], field, a.rows),
+                             Cleared.of(bs, field, a.rows))
+        assert (cleared if cleared is None else list(cleared.vectors)) == expected
         for b in bs:
             assert solve(a, [b]) == reference_solve(m, [b], field)
     if kind == "deficient":

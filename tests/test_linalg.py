@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from ksmooth.linalg import (
     solve,
     solve_rows,
 )
+from ksmooth.polytope import Polytope, canonicalize
 from ksmooth.scalars import FieldTag, INV_SQRT2, QuadScalar, SQRT2, clear_denominators
 
 Q = FieldTag.RATIONAL
@@ -342,6 +344,48 @@ def test_solve_rows_and_independent_rows_match_the_vector_routes():
             assert (found if found is None else list(found.vectors)) == expected
             if found is not None:
                 assert found.scale > 0
+
+
+def _diamond(field):
+    """The vertices of the unit ball of l1 in the plane, and its facet
+    functionals, the vertices of its polar, the square."""
+    one, zero = field.one, field.zero
+    vertices = [Vector(p, field) for p in ((one, zero), (-one, zero), (zero, one), (zero, -one))]
+    functionals = [Vector((a, b), field) for a in (one, -one) for b in (one, -one)]
+    return vertices, functionals
+
+
+ODD = {"longer": lambda field: Vector([field.one] * 3, field),
+       "shorter": lambda field: Vector([field.one], field),
+       "other-field": lambda field: Vector([Fraction(1, 2)] * 2 if field is K
+                                           else [INV_SQRT2] * 2, Q if field is K else K)}
+# each takes the points the odd vector joins, and the diamond's functionals
+TAKERS = {
+    "rank_of_vectors": lambda points, others: rank_of_vectors(points),
+    "greedy_independent_subset": lambda points, others: greedy_independent_subset(points),
+    "canonicalize": lambda points, others: canonicalize(points),
+    "from_vertices": lambda points, others: Polytope.from_vertices(points),
+    "from_vectors-vertices": lambda points, others: Polytope.from_vectors(points, others),
+    "from_vectors-functionals": lambda points, others: Polytope.from_vectors(others, points),
+}
+
+
+@pytest.mark.parametrize("field", [Q, K], ids=["rational", "quadratic"])
+@pytest.mark.parametrize("odd", list(ODD))
+@pytest.mark.parametrize("taker", list(TAKERS))
+def test_ragged_or_mixed_vectors_raise(taker, odd, field):
+    # every field vector becomes cleared rows through Cleared.of, which
+    # checks it against the first: a ragged vector is not truncated or
+    # padded and a vector of the other field is not misread
+    vertices, functionals = _diamond(field)
+    TAKERS[taker](vertices, functionals)
+    stray = ODD[odd](field)
+    if odd == "other-field":
+        error, message = FieldMismatchError, f"point field {stray.field} vs space field {field}"
+    else:
+        error, message = DimensionMismatchError, f"point dim {stray.dim} vs space dim 2"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        TAKERS[taker](vertices + [stray], functionals)
 
 
 def test_vector_field_mismatch():

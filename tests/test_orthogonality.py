@@ -6,6 +6,7 @@ import pytest
 
 from ksmooth.errors import (
     DimensionMismatchError,
+    FieldMismatchError,
     InternalInconsistencyError,
     NotIndependentError,
     NotUnitNormError,
@@ -122,6 +123,22 @@ def test_subspace_subspace():
     li2 = ellinf(2)
     assert not bj_subspace_subspace(
         li2, Subspace.span(li2, [qv(1, 0)]), Subspace.span(li2, [qv(1, 1)]))
+
+
+def test_subspace_checks_its_basis_against_the_ambient_space():
+    # the basis goes through the ball's door to cleared rows, whose rank
+    # decides independence: a vector of another length or field raises the
+    # door's error, not a truncated rank
+    l13 = ell1(3)
+    with pytest.raises(DimensionMismatchError, match=r"^point dim 2 vs space dim 3$"):
+        Subspace.span(l13, [qv(1, 0, 0), qv(0, 1)])
+    with pytest.raises(DimensionMismatchError, match=r"^point dim 4 vs space dim 3$"):
+        Subspace.span(l13, [qv(1, 0, 0, 0)])
+    with pytest.raises(FieldMismatchError, match=r"^point field .* vs space field .*$"):
+        Subspace.span(l13, [qv(1, 0, 0), _kv(0, 1, 0)])
+    with pytest.raises(NotIndependentError, match=r"^subspace basis is linearly dependent$"):
+        Subspace.span(l13, [qv(1, 2, 0), qv(Fraction(-1, 3), Fraction(-2, 3), 0)])
+    assert Subspace.span(l13, [qv(1, 2, 0), qv(Fraction(1, 3), 0, 5)]).contains(qv(2, 4, 0))
 
 
 def _kv(*entries):

@@ -200,16 +200,17 @@ def test_cleared_kernels_stay_on_integers():
     # the elimination kernel, the clearing routines of the field table, the
     # rank front and the tight-row scans read only cleared integer rows: no
     # field scalar, field division, field-entry size or field pivot inside
-    # them, and the Q(sqrt 2) rank runs the same loop once, not by calling
+    # them (the door Cleared.of reads only a vector's field, size and
+    # entries), and the Q(sqrt 2) rank runs the same loop once, not by calling
     # itself (`bench/spans.py` wraps `_rank_of_lists`, so a recursive call
     # counts twice)
     linalg = ast.parse((SOURCE / "linalg.py").read_text(encoding="utf-8"))
     polytope = ast.parse((SOURCE / "polytope.py").read_text(encoding="utf-8"))
     scalars = ast.parse((SOURCE / "scalars.py").read_text(encoding="utf-8"))
     bodies = [_function(linalg, "_rank_of_lists"), _function(polytope, "_row_max"),
-              _function(polytope, "image_gauge_max", owner="Polytope")]
-    bodies += [_function(linalg, name) for name in ("_eliminate", "_forward", "_reduced", "_entry",
-                                                    "_cleared_rows")]
+              _function(polytope, "image_gauge_max", owner="Polytope"),
+              _function(linalg, "of", owner="Cleared")]
+    bodies += [_function(linalg, name) for name in ("_eliminate", "_forward", "_reduced", "_entry")]
     bodies += [_function(scalars, name) for name in ("clear_denominators", "_rational_clear",
                                                      "_quad_clear", "clear_scanned")]
     banned = {"QuadScalar", "Fraction", "truediv", "_scalar_size", "pivot_on"}
@@ -346,4 +347,33 @@ def test_face_dimensions_come_from_the_vertex_side():
     found = [f"{name}:{node.lineno}" for name, tree in _trees() for node in ast.walk(tree)
              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
              and "facet_rank" in ast.unparse(node.right)]
+    assert found == [], found
+
+
+def test_one_door_from_vectors_to_rows():
+    # a Vector's entries become cleared rows only in Cleared.of, which checks
+    # each vector's field and dimension first: no other call passes
+    # `.entries` to clear_denominators or to a field table's `clear`, and the
+    # unchecked clearing and the separate point check are gone
+    def clears_entries(node):
+        # `clear` as a name too: a field table's clear bound to a local
+        if not isinstance(node, ast.Call):
+            return False
+        called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        return called in ("clear_denominators", "clear") and any(
+            getattr(sub, "attr", None) == "entries" for arg in node.args for sub in ast.walk(arg))
+
+    found, doors = [], 0
+    for name, tree in _trees():
+        inside = set()
+        if name == "linalg.py":
+            door = _function(tree, "of", owner="Cleared")
+            inside = {id(node) for node in ast.walk(door)}
+            doors = sum(map(clears_entries, ast.walk(door)))
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in inside and clears_entries(node)]
+        found += [f"{name}:{node.lineno}:{node.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name in ("_cleared_rows", "_check_point")]
+    assert doors == 1
     assert found == [], found
